@@ -317,13 +317,8 @@ def concat(parts: Sequence[Tensor], axis: int = 1) -> Tensor:
 # activations and normalization
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # evaluated piecewise so neither branch's exp can overflow
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # the tanh form cannot overflow for any finite x
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def silu(a: Tensor) -> Tensor:
@@ -379,6 +374,16 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int,
 # ---------------------------------------------------------------------------
 # spatial ops (NCHW layout throughout)
 
+def _im2col(a: np.ndarray, ph: int, pw: int, kh: int, kw: int):
+    """Zero-pad (N,C,H,W) by (ph,pw); return (cols, Ho, Wo), where cols is
+    (N*Ho*Wo, C*kh*kw) with rows in (n,i,j) and columns in (c,u,v) order."""
+    ap = np.pad(a, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    win = np.lib.stride_tricks.sliding_window_view(ap, (kh, kw), axis=(2, 3))
+    n, c, ho, wo = win.shape[:4]
+    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, c * kh * kw)
+    return cols, ho, wo
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            padding: str = "same") -> Tensor:
     """2-D cross-correlation, stride 1.
@@ -413,11 +418,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         raise ShapeMismatchError(
             f"'conv2d' kernel ({kh},{kw}) larger than padded input ({h},{w})"
         )
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    ho, wo = win.shape[2], win.shape[3]
     # (N*Ho*Wo, C*kh*kw) @ (C*kh*kw, O): one BLAS call, fixed reduction order.
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, c * kh * kw)
+    cols, ho, wo = _im2col(x.data, ph, pw, kh, kw)
     wmat = weight.data.reshape(o, c * kh * kw)
     out = (cols @ wmat.T).reshape(n, ho, wo, o).transpose(0, 3, 1, 2)
     if bias is not None:
@@ -431,14 +433,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             if weight.requires_grad:
                 _accumulate(weight, (gm.T @ cols).reshape(o, c, kh, kw))
             if x.requires_grad:
-                # scatter-add the per-window grads back onto the padded input
-                dcols = (gm @ wmat).reshape(n, ho, wo, c, kh, kw)
-                dxp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=g.dtype)
-                for u in range(kh):
-                    for v in range(kw):
-                        dxp[:, :, u:u + ho, v:v + wo] += \
-                            dcols[:, :, :, :, u, v].transpose(0, 3, 1, 2)
-                _accumulate(x, dxp[:, :, ph:ph + h, pw:pw + w] if (ph or pw) else dxp)
+                # dx: g padded back to (H,W), correlated with the kernel
+                # rotated 180 degrees with its in/out channels swapped
+                gcols, _, _ = _im2col(g, kh - 1 - ph, kw - 1 - pw, kh, kw)
+                wrot = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * kh * kw)
+                _accumulate(x, (gcols @ wrot.T).reshape(n, h, w, c).transpose(0, 3, 1, 2))
         return bw
 
     return _make(np.ascontiguousarray(out), "conv2d", inputs, build)

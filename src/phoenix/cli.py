@@ -229,8 +229,7 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
         derive_seed(cfg.seed, DOMAIN_SAMPLE, 0),
     )
     report = compute_report(
-        samples, test.images, classifier,
-        cfg.metrics.feature_space, cfg.metrics.knn_k, cfg.metrics.is_splits,
+        samples, test.images, classifier, metrics_ctx, cfg.metrics.is_splits
     )
     summary = {
         "run_id": run_id,
@@ -285,9 +284,11 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
             f"{test.images.shape[1:]} per sample"
         )
     classifier = _obtain_classifier(cfg, train, args.classifier)
+    metrics_ctx = MetricsContext.build(
+        test.images, classifier, cfg.metrics.feature_space, cfg.metrics.knn_k
+    )
     report = compute_report(
-        samples, test.images, classifier,
-        cfg.metrics.feature_space, cfg.metrics.knn_k, cfg.metrics.is_splits,
+        samples, test.images, classifier, metrics_ctx, cfg.metrics.is_splits
     )
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -80,7 +80,7 @@ class FederationConfig:
             raise ValueError("client_count and batch_size must be at least 1")
         if self.threshold_filtering and self.client_count < 2:
             raise ValueError("threshold filtering needs at least 2 clients")
-        if not 1 <= self.eval_start_round <= self.server_rounds:
+        if self.threshold_filtering and not 1 <= self.eval_start_round <= self.server_rounds:
             raise ValueError(
                 f"eval_start_round {self.eval_start_round} outside "
                 f"[1, {self.server_rounds}]"
@@ -373,7 +373,8 @@ def run_federation(
 
     def train_one(client: ClientState, round_no: int):
         saved_personal = {k: v.copy() for k, v in client.personal_params.items()}
-        saved_opt = client.optimizer_state
+        opt = client.optimizer_state
+        saved_opt = None if opt is None else opt.snapshot()
         start = time.perf_counter()
         try:
             update = local_train(client, global_model, dataset, config, round_no, seed)

@@ -181,6 +181,14 @@ def total_variation(hist_a: np.ndarray, hist_b: np.ndarray) -> float:
     return float(0.5 * np.abs(a / a.sum() - b / b.sum()).sum())
 
 
+def _batched(fn: Callable[[np.ndarray], np.ndarray], images: np.ndarray,
+             batch_size: int = 256) -> np.ndarray:
+    """``fn`` over consecutive row blocks of ``images``, concatenated."""
+    return np.concatenate(
+        [fn(images[s:s + batch_size]) for s in range(0, len(images), batch_size)]
+    )
+
+
 def class_distribution(
     classifier: EvalClassifier,
     samples: np.ndarray,
@@ -197,10 +205,8 @@ def class_distribution(
         raise ValueError(
             f"reference histogram must have {classifier.num_classes} entries"
         )
-    predictions = []
-    for start in range(0, len(samples), batch_size):
-        predictions.append(classifier.predict(samples[start:start + batch_size]))
-    counts = np.bincount(np.concatenate(predictions), minlength=classifier.num_classes)
+    counts = np.bincount(_batched(classifier.predict, samples, batch_size),
+                         minlength=classifier.num_classes)
     return counts, total_variation(counts, reference_histogram)
 
 
@@ -232,11 +238,7 @@ class MetricsContext:
             if classifier is None:
                 raise ValueError("classifier feature space needs a trained classifier")
             def extract(images: np.ndarray) -> np.ndarray:
-                parts = [
-                    classifier.features(images[s:s + batch_size])
-                    for s in range(0, len(images), batch_size)
-                ]
-                return np.concatenate(parts)
+                return _batched(classifier.features, images, batch_size)
         elif feature_space == FEATURE_SPACE_PIXELS:
             def extract(images: np.ndarray) -> np.ndarray:
                 return np.asarray(images, dtype=np.float64).reshape(len(images), -1)
@@ -254,30 +256,26 @@ def compute_report(
     generated: np.ndarray,
     reference_images: np.ndarray,
     classifier: EvalClassifier,
-    feature_space: str = FEATURE_SPACE_CLASSIFIER,
-    knn_k: int = 3,
+    ctx: MetricsContext,
     is_splits: int = 10,
 ) -> MetricsReport:
-    """Full metric sweep of a generated batch against a reference set."""
-    ctx = MetricsContext.build(reference_images, classifier, feature_space, knn_k)
+    """Full metric sweep of a generated batch against a reference set.
+
+    ``ctx`` must have been built from ``reference_images``; its feature
+    space and k are the report's.
+    """
     gen_features = ctx.extract(generated)
     fid = frechet_distance(
         gaussian_stats(ctx.reference_features), gaussian_stats(gen_features)
     )
-    probs = []
-    for start in range(0, len(generated), 256):
-        probs.append(classifier.probabilities(generated[start:start + 256]))
-    probs = np.concatenate(probs)
+    probs = _batched(classifier.probabilities, generated)
     splits = min(is_splits, len(generated))
     is_mean, is_std = inception_style_score(probs, splits)
-    precision, recall = knn_precision_recall(ctx.reference_features, gen_features, knn_k)
-    ref_hist = np.bincount(
-        np.concatenate([
-            classifier.predict(reference_images[s:s + 256])
-            for s in range(0, len(reference_images), 256)
-        ]),
-        minlength=classifier.num_classes,
+    precision, recall = knn_precision_recall(
+        ctx.reference_features, gen_features, ctx.knn_k
     )
+    ref_hist = np.bincount(_batched(classifier.predict, reference_images),
+                           minlength=classifier.num_classes)
     counts, tv = class_distribution(classifier, generated, ref_hist)
     return MetricsReport(
         fid=fid,
@@ -287,7 +285,7 @@ def compute_report(
         recall=recall,
         class_histogram=[int(c) for c in counts],
         tv_distance=tv,
-        feature_space=feature_space,
+        feature_space=ctx.feature_space,
         n_generated=len(generated),
         n_reference=len(reference_images),
     )

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -21,6 +21,15 @@ class AdamState:
     step_count: int = 0
     first_moment: dict[str, np.ndarray] = field(default_factory=dict)
     second_moment: dict[str, np.ndarray] = field(default_factory=dict)
+
+    def snapshot(self) -> "AdamState":
+        """A copy that later steps on ``self`` leave untouched.
+
+        ``adam_step`` replaces moment arrays rather than writing into them,
+        so copying the two dicts is enough.
+        """
+        return replace(self, first_moment=dict(self.first_moment),
+                       second_moment=dict(self.second_moment))
 
 
 def adam_step(

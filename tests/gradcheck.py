@@ -95,17 +95,18 @@ def template_matmul_classifier(rng):
 
 
 def template_conv_stack(rng):
+    # non-square kernels catch a kh/kw mix-up in the input gradient
     n, c = int(rng.integers(1, 3)), int(rng.integers(1, 3))
     mid = int(rng.integers(2, 4))
     side = int(rng.integers(5, 8))
     params = {
         "x": rng.standard_normal((n, c, side, side)),
-        "w1": rng.standard_normal((mid, c, 3, 3)),
+        "w1": rng.standard_normal((mid, c, 3, 5)),
         "b1": rng.standard_normal(mid),
-        "w2": rng.standard_normal((2, mid, 3, 3)),
+        "w2": rng.standard_normal((2, mid, 1, 3)),
         "b2": rng.standard_normal(2),
     }
-    target = rng.standard_normal((n, 2, side - 2, side - 2))
+    target = rng.standard_normal((n, 2, side, side - 2))
 
     def build(p):
         h = ad.silu(ad.conv2d(p["x"], p["w1"], p["b1"], "same"))

@@ -220,6 +220,16 @@ class TestOpSemantics:
         out = ad.silu(x)
         np.testing.assert_allclose(out.data, [0.0, 1.0 / (1.0 + np.exp(-1.0))],
                                    rtol=1e-6)
+        # saturated inputs: finite, in range, and the float64 value
+        big = np.array([20.0, -20.0, 100.0, -100.0])
+        expected = 1.0 / (1.0 + np.exp(-big))
+        for dtype in (np.float32, np.float64):
+            out = ad.silu(ad.Tensor(big.astype(dtype)))
+            sig = out.data / big.astype(dtype)
+            assert np.all(np.isfinite(out.data))
+            assert np.all((sig >= 0.0) & (sig <= 1.0))
+            np.testing.assert_allclose(sig, expected, rtol=0, atol=1e-6)
+            np.testing.assert_allclose(out.data, big * expected, rtol=1e-6, atol=1e-6)
 
     def test_log_softmax_rows_normalize(self):
         x = ad.Tensor(np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]))

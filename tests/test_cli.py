@@ -280,7 +280,7 @@ class TestEvaluateCommand:
         from phoenix.classifier import train_eval_classifier
         from phoenix.config import load_datasets
         from phoenix.formats import write_tensor
-        from phoenix.metrics import compute_report
+        from phoenix.metrics import MetricsContext, compute_report
         train, test = load_datasets(cfg)
         rng = np.random.default_rng(3)
         fake = np.clip(rng.standard_normal((16, 1, 8, 8)), -1, 1).astype(np.float32)
@@ -292,8 +292,9 @@ class TestEvaluateCommand:
 
         clf = train_eval_classifier(train, cfg.metrics.classifier_epochs, cfg.seed)
         # the CLI persists its tensor first; score the persisted bytes
-        report = compute_report(read_tensor(samples), test.images, clf,
-                                cfg.metrics.feature_space, cfg.metrics.knn_k,
+        ctx = MetricsContext.build(test.images, clf, cfg.metrics.feature_space,
+                                   cfg.metrics.knn_k)
+        report = compute_report(read_tensor(samples), test.images, clf, ctx,
                                 cfg.metrics.is_splits)
         assert doc["fid"] == pytest.approx(report.fid, rel=1e-12)
         assert doc["precision"] == report.precision

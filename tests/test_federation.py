@@ -364,6 +364,62 @@ class TestRunFederation:
         assert statuses[1] == "faulted"
         assert statuses[0] == "active"
 
+    def test_mid_round_fault_restores_optimizer_state(self, dataset, monkeypatch):
+        # client 1 faults inside adam_step on its third step of round 2; its
+        # Adam state must be exactly the state it ended round 1 with
+        cfg = tiny_config(client_count=2, server_rounds=2)
+        plan = make_plan(dataset, 2)
+        seen = {}
+        original_train = federation.local_train
+        original_step = federation.adam_step
+
+        def train(client, model, data, config, round_no, seed):
+            seen.update(client=client.id, round=round_no, steps=0)
+            if client.id == 1 and round_no == 2:
+                st = client.optimizer_state
+                seen["faulty"] = client
+                seen["round_1_state"] = (
+                    st.step_count,
+                    {k: v.copy() for k, v in st.first_moment.items()},
+                    {k: v.copy() for k, v in st.second_moment.items()},
+                )
+            return original_train(client, model, data, config, round_no, seed)
+
+        def step(params, grads, state):
+            seen["steps"] += 1
+            if (seen["client"], seen["round"], seen["steps"]) == (1, 2, 3):
+                grads = dict(grads)
+                last = list(grads)[-1]
+                grads[last] = np.full_like(grads[last], np.nan)
+            return original_step(params, grads, state)
+
+        monkeypatch.setattr(federation, "local_train", train)
+        monkeypatch.setattr(federation, "adam_step", step)
+        _, runlog = run_federation(build_unet(TINY, seed=1), plan, cfg, dataset, seed=2)
+
+        statuses = {(r.round, r.client_id): r.status for r in runlog.rows}
+        assert statuses[(2, 1)] == "faulted"
+        step_count, first, second = seen["round_1_state"]
+        assert step_count > 2
+        restored = seen["faulty"].optimizer_state
+        assert restored.step_count == step_count
+        for saved, now in ((first, restored.first_moment), (second, restored.second_moment)):
+            assert saved.keys() == now.keys()
+            for name in saved:
+                np.testing.assert_array_equal(now[name], saved[name])
+
+    def test_eval_start_round_checked_only_with_filtering(self, dataset):
+        default = FederationConfig.eval_start_round
+        cfg = tiny_config(client_count=2, server_rounds=2, eval_start_round=default)
+        assert default > cfg.server_rounds
+        cfg.validate()
+        _, runlog = run_federation(build_unet(TINY, seed=1), make_plan(dataset, 2),
+                                   cfg, dataset, seed=2)
+        assert len(runlog.rows) == 4
+        with pytest.raises(ValueError, match="eval_start_round"):
+            tiny_config(client_count=2, server_rounds=2, eval_start_round=default,
+                        threshold_filtering=True).validate()
+
     def test_all_clients_unusable_is_fatal(self, dataset, monkeypatch):
         cfg = tiny_config(client_count=2, server_rounds=1)
         plan = make_plan(dataset, 2)

@@ -276,7 +276,8 @@ class TestEvalClassifier:
 
 class TestReport:
     def test_reference_scored_against_itself(self, toy_classifier, toy_test):
-        report = compute_report(toy_test.images, toy_test.images, toy_classifier)
+        ctx = MetricsContext.build(toy_test.images, toy_classifier, "classifier")
+        report = compute_report(toy_test.images, toy_test.images, toy_classifier, ctx)
         assert report.fid == pytest.approx(0.0, abs=1e-6)
         assert report.precision == 1.0
         assert report.recall == 1.0
@@ -284,14 +285,15 @@ class TestReport:
         assert sum(report.class_histogram) == len(toy_test)
 
     def test_pixel_feature_space(self, toy_classifier, toy_test):
-        report = compute_report(toy_test.images, toy_test.images, toy_classifier,
-                                feature_space="pixels")
+        ctx = MetricsContext.build(toy_test.images, toy_classifier, "pixels")
+        report = compute_report(toy_test.images, toy_test.images, toy_classifier, ctx)
         assert report.feature_space == "pixels"
         assert report.precision == 1.0 and report.recall == 1.0
 
     def test_json_fields(self, toy_classifier, toy_test):
         import json
-        report = compute_report(toy_test.images[:32], toy_test.images, toy_classifier)
+        ctx = MetricsContext.build(toy_test.images, toy_classifier, "classifier")
+        report = compute_report(toy_test.images[:32], toy_test.images, toy_classifier, ctx)
         doc = json.loads(report.to_json())
         assert set(doc) == {
             "fid", "is_mean", "is_std", "precision", "recall", "class_histogram",
