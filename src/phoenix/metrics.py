@@ -264,6 +264,11 @@ def compute_report(
     ``ctx`` must have been built from ``reference_images``; its feature
     space and k are the report's.
     """
+    if len(ctx.reference_features) != len(reference_images):
+        raise ValueError(
+            f"context holds {len(ctx.reference_features)} reference features "
+            f"but {len(reference_images)} reference images were given"
+        )
     gen_features = ctx.extract(generated)
     fid = frechet_distance(
         gaussian_stats(ctx.reference_features), gaussian_stats(gen_features)

@@ -94,19 +94,24 @@ def template_matmul_classifier(rng):
     return build, params, {"matmul", "add", "log_softmax", "nll_loss"}
 
 
+KERNEL_PAIRS = (((3, 3), (3, 3)), ((3, 5), (1, 3)))
+
+
 def template_conv_stack(rng):
-    # non-square kernels catch a kh/kw mix-up in the input gradient
+    # the non-square pair catches a kh/kw mix-up in the input gradient; at
+    # seed 123, instances 2 and 9 draw one pair each
+    (k1h, k1w), (k2h, k2w) = KERNEL_PAIRS[int(rng.integers(len(KERNEL_PAIRS)))]
     n, c = int(rng.integers(1, 3)), int(rng.integers(1, 3))
     mid = int(rng.integers(2, 4))
     side = int(rng.integers(5, 8))
     params = {
         "x": rng.standard_normal((n, c, side, side)),
-        "w1": rng.standard_normal((mid, c, 3, 5)),
+        "w1": rng.standard_normal((mid, c, k1h, k1w)),
         "b1": rng.standard_normal(mid),
-        "w2": rng.standard_normal((2, mid, 1, 3)),
+        "w2": rng.standard_normal((2, mid, k2h, k2w)),
         "b2": rng.standard_normal(2),
     }
-    target = rng.standard_normal((n, 2, side, side - 2))
+    target = rng.standard_normal((n, 2, side - k2h + 1, side - k2w + 1))
 
     def build(p):
         h = ad.silu(ad.conv2d(p["x"], p["w1"], p["b1"], "same"))

@@ -284,6 +284,11 @@ class TestReport:
         assert report.tv_distance == pytest.approx(0.0, abs=1e-12)
         assert sum(report.class_histogram) == len(toy_test)
 
+    def test_context_from_another_reference_set_rejected(self, toy_classifier, toy_test):
+        ctx = MetricsContext.build(toy_test.images[:16], toy_classifier, "classifier")
+        with pytest.raises(ValueError, match="reference"):
+            compute_report(toy_test.images, toy_test.images, toy_classifier, ctx)
+
     def test_pixel_feature_space(self, toy_classifier, toy_test):
         ctx = MetricsContext.build(toy_test.images, toy_classifier, "pixels")
         report = compute_report(toy_test.images, toy_test.images, toy_classifier, ctx)
