@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .datasets import Dataset
 from .formats import FormatError, read_checkpoint, write_checkpoint
-from .layers import Conv, GroupNorm2d, Linear, as_leaves
+from .layers import Conv, GroupNorm2d, Linear, as_leaves, init_layers
 from .optim import AdamState, adam_step
 from .seeding import DOMAIN_CLASSIFIER, derive_rng
 
@@ -71,10 +71,7 @@ class EvalClassifier:
     @classmethod
     def initialize(cls, config: ClassifierConfig, seed: int) -> "EvalClassifier":
         rng = derive_rng(seed, DOMAIN_CLASSIFIER, 0)
-        params: dict[str, np.ndarray] = {}
-        for module in cls._modules(config).values():
-            params.update(module.init(rng))
-        return cls(config, params)
+        return cls(config, init_layers(cls._modules(config).values(), rng))
 
     def _forward(self, p, images: np.ndarray) -> tuple[ad.Tensor, ad.Tensor]:
         cfg = self.config

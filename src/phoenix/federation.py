@@ -18,7 +18,7 @@ import csv
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
 
@@ -28,7 +28,7 @@ from . import autodiff as ad
 from . import diffusion
 from .datasets import Dataset
 from .filtering import ACTIVE, DISCONNECTED, DropPolicy, FilterState, filter_step
-from .formats import write_checkpoint
+from .formats import _replace_on_success, write_checkpoint
 from .metrics import MetricsContext, knn_precision_recall
 from .optim import AdamState, adam_step, sgd_step
 from .partition import PartitionPlan, SharingPlan
@@ -41,7 +41,13 @@ from .seeding import (
     derive_rng,
     derive_seed,
 )
-from .unet import DenoiserConfig, DenoiserModel, build_unet, merge_parameters
+from .unet import (
+    DenoiserConfig,
+    DenoiserModel,
+    build_unet,
+    merge_parameters,
+    split_parameters,
+)
 
 log = logging.getLogger(__name__)
 
@@ -120,10 +126,7 @@ class RunRow:
     wall_ms: int
 
 
-RUNLOG_COLUMNS = [
-    "round", "client_id", "status", "samples", "train_loss",
-    "precision", "recall", "bytes_up", "bytes_down", "wall_ms",
-]
+RUNLOG_COLUMNS = [f.name for f in fields(RunRow)]
 
 
 @dataclass
@@ -131,18 +134,14 @@ class RunLog:
     rows: list[RunRow] = field(default_factory=list)
 
     def write_csv(self, path: str | Path) -> None:
-        def fmt(v, spec="{:.6f}"):
-            return "" if v is None else spec.format(v)
+        def fmt(v):
+            return "" if v is None else f"{v:.6f}" if isinstance(v, float) else v
 
-        with open(path, "w", newline="") as f:
+        with _replace_on_success(path, "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(RUNLOG_COLUMNS)
             for r in self.rows:
-                writer.writerow([
-                    r.round, r.client_id, r.status, r.samples,
-                    fmt(r.train_loss), fmt(r.precision), fmt(r.recall),
-                    r.bytes_up, r.bytes_down, r.wall_ms,
-                ])
+                writer.writerow([fmt(getattr(r, name)) for name in RUNLOG_COLUMNS])
 
 
 def _batched(order: np.ndarray, batch_size: int):
@@ -235,14 +234,15 @@ def warmup_train(
     return model.with_params(params), curve
 
 
-def _assemble_params(
-    model: DenoiserModel, client: ClientState, config: FederationConfig
+def _client_params(
+    model: DenoiserModel, base: Mapping[str, np.ndarray], client: ClientState
 ) -> dict[str, np.ndarray]:
-    """Global base plus the client's stored personal layers (if any)."""
-    if not config.personalization or not client.personal_params:
-        return dict(model.params)
-    base = {k: v for k, v in model.params.items() if k not in model.personal_names}
-    return merge_parameters(model, base, client.personal_params)
+    """``base`` with the client's stored personal layers, in the model's order.
+
+    A client that stores none (personalization off, or not yet trained)
+    keeps the personal layers that ``base`` itself carries.
+    """
+    return merge_parameters(model, base, client.personal_params or base)
 
 
 def local_train(
@@ -255,34 +255,34 @@ def local_train(
 ) -> ClientUpdate | None:
     """One client's local epochs; returns its update, or None when skipped.
 
-    The trained personal layers are stored back into the client state and
-    stripped from the update when personalization is on. A non-finite loss
-    marks the client faulted for the round: the exception propagates after
-    the client state is left untouched by the failed attempt.
+    Training runs on a copy of the client's optimizer state. Only once every
+    step has succeeded are the new optimizer state and, when
+    personalization is on, the trained personal layers stored back into the
+    client; the personal layers are then stripped from the update. A
+    non-finite loss or gradient marks the client faulted for the round: the
+    exception propagates and the client state is as it was before the call.
     """
     if not client.data_indices:
         log.warning("client %d has no data; skipping round %d", client.id, round_no)
         return None
-    params = _assemble_params(global_model, client, config)
-    if config.optimizer == OPTIMIZER_ADAM and client.optimizer_state is None:
-        client.optimizer_state = AdamState(learning_rate=config.learning_rate)
+    optimizer_state = None
+    if config.optimizer == OPTIMIZER_ADAM:
+        optimizer_state = (
+            AdamState(learning_rate=config.learning_rate)
+            if client.optimizer_state is None else client.optimizer_state.snapshot()
+        )
     params, mean_loss = _train_epochs(
-        global_model, params, dataset, client.data_indices, config, seed,
+        global_model, _client_params(global_model, global_model.params, client),
+        dataset, client.data_indices, config, seed,
         shuffle_key=(DOMAIN_SHUFFLE, client.id, round_no),
         noise_key=(DOMAIN_TRAIN_NOISE, round_no),
         epochs=config.local_epochs,
-        optimizer_state=client.optimizer_state,
+        optimizer_state=optimizer_state,
     )
+    client.optimizer_state = optimizer_state
     if config.personalization:
-        client.personal_params = {
-            k: params[k] for k in global_model.personal_names
-        }
-        update_params = {
-            k: v for k, v in params.items() if k not in global_model.personal_names
-        }
-    else:
-        update_params = params
-    return ClientUpdate(client.id, update_params, len(client.data_indices), mean_loss)
+        params, client.personal_params = split_parameters(global_model.with_params(params))
+    return ClientUpdate(client.id, params, len(client.data_indices), mean_loss)
 
 
 def fedavg(updates: list[ClientUpdate]) -> dict[str, np.ndarray]:
@@ -347,8 +347,9 @@ def run_federation(
 ) -> tuple[DenoiserModel, RunLog]:
     """Execute the configured number of server rounds and return the result.
 
-    Writes per-round global checkpoints, per-client personal checkpoints,
-    and the run log CSV under ``out_dir`` when given.
+    Under ``out_dir``, when given, each round ends by writing its global
+    checkpoint, the per-client personal checkpoints and the run log CSV so
+    far, each replacing the previous file atomically.
     """
     config.validate()
     if plan.client_count != config.client_count:
@@ -372,17 +373,12 @@ def run_federation(
     runlog = RunLog()
 
     def train_one(client: ClientState, round_no: int):
-        saved_personal = {k: v.copy() for k, v in client.personal_params.items()}
-        opt = client.optimizer_state
-        saved_opt = None if opt is None else opt.snapshot()
         start = time.perf_counter()
         try:
             update = local_train(client, global_model, dataset, config, round_no, seed)
             status = STATUS_SKIPPED if update is None else ACTIVE
         except ad.NumericError:
             log.warning("client %d faulted in round %d (non-finite loss)", client.id, round_no)
-            client.personal_params = saved_personal
-            client.optimizer_state = saved_opt
             update, status = None, STATUS_FAULTED
         wall_ms = int((time.perf_counter() - start) * 1000)
         return update, status, wall_ms
@@ -395,9 +391,8 @@ def run_federation(
         if not participating:
             raise FederationError(f"round {round_no}: no participating clients remain")
         broadcast_bytes = _param_bytes(
-            global_model.params if (round_no == 1 or not config.personalization)
-            else {k: v for k, v in global_model.params.items()
-                  if k not in global_model.personal_names}
+            split_parameters(global_model)[0] if config.personalization and round_no > 1
+            else global_model.params
         )
         jobs = [clients[cid] for cid in participating]
         if workers > 1:
@@ -423,13 +418,8 @@ def run_federation(
                 # score the freshly trained model; skipped clients fall back
                 # to the broadcast model plus their stored personal layers
                 update = results[cid][0]
-                if update is None:
-                    params = _assemble_params(global_model, clients[cid], config)
-                elif config.personalization:
-                    params = merge_parameters(global_model, update.params,
-                                              clients[cid].personal_params)
-                else:
-                    params = dict(update.params)
+                base = global_model.params if update is None else update.params
+                params = _client_params(global_model, base, clients[cid])
                 evaluated[cid] = evaluate_client(
                     clients[cid], global_model.with_params(params),
                     metrics_ctx, config, round_no, seed,
@@ -447,35 +437,22 @@ def run_federation(
                 f"round {round_no}: no usable client updates (all faulted, "
                 f"skipped, or disconnected)"
             )
-        new_base = fedavg(updates)
-        merged = dict(global_model.params)
-        for name, arr in new_base.items():
-            merged[name] = arr
-        global_model = global_model.with_params(merged)
+        global_model = global_model.with_params({**global_model.params, **fedavg(updates)})
 
-        for client in clients:
-            cid = client.id
-            if cid in results:
-                update, status, wall_ms = results[cid]
-                if filter_state is not None and status == ACTIVE:
-                    status = filter_state.status[cid]
-                pr = evaluated.get(cid)
-                runlog.rows.append(RunRow(
-                    round=round_no, client_id=cid, status=status,
-                    samples=update.sample_count if update else 0,
-                    train_loss=update.train_loss if update else None,
-                    precision=pr[0] if pr else None,
-                    recall=pr[1] if pr else None,
-                    bytes_up=_param_bytes(update.params) if update else 0,
-                    bytes_down=broadcast_bytes,
-                    wall_ms=wall_ms,
-                ))
-            else:
-                runlog.rows.append(RunRow(
-                    round=round_no, client_id=cid, status=DISCONNECTED,
-                    samples=0, train_loss=None, precision=None, recall=None,
-                    bytes_up=0, bytes_down=0, wall_ms=0,
-                ))
+        for cid in range(config.client_count):
+            update, status, wall_ms = results.get(cid, (None, DISCONNECTED, 0))
+            if filter_state is not None and status == ACTIVE:
+                status = filter_state.status[cid]
+            precision, recall = evaluated.get(cid, (None, None))
+            runlog.rows.append(RunRow(
+                round=round_no, client_id=cid, status=status,
+                samples=update.sample_count if update else 0,
+                train_loss=update.train_loss if update else None,
+                precision=precision, recall=recall,
+                bytes_up=_param_bytes(update.params) if update else 0,
+                bytes_down=broadcast_bytes if cid in results else 0,
+                wall_ms=wall_ms,
+            ))
 
         if out_path is not None:
             write_checkpoint(
@@ -488,7 +465,5 @@ def run_federation(
                         out_path / f"client_{client.id}_personal.phxc",
                         client.personal_params, set(client.personal_params),
                     )
-
-    if out_path is not None:
-        runlog.write_csv(out_path / "runlog.csv")
+            runlog.write_csv(out_path / "runlog.csv")
     return global_model, runlog

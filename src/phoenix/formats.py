@@ -12,7 +12,9 @@ All multi-byte header fields are little-endian.
 
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 from typing import BinaryIO, Mapping
 
@@ -26,6 +28,24 @@ DTYPE_F32 = 0
 
 class FormatError(ValueError):
     """A file does not conform to the PHXT/PHXC layout."""
+
+
+@contextmanager
+def _replace_on_success(path: str | Path, mode: str = "wb", **open_kwargs):
+    """Write to a temp file beside ``path``; rename it over ``path`` on success.
+
+    A failed write removes the temp file and leaves ``path`` as it was, so
+    ``path`` never holds a partial write, even if the process is killed.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_exact(f: BinaryIO, n: int, what: str) -> bytes:
@@ -85,7 +105,7 @@ def write_checkpoint(
     personal_names: set[str] | frozenset[str] = frozenset(),
 ) -> None:
     """Persist a named parameter table with per-parameter personal flags."""
-    with open(path, "wb") as f:
+    with _replace_on_success(path) as f:
         f.write(PHXC_MAGIC)
         f.write(struct.pack("<HI", FORMAT_VERSION, len(params)))
         for name, arr in params.items():

@@ -32,6 +32,23 @@ class AdamState:
                        second_moment=dict(self.second_moment))
 
 
+def _check_gradients(
+    params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray]
+) -> None:
+    """Raise unless every parameter has a finite gradient of its own shape."""
+    missing = [name for name in params if name not in grads]
+    if missing:
+        raise ValueError(f"missing gradients for parameters: {sorted(missing)}")
+    for name, p in params.items():
+        g = grads[name]
+        if g.shape != p.shape:
+            raise ValueError(
+                f"gradient for '{name}' has shape {g.shape}, parameter is {p.shape}"
+            )
+        if not np.all(np.isfinite(g)):
+            raise NumericError(f"non-finite gradient for '{name}'")
+
+
 def adam_step(
     params: Mapping[str, np.ndarray],
     grads: Mapping[str, np.ndarray],
@@ -41,9 +58,7 @@ def adam_step(
 
     Moments start at zero and stay shape-congruent with their parameters.
     """
-    missing = [name for name in params if name not in grads]
-    if missing:
-        raise ValueError(f"missing gradients for parameters: {sorted(missing)}")
+    _check_gradients(params, grads)
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
@@ -52,12 +67,6 @@ def adam_step(
     out: dict[str, np.ndarray] = {}
     for name, p in params.items():
         g = grads[name]
-        if g.shape != p.shape:
-            raise ValueError(
-                f"gradient for '{name}' has shape {g.shape}, parameter is {p.shape}"
-            )
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for '{name}'")
         m = state.first_moment.get(name)
         v = state.second_moment.get(name)
         if m is None:
@@ -80,17 +89,6 @@ def sgd_step(
     learning_rate: float,
 ) -> dict[str, np.ndarray]:
     """Plain gradient-descent update, used as a test mode by the federation."""
-    missing = [name for name in params if name not in grads]
-    if missing:
-        raise ValueError(f"missing gradients for parameters: {sorted(missing)}")
-    out: dict[str, np.ndarray] = {}
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ValueError(
-                f"gradient for '{name}' has shape {g.shape}, parameter is {p.shape}"
-            )
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for '{name}'")
-        out[name] = (p - learning_rate * g).astype(p.dtype)
-    return out
+    _check_gradients(params, grads)
+    return {name: (p - learning_rate * grads[name]).astype(p.dtype)
+            for name, p in params.items()}

@@ -25,7 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from . import autodiff as ad
-from .layers import Conv, GroupNorm2d, Linear, as_leaves
+from .layers import Conv, GroupNorm2d, Linear, as_leaves, init_layers
 from .seeding import DOMAIN_MODEL_INIT, derive_rng
 
 
@@ -185,10 +185,7 @@ def build_unet(config: DenoiserConfig, seed: int) -> DenoiserModel:
     """Construct and initialize the denoiser for ``config`` from ``seed``."""
     config.validate()
     layout = _Layout(config)
-    rng = derive_rng(seed, DOMAIN_MODEL_INIT)
-    params: dict[str, np.ndarray] = {}
-    for layer in layout.modules():
-        params.update(layer.init(rng))
+    params = init_layers(layout.modules(), derive_rng(seed, DOMAIN_MODEL_INIT))
     personal = frozenset(layout.personal_block().param_names())
     return DenoiserModel(config=config, params=params, personal_names=personal)
 

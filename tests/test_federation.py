@@ -1,3 +1,10 @@
+import csv
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -110,7 +117,45 @@ class TestLocalTrain:
         client = ClientState(id=0, data_indices=list(range(8)))
         update = local_train(client, model, dataset, cfg, round_no=1, seed=1)
         assert set(update.params) == set(model.params) - set(model.personal_names)
-        assert set(client.personal_params) == set(model.personal_names)
+        assert list(client.personal_params) == [
+            k for k in model.params if k in model.personal_names
+        ]
+
+    def test_fault_leaves_client_state_untouched(self, dataset, model, monkeypatch):
+        # a NaN gradient in the second Adam step must leave the client exactly
+        # as the previous successful call left it
+        cfg = tiny_config(personalization=True, batch_size=4)
+        client = ClientState(id=0, data_indices=list(range(8)))
+        local_train(client, model, dataset, cfg, round_no=1, seed=1)
+        state = client.optimizer_state
+        before = (
+            state.step_count,
+            {k: v.copy() for k, v in state.first_moment.items()},
+            {k: v.copy() for k, v in state.second_moment.items()},
+            {k: v.copy() for k, v in client.personal_params.items()},
+        )
+        calls = []
+
+        def step(params, grads, st):
+            calls.append(st)
+            if len(calls) == 2:
+                grads = dict(grads)
+                last = list(grads)[-1]
+                grads[last] = np.full_like(grads[last], np.nan)
+            return adam_step(params, grads, st)
+
+        monkeypatch.setattr(federation, "adam_step", step)
+        with pytest.raises(ad.NumericError):
+            local_train(client, model, dataset, cfg, round_no=2, seed=1)
+        assert len(calls) == 2
+        step_count, first, second, personal = before
+        assert client.optimizer_state.step_count == step_count == 2
+        for saved, now in ((first, client.optimizer_state.first_moment),
+                           (second, client.optimizer_state.second_moment),
+                           (personal, client.personal_params)):
+            assert list(saved) == list(now)
+            for name in saved:
+                np.testing.assert_array_equal(now[name], saved[name])
 
     def test_empty_client_is_skipped(self, dataset, model):
         cfg = tiny_config()
@@ -442,6 +487,54 @@ class TestRunFederation:
         header = (tmp_path / "runlog.csv").read_text().splitlines()[0]
         assert header == ("round,client_id,status,samples,train_loss,"
                           "precision,recall,bytes_up,bytes_down,wall_ms")
+
+    def test_runlog_survives_a_fatal_round(self, dataset, tmp_path, monkeypatch):
+        # every client faults in round 2; round 1's artifacts stay on disk
+        cfg = tiny_config(client_count=2, server_rounds=2)
+        original = federation.local_train
+
+        def train(client, model, data, config, round_no, seed):
+            if round_no == 2:
+                raise ad.NumericError("scripted fault")
+            return original(client, model, data, config, round_no, seed)
+
+        monkeypatch.setattr(federation, "local_train", train)
+        with pytest.raises(FederationError, match="round 2"):
+            run_federation(build_unet(TINY, seed=1), make_plan(dataset, 2), cfg,
+                           dataset, seed=2, out_dir=tmp_path)
+        with open(tmp_path / "runlog.csv", newline="") as f:
+            rows = [(r["round"], r["client_id"], r["status"]) for r in csv.DictReader(f)]
+        assert rows == [("1", "0", "active"), ("1", "1", "active")]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["round_1.phxc", "runlog.csv"]
+
+    def test_personal_checkpoint_bytes_independent_of_hash_seed(self, tmp_path):
+        script = textwrap.dedent("""
+            import sys
+            from phoenix.datasets import make_toy_dataset
+            from phoenix.federation import FederationConfig, run_federation
+            from phoenix.partition import partition_label_skew
+            from phoenix.schedule import linear_schedule
+            from phoenix.unet import DenoiserConfig, build_unet
+
+            data = make_toy_dataset(4, 16, 8, seed=31)
+            cfg = FederationConfig(
+                client_count=2, server_rounds=1, local_epochs=1, batch_size=8,
+                learning_rate=1e-3, schedule=linear_schedule(10),
+                personalization=True,
+            )
+            model = build_unet(DenoiserConfig(base_channels=4, time_embed_dim=8), seed=1)
+            run_federation(model, partition_label_skew(data, 2, 2, seed=5), cfg, data,
+                           seed=2, out_dir=sys.argv[1])
+        """)
+        src = str(Path(federation.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / hash_seed
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+            subprocess.run([sys.executable, "-c", script, str(out)], env=env,
+                           check=True, timeout=120)
+            outputs.append((out / "client_0_personal.phxc").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_plan_size_mismatch_rejected(self, dataset):
         cfg = tiny_config(client_count=3)

@@ -53,6 +53,17 @@ def test_tensor_rejects_non_finite(tmp_path):
         write_tensor(tmp_path / "nan.phxt", np.array([np.nan], np.float32))
 
 
+def test_failed_checkpoint_overwrite_keeps_old_file(tmp_path):
+    path = tmp_path / "ckpt.phxc"
+    write_checkpoint(path, {"w": np.ones(3, np.float32)})
+    old = path.read_bytes()
+    with pytest.raises(FormatError):
+        write_checkpoint(path, {"w": np.zeros(3, np.float32),
+                                "v": np.array([np.nan], np.float32)})
+    assert path.read_bytes() == old
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_checkpoint_round_trip(tmp_path):
     params = {
         "layer.w": np.arange(6, dtype=np.float32).reshape(2, 3),
