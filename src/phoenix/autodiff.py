@@ -1,10 +1,13 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
-The engine is eager: every primitive computes its value immediately and
-records a backward closure, so the chain of ``Tensor`` objects *is* the
-compute graph -- an acyclic DAG whose construction order is a topological
-order. ``backward(loss)`` walks that order in reverse and accumulates
-gradients into every leaf created with ``requires_grad=True``.
+The engine is eager: every primitive computes its value immediately. A
+result that depends on a leaf created with ``requires_grad=True`` also
+keeps its parents and a backward closure, so the chain of such ``Tensor``
+objects *is* the compute graph -- an acyclic DAG whose construction order
+is a topological order. ``backward(loss)`` walks that order in reverse and
+accumulates gradients into every grad-tracked leaf. A result with no
+grad-tracked input keeps neither: the graph exists only under grad-tracked
+leaves, so a forward-only pass keeps an activation only while its caller does.
 
 Production code runs in float32. The ops are dtype-generic so the test
 suite can re-run the same graphs in float64, where central finite
@@ -116,12 +119,14 @@ def _same_dtype(op: str, *tensors: Tensor):
 
 
 def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...],
-          backward_builder: Callable[[], Callable[[np.ndarray], None]] | None) -> Tensor:
-    """Wrap an op result; only build the closure when a parent needs grads."""
+          backward: Callable[[np.ndarray], None]) -> Tensor:
+    """Wrap an op result. It joins the graph, keeping ``parents`` and
+    ``backward``, only when some parent requires grads; otherwise it is a
+    parentless constant with no closure, which holds no input alive."""
     _check_finite(data, op)
-    needs = any(p.requires_grad for p in parents)
-    bw = backward_builder() if (needs and backward_builder is not None) else None
-    return Tensor(data, requires_grad=needs, op=op, parents=parents, backward=bw)
+    if any(p.requires_grad for p in parents):
+        return Tensor(data, requires_grad=True, op=op, parents=parents, backward=backward)
+    return Tensor(data, op=op)
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -197,13 +202,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _broadcastable("add", a, b)
     out = a.data + b.data
 
-    def build():
-        def bw(g):
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-            _accumulate(b, _unbroadcast(g, b.data.shape))
-        return bw
+    def bw(g):
+        _accumulate(a, _unbroadcast(g, a.data.shape))
+        _accumulate(b, _unbroadcast(g, b.data.shape))
 
-    return _make(out, "add", (a, b), build)
+    return _make(out, "add", (a, b), bw)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -211,13 +214,11 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     _broadcastable("sub", a, b)
     out = a.data - b.data
 
-    def build():
-        def bw(g):
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-            _accumulate(b, _unbroadcast(-g, b.data.shape))
-        return bw
+    def bw(g):
+        _accumulate(a, _unbroadcast(g, a.data.shape))
+        _accumulate(b, _unbroadcast(-g, b.data.shape))
 
-    return _make(out, "sub", (a, b), build)
+    return _make(out, "sub", (a, b), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -225,25 +226,21 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _broadcastable("mul", a, b)
     out = a.data * b.data
 
-    def build():
-        def bw(g):
-            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
-        return bw
+    def bw(g):
+        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
-    return _make(out, "mul", (a, b), build)
+    return _make(out, "mul", (a, b), bw)
 
 
 def scale(a: Tensor, factor: float) -> Tensor:
     s = a.data.dtype.type(factor)
     out = a.data * s
 
-    def build():
-        def bw(g):
-            _accumulate(a, g * s)
-        return bw
+    def bw(g):
+        _accumulate(a, g * s)
 
-    return _make(out, "scale", (a,), build)
+    return _make(out, "scale", (a,), bw)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -255,13 +252,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         )
     out = a.data @ b.data
 
-    def build():
-        def bw(g):
-            _accumulate(a, g @ b.data.T)
-            _accumulate(b, a.data.T @ g)
-        return bw
+    def bw(g):
+        _accumulate(a, g @ b.data.T)
+        _accumulate(b, a.data.T @ g)
 
-    return _make(out, "matmul", (a, b), build)
+    return _make(out, "matmul", (a, b), bw)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -273,12 +268,10 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
             f"'reshape' cannot view {a.data.shape} ({_label(a)}) as {shape}"
         ) from None
 
-    def build():
-        def bw(g):
-            _accumulate(a, g.reshape(a.data.shape))
-        return bw
+    def bw(g):
+        _accumulate(a, g.reshape(a.data.shape))
 
-    return _make(out, "reshape", (a,), build)
+    return _make(out, "reshape", (a,), bw)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 1) -> Tensor:
@@ -300,17 +293,15 @@ def concat(parts: Sequence[Tensor], axis: int = 1) -> Tensor:
     out = np.concatenate([p.data for p in parts], axis=axis)
     sizes = [p.data.shape[axis] for p in parts]
 
-    def build():
-        def bw(g):
-            offset = 0
-            for p, size in zip(parts, sizes):
-                sl = [slice(None)] * ndim
-                sl[axis] = slice(offset, offset + size)
-                _accumulate(p, g[tuple(sl)])
-                offset += size
-        return bw
+    def bw(g):
+        offset = 0
+        for p, size in zip(parts, sizes):
+            sl = [slice(None)] * ndim
+            sl[axis] = slice(offset, offset + size)
+            _accumulate(p, g[tuple(sl)])
+            offset += size
 
-    return _make(out, "concat", tuple(parts), build)
+    return _make(out, "concat", tuple(parts), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +316,10 @@ def silu(a: Tensor) -> Tensor:
     sig = _sigmoid(a.data)
     out = a.data * sig
 
-    def build():
-        def bw(g):
-            _accumulate(a, g * (sig * (1.0 + a.data * (1.0 - sig))))
-        return bw
+    def bw(g):
+        _accumulate(a, g * (sig * (1.0 + a.data * (1.0 - sig))))
 
-    return _make(out, "silu", (a,), build)
+    return _make(out, "silu", (a,), bw)
 
 
 def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int,
@@ -355,20 +344,18 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int,
     xhat = ((xg - mean) * inv_std).reshape(n, c, h, w)
     out = xhat * gamma.data[None, :, None, None] + beta.data[None, :, None, None]
 
-    def build():
-        def bw(g):
-            _accumulate(gamma, (g * xhat).sum(axis=(0, 2, 3)))
-            _accumulate(beta, g.sum(axis=(0, 2, 3)))
-            if x.requires_grad:
-                gx_hat = (g * gamma.data[None, :, None, None]).reshape(n, groups, -1)
-                xh = xhat.reshape(n, groups, -1)
-                m1 = gx_hat.mean(axis=2, keepdims=True)
-                m2 = (gx_hat * xh).mean(axis=2, keepdims=True)
-                dx = (gx_hat - m1 - xh * m2) * inv_std
-                _accumulate(x, dx.reshape(n, c, h, w))
-        return bw
+    def bw(g):
+        _accumulate(gamma, (g * xhat).sum(axis=(0, 2, 3)))
+        _accumulate(beta, g.sum(axis=(0, 2, 3)))
+        if x.requires_grad:
+            gx_hat = (g * gamma.data[None, :, None, None]).reshape(n, groups, -1)
+            xh = xhat.reshape(n, groups, -1)
+            m1 = gx_hat.mean(axis=2, keepdims=True)
+            m2 = (gx_hat * xh).mean(axis=2, keepdims=True)
+            dx = (gx_hat - m1 - xh * m2) * inv_std
+            _accumulate(x, dx.reshape(n, c, h, w))
 
-    return _make(out, "group_norm", (x, gamma, beta), build)
+    return _make(out, "group_norm", (x, gamma, beta), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -425,22 +412,20 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     if bias is not None:
         out = out + bias.data[None, :, None, None]
 
-    def build():
-        def bw(g):
-            if bias is not None:
-                _accumulate(bias, g.sum(axis=(0, 2, 3)))
-            gm = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, o)
-            if weight.requires_grad:
-                _accumulate(weight, (gm.T @ cols).reshape(o, c, kh, kw))
-            if x.requires_grad:
-                # dx: g padded back to (H,W), correlated with the kernel
-                # rotated 180 degrees with its in/out channels swapped
-                gcols, _, _ = _im2col(g, kh - 1 - ph, kw - 1 - pw, kh, kw)
-                wrot = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * kh * kw)
-                _accumulate(x, (gcols @ wrot.T).reshape(n, h, w, c).transpose(0, 3, 1, 2))
-        return bw
+    def bw(g):
+        if bias is not None:
+            _accumulate(bias, g.sum(axis=(0, 2, 3)))
+        gm = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, o)
+        if weight.requires_grad:
+            _accumulate(weight, (gm.T @ cols).reshape(o, c, kh, kw))
+        if x.requires_grad:
+            # dx: g padded back to (H,W), correlated with the kernel
+            # rotated 180 degrees with its in/out channels swapped
+            gcols, _, _ = _im2col(g, kh - 1 - ph, kw - 1 - pw, kh, kw)
+            wrot = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * kh * kw)
+            _accumulate(x, (gcols @ wrot.T).reshape(n, h, w, c).transpose(0, 3, 1, 2))
 
-    return _make(np.ascontiguousarray(out), "conv2d", inputs, build)
+    return _make(np.ascontiguousarray(out), "conv2d", inputs, bw)
 
 
 def upsample_nearest2x(x: Tensor) -> Tensor:
@@ -450,12 +435,10 @@ def upsample_nearest2x(x: Tensor) -> Tensor:
     out = np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3)
     n, c, h, w = x.data.shape
 
-    def build():
-        def bw(g):
-            _accumulate(x, g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)))
-        return bw
+    def bw(g):
+        _accumulate(x, g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)))
 
-    return _make(out, "upsample_nearest2x", (x,), build)
+    return _make(out, "upsample_nearest2x", (x,), bw)
 
 
 def avg_pool2x(x: Tensor) -> Tensor:
@@ -468,12 +451,10 @@ def avg_pool2x(x: Tensor) -> Tensor:
     quarter = x.data.dtype.type(0.25)
     out = x.data.reshape(n, c, h // 2, 2, w // 2, 2).sum(axis=(3, 5)) * quarter
 
-    def build():
-        def bw(g):
-            _accumulate(x, np.repeat(np.repeat(g * quarter, 2, axis=2), 2, axis=3))
-        return bw
+    def bw(g):
+        _accumulate(x, np.repeat(np.repeat(g * quarter, 2, axis=2), 2, axis=3))
 
-    return _make(out, "avg_pool2x", (x,), build)
+    return _make(out, "avg_pool2x", (x,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -490,14 +471,12 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
     out = np.asarray((diff * diff).mean(), dtype=pred.data.dtype)
     inv_n = pred.data.dtype.type(2.0 / diff.size)
 
-    def build():
-        def bw(g):
-            gd = g * inv_n * diff
-            _accumulate(pred, gd)
-            _accumulate(target, -gd)
-        return bw
+    def bw(g):
+        gd = g * inv_n * diff
+        _accumulate(pred, gd)
+        _accumulate(target, -gd)
 
-    return _make(out, "mse_loss", (pred, target), build)
+    return _make(out, "mse_loss", (pred, target), bw)
 
 
 def log_softmax(a: Tensor) -> Tensor:
@@ -508,12 +487,10 @@ def log_softmax(a: Tensor) -> Tensor:
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     out = shifted - lse
 
-    def build():
-        def bw(g):
-            _accumulate(a, g - np.exp(out) * g.sum(axis=1, keepdims=True))
-        return bw
+    def bw(g):
+        _accumulate(a, g - np.exp(out) * g.sum(axis=1, keepdims=True))
 
-    return _make(out, "log_softmax", (a,), build)
+    return _make(out, "log_softmax", (a,), bw)
 
 
 def nll_loss(log_probs: Tensor, labels: np.ndarray) -> Tensor:
@@ -530,11 +507,9 @@ def nll_loss(log_probs: Tensor, labels: np.ndarray) -> Tensor:
     out = np.asarray(-log_probs.data[rows, labels].mean(), dtype=log_probs.data.dtype)
     inv_n = log_probs.data.dtype.type(1.0 / n)
 
-    def build():
-        def bw(g):
-            gl = np.zeros_like(log_probs.data)
-            gl[rows, labels] = -g * inv_n
-            _accumulate(log_probs, gl)
-        return bw
+    def bw(g):
+        gl = np.zeros_like(log_probs.data)
+        gl[rows, labels] = -g * inv_n
+        _accumulate(log_probs, gl)
 
-    return _make(out, "nll_loss", (log_probs,), build)
+    return _make(out, "nll_loss", (log_probs,), bw)

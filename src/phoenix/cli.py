@@ -46,6 +46,7 @@ from .formats import (
     read_tensor,
     write_checkpoint,
     write_image,
+    write_json,
     write_tensor,
 )
 from .metrics import MetricsContext, compute_report, sorted_histogram
@@ -85,6 +86,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.out is not None:
         cfg.out_dir = args.out
     cfg.validate()
+    _build_fed_config(cfg)  # refuse a bad federation config before any command writes
     return cfg
 
 
@@ -249,7 +251,7 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
         "feature_space": report.feature_space,
         "n_generated": report.n_generated,
     }
-    (run_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
+    write_json(run_dir / "summary.json", summary, indent=2)
     print(f"run {run_id}: {fed.server_rounds} rounds complete")
     print(f"final metrics: fid={report.fid:.4f} is={report.is_mean:.4f}+-{report.is_std:.4f} "
           f"precision={report.precision:.4f} recall={report.recall:.4f} "

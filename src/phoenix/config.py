@@ -135,6 +135,14 @@ class RunConfig:
         self.metrics.validate()
         self.model_config().validate()
         self.federation.build_policy().validate()
+        # precision/recall need a k-th neighbour inside every sample set
+        need = self.metrics.knn_k + 1
+        sample_sets = {"metrics.eval_sample_count": self.metrics.eval_sample_count}
+        if self.federation.threshold_filtering:
+            sample_sets["federation.eval_sample_count"] = self.federation.eval_sample_count
+        for key, count in sample_sets.items():
+            if count < need:
+                raise ConfigError(f"{key}={count} is below knn_k+1={need}")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
 

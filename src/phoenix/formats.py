@@ -1,4 +1,4 @@
-"""Binary file formats: PHXT tensors, PHXC checkpoints, PGM/PPM images.
+"""File formats: PHXT tensors, PHXC checkpoints, PGM/PPM images, JSON.
 
 PHXT: magic ``PHXT``, u16 version (=1), u8 dtype code (0 = float32), u8 rank,
 then rank u64 dims, then the row-major little-endian float32 payload.
@@ -7,11 +7,13 @@ PHXC: magic ``PHXC``, u16 version (=1), u32 parameter count, then per
 parameter: u16 name length, UTF-8 name, u8 flags (bit 0 = personal), and an
 embedded PHXT record.
 
-All multi-byte header fields are little-endian.
+All multi-byte header fields are little-endian. JSON documents are written
+with sorted keys.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import struct
 from contextlib import contextmanager
@@ -46,6 +48,12 @@ def _replace_on_success(path: str | Path, mode: str = "wb", **open_kwargs):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path: str | Path, doc, indent: int | None = None) -> None:
+    """Write ``doc`` as JSON; ``path`` changes only if the whole write succeeds."""
+    with _replace_on_success(path, "w") as f:
+        json.dump(doc, f, indent=indent, sort_keys=True)
 
 
 def _read_exact(f: BinaryIO, n: int, what: str) -> bytes:

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import Dataset
+from .formats import write_json
 from .seeding import DOMAIN_PARTITION, derive_rng
 
 log = logging.getLogger(__name__)
@@ -256,7 +257,7 @@ def plan_from_json(doc: dict) -> PartitionPlan | SharingPlan:
 
 
 def save_plan(path: str | Path, plan: PartitionPlan | SharingPlan) -> None:
-    Path(path).write_text(json.dumps(plan_to_json(plan), indent=None, sort_keys=True))
+    write_json(path, plan_to_json(plan))
 
 
 def load_plan(path: str | Path) -> PartitionPlan | SharingPlan:

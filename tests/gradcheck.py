@@ -73,10 +73,13 @@ def template_elementwise(rng):
     shape = tuple(rng.integers(2, 5, size=2))
     params = {k: rng.standard_normal(shape) for k in ("a", "b", "c")}
     target = rng.standard_normal(shape)
+    gate = rng.standard_normal(shape)
 
     def build(p):
         mixed = ad.add(ad.mul(p["a"], p["b"]), ad.scale(ad.sub(p["a"], p["c"]), 0.7))
-        return ad.mse_loss(ad.silu(mixed), ad.Tensor(target))
+        # a branch over constants only (so it records no graph) meets the grad branch
+        const_branch = ad.silu(ad.scale(ad.Tensor(gate), 0.5))
+        return ad.mse_loss(ad.silu(ad.mul(mixed, const_branch)), ad.Tensor(target))
 
     return build, params, {"add", "sub", "mul", "scale", "silu", "mse_loss"}
 

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,51 @@ class TestBackward:
         for node in order:
             for parent in node._parents:
                 assert position[id(parent)] < position[id(node)]
+
+
+def _const(*shape):
+    return ad.Tensor(np.ones(shape, np.float32))
+
+
+# every primitive, applied to inputs that do not require grads
+NO_GRAD_CALLS = {
+    "add": lambda: ad.add(_const(2, 3), _const(3)),
+    "sub": lambda: ad.sub(_const(2, 3), _const(2, 3)),
+    "mul": lambda: ad.mul(_const(2, 3), _const(2, 3)),
+    "scale": lambda: ad.scale(_const(2, 3), 0.5),
+    "matmul": lambda: ad.matmul(_const(2, 3), _const(3, 4)),
+    "reshape": lambda: ad.reshape(_const(2, 3), (3, 2)),
+    "concat": lambda: ad.concat([_const(1, 2, 4, 4), _const(1, 3, 4, 4)], axis=1),
+    "silu": lambda: ad.silu(_const(2, 3)),
+    "group_norm": lambda: ad.group_norm(_const(1, 4, 2, 2), _const(4), _const(4), 2),
+    "conv2d": lambda: ad.conv2d(_const(1, 2, 4, 4), _const(3, 2, 3, 3), _const(3)),
+    "upsample_nearest2x": lambda: ad.upsample_nearest2x(_const(1, 1, 2, 2)),
+    "avg_pool2x": lambda: ad.avg_pool2x(_const(1, 1, 4, 4)),
+    "mse_loss": lambda: ad.mse_loss(_const(2, 3), _const(2, 3)),
+    "log_softmax": lambda: ad.log_softmax(_const(2, 3)),
+    "nll_loss": lambda: ad.nll_loss(_const(2, 3), np.array([0, 2])),
+}
+
+
+class TestGraphRecording:
+    @pytest.mark.parametrize("op", sorted(NO_GRAD_CALLS))
+    def test_no_grad_result_keeps_no_graph(self, op):
+        out = NO_GRAD_CALLS[op]()
+        assert out.op == op
+        assert not out.requires_grad
+        assert out._parents == ()
+        assert out._backward is None
+
+    @pytest.mark.parametrize("requires_grad", [False, True])
+    def test_intermediate_freed_unless_grad_flows(self, requires_grad):
+        # Tensor has no weakref slot, so its array stands in for it
+        x = ad.Tensor(np.ones(4, np.float32), requires_grad=requires_grad)
+        inner = ad.silu(x)
+        inner_data = weakref.ref(inner.data)
+        y = ad.silu(inner)
+        del inner
+        assert (inner_data() is not None) == requires_grad
+        assert len(y._parents) == requires_grad
 
 
 class TestRandomGraphs:

@@ -60,6 +60,21 @@ class TestConfigHandling:
         assert main(["partition", "--config", str(path)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("override", [
+        {"metrics": {"eval_sample_count": 3, "knn_k": 3}},
+        {"federation": {"threshold_filtering": True, "eval_sample_count": 3}},
+        {"federation": {"optimizer": "rmsprop"}},
+    ], ids=["metrics-samples-below-k", "filter-samples-below-k", "unknown-optimizer"])
+    def test_unrunnable_config_refused_before_writing(self, tmp_path, override):
+        # train would otherwise run its rounds before refusing these
+        path = micro_config(tmp_path, **override)
+        assert main(["partition", "--config", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_filter_sample_count_checked_only_with_filtering(self, tmp_path):
+        path = micro_config(tmp_path, federation={"eval_sample_count": 3})
+        assert main(["partition", "--config", str(path)]) == 0
+
     def test_missing_cifar_directory_exits_2(self, tmp_path):
         path = micro_config(tmp_path, dataset={"kind": "cifar10",
                                                "path": str(tmp_path / "nope")})

@@ -9,6 +9,7 @@ from phoenix.formats import (
     read_tensor,
     write_checkpoint,
     write_image,
+    write_json,
     write_tensor,
 )
 
@@ -60,6 +61,17 @@ def test_failed_checkpoint_overwrite_keeps_old_file(tmp_path):
     with pytest.raises(FormatError):
         write_checkpoint(path, {"w": np.zeros(3, np.float32),
                                 "v": np.array([np.nan], np.float32)})
+    assert path.read_bytes() == old
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_failed_json_overwrite_keeps_old_file(tmp_path):
+    path = tmp_path / "doc.json"
+    write_json(path, {"a": 1})
+    old = path.read_bytes()
+    # keys are sorted, so "a" reaches the file before "b" fails to encode
+    with pytest.raises(TypeError):
+        write_json(path, {"a": 2, "b": object()})
     assert path.read_bytes() == old
     assert list(tmp_path.iterdir()) == [path]
 

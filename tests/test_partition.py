@@ -201,6 +201,19 @@ class TestPlanJson:
         assert loaded.beta_pct == plan.beta_pct
         assert loaded.alpha_pct == plan.alpha_pct
 
+    def test_failed_save_keeps_previous_plan(self, tmp_path):
+        ds = make_toy_dataset(4, 20, 8, seed=1)
+        path = tmp_path / "plan.json"
+        save_plan(path, partition_iid(ds, 4, seed=5))
+        old = path.read_bytes()
+        broken = partition_iid(ds, 4, seed=6)
+        # 'seed' follows 'clients' in key order, so the write fails midway
+        broken.seed = object()
+        with pytest.raises(TypeError):
+            save_plan(path, broken)
+        assert path.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_json_schema_keys(self):
         ds = make_toy_dataset(4, 20, 8, seed=1)
         plan = partition_iid(ds, 4, seed=5)
