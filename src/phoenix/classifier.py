@@ -41,7 +41,7 @@ class ClassifierConfig:
 
 
 class EvalClassifier:
-    """Two conv blocks plus a linear head; exposes logits and features."""
+    """Two conv blocks plus a linear head; ``embed`` gives features and logits."""
 
     def __init__(self, config: ClassifierConfig, params: dict[str, np.ndarray]):
         config.validate()
@@ -86,29 +86,16 @@ class EvalClassifier:
         logits = mods["head"].apply(p, feats)
         return feats, logits
 
-    def logits(self, images: np.ndarray) -> np.ndarray:
+    def embed(self, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(features, logits) of ``images``, one forward pass per 256-row block."""
         p = as_leaves(self.params, requires_grad=False)
-        return self._forward(p, images)[1].data
+        blocks = [self._forward(p, images[s:s + 256]) for s in range(0, len(images), 256)]
+        return (np.concatenate([feats.data for feats, _ in blocks]),
+                np.concatenate([logits.data for _, logits in blocks]))
 
-    def probabilities(self, images: np.ndarray) -> np.ndarray:
-        z = self.logits(images)
-        z = z - z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)
-
-    def features(self, images: np.ndarray) -> np.ndarray:
-        p = as_leaves(self.params, requires_grad=False)
-        return self._forward(p, images)[0].data
-
-    def predict(self, images: np.ndarray) -> np.ndarray:
-        return self.logits(images).argmax(axis=1)
-
-    def accuracy(self, dataset: Dataset, batch_size: int = 256) -> float:
-        hits = 0
-        for start in range(0, len(dataset), batch_size):
-            batch = dataset.images[start:start + batch_size]
-            hits += int((self.predict(batch) == dataset.labels[start:start + batch_size]).sum())
-        return hits / len(dataset)
+    def accuracy(self, dataset: Dataset) -> float:
+        predicted = self.embed(dataset.images)[1].argmax(axis=1)
+        return int((predicted == dataset.labels).sum()) / len(dataset)
 
 
 def save_classifier(path, clf: EvalClassifier) -> None:

@@ -8,10 +8,10 @@ writes only under the configured output directory. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +45,7 @@ from .formats import (
     read_checkpoint,
     read_tensor,
     write_checkpoint,
+    write_csv,
     write_image,
     write_json,
     write_tensor,
@@ -167,15 +168,14 @@ def cmd_partition(cfg: RunConfig, args: argparse.Namespace) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_plan(out / PLAN_FILE, plan)
-    with open(out / "class_counts.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["client"] + [f"class_{c}" for c in range(train.num_classes)])
-        for cid in range(plan.client_count):
-            counts = np.bincount(
-                train.labels[np.asarray(plan.client_indices(cid), dtype=np.int64)],
-                minlength=train.num_classes,
-            )
-            writer.writerow([cid] + [int(c) for c in counts])
+    counts = [
+        np.bincount(train.labels[np.asarray(plan.client_indices(cid), dtype=np.int64)],
+                    minlength=train.num_classes)
+        for cid in range(plan.client_count)
+    ]
+    write_csv(out / "class_counts.csv",
+              ["client"] + [f"class_{c}" for c in range(train.num_classes)],
+              ([cid] + [int(c) for c in row] for cid, row in enumerate(counts)))
     sizes = [len(plan.client_indices(i)) for i in range(plan.client_count)]
     print(f"wrote {out / PLAN_FILE}: mode={p.mode} clients={sizes}")
     if isinstance(plan, SharingPlan):
@@ -197,11 +197,8 @@ def cmd_warmup(cfg: RunConfig, args: argparse.Namespace) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_checkpoint(out / WARMUP_CHECKPOINT, model.params, set(model.personal_names))
-    with open(out / WARMUP_LOSS_FILE, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["epoch", "loss"])
-        for epoch, loss in enumerate(curve, start=1):
-            writer.writerow([epoch, f"{loss:.6f}"])
+    write_csv(out / WARMUP_LOSS_FILE, ["epoch", "loss"],
+              ([epoch, f"{loss:.6f}"] for epoch, loss in enumerate(curve, start=1)))
     print(f"wrote {out / WARMUP_CHECKPOINT} after {len(curve)} warmup epochs "
           f"on {len(shared)} shared samples")
     return EXIT_OK
@@ -230,9 +227,7 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
         final_model, fed.schedule, cfg.metrics.eval_sample_count,
         derive_seed(cfg.seed, DOMAIN_SAMPLE, 0),
     )
-    report = compute_report(
-        samples, test.images, classifier, metrics_ctx, cfg.metrics.is_splits
-    )
+    report = compute_report(samples, metrics_ctx, cfg.metrics.is_splits)
     summary = {
         "run_id": run_id,
         "strategy": cfg.strategy_label(),
@@ -289,17 +284,12 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     metrics_ctx = MetricsContext.build(
         test.images, classifier, cfg.metrics.feature_space, cfg.metrics.knn_k
     )
-    report = compute_report(
-        samples, test.images, classifier, metrics_ctx, cfg.metrics.is_splits
-    )
+    report = compute_report(samples, metrics_ctx, cfg.metrics.is_splits)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "metrics.json").write_text(report.to_json())
-    with open(out / "class_histogram.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["class", "count"])
-        for cls, count in sorted_histogram(report.class_histogram):
-            writer.writerow([cls, count])
+    write_json(out / "metrics.json", asdict(report))
+    write_csv(out / "class_histogram.csv", ["class", "count"],
+              sorted_histogram(report.class_histogram))
     print(report.to_json())
     return EXIT_OK
 
@@ -323,11 +313,8 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / "report.csv"
-    with open(report_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(REPORT_COLUMNS)
-        for row in rows:
-            writer.writerow(["" if v is None else v for v in row])
+    write_csv(report_path, REPORT_COLUMNS,
+              (["" if v is None else v for v in row] for row in rows))
     print(f"wrote {report_path} ({len(rows)} runs)")
     return EXIT_OK
 

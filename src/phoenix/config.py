@@ -140,6 +140,9 @@ class RunConfig:
         sample_sets = {"metrics.eval_sample_count": self.metrics.eval_sample_count}
         if self.federation.threshold_filtering:
             sample_sets["federation.eval_sample_count"] = self.federation.eval_sample_count
+        if self.dataset.kind == "toy":  # the CIFAR-10 test batch always holds 10000
+            sample_sets["dataset.classes*test_per_class"] = (
+                self.dataset.classes * self.dataset.test_per_class)
         for key, count in sample_sets.items():
             if count < need:
                 raise ConfigError(f"{key}={count} is below knn_k+1={need}")

@@ -14,7 +14,6 @@ id order.
 
 from __future__ import annotations
 
-import csv
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -28,7 +27,7 @@ from . import autodiff as ad
 from . import diffusion
 from .datasets import Dataset
 from .filtering import ACTIVE, DISCONNECTED, DropPolicy, FilterState, filter_step
-from .formats import _replace_on_success, write_checkpoint
+from .formats import write_checkpoint, write_csv
 from .metrics import MetricsContext, knn_precision_recall
 from .optim import AdamState, adam_step, sgd_step
 from .partition import PartitionPlan, SharingPlan
@@ -123,7 +122,7 @@ class RunRow:
     recall: float | None
     bytes_up: int
     bytes_down: int
-    wall_ms: int
+    wall_ms: int  # training plus scoring time; the one column that varies run to run
 
 
 RUNLOG_COLUMNS = [f.name for f in fields(RunRow)]
@@ -137,11 +136,8 @@ class RunLog:
         def fmt(v):
             return "" if v is None else f"{v:.6f}" if isinstance(v, float) else v
 
-        with _replace_on_success(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(RUNLOG_COLUMNS)
-            for r in self.rows:
-                writer.writerow([fmt(getattr(r, name)) for name in RUNLOG_COLUMNS])
+        write_csv(path, RUNLOG_COLUMNS,
+                  ([fmt(getattr(r, name)) for name in RUNLOG_COLUMNS] for r in self.rows))
 
 
 def _batched(order: np.ndarray, batch_size: int):
@@ -405,6 +401,7 @@ def run_federation(
             results = {c.id: train_one(c, round_no) for c in jobs}
 
         evaluated: dict[int, tuple[float, float]] = {}
+        eval_ms: dict[int, int] = {}
         disconnected_now: list[int] = []
         if (
             config.threshold_filtering
@@ -420,10 +417,12 @@ def run_federation(
                 update = results[cid][0]
                 base = global_model.params if update is None else update.params
                 params = _client_params(global_model, base, clients[cid])
+                start = time.perf_counter()
                 evaluated[cid] = evaluate_client(
                     clients[cid], global_model.with_params(params),
                     metrics_ctx, config, round_no, seed,
                 )
+                eval_ms[cid] = int((time.perf_counter() - start) * 1000)
             filter_state, disconnected_now, _ = filter_step(
                 filter_state, evaluated, round_no, exempt=faulted
             )
@@ -451,7 +450,7 @@ def run_federation(
                 precision=precision, recall=recall,
                 bytes_up=_param_bytes(update.params) if update else 0,
                 bytes_down=broadcast_bytes if cid in results else 0,
-                wall_ms=wall_ms,
+                wall_ms=wall_ms + eval_ms.get(cid, 0),
             ))
 
         if out_path is not None:

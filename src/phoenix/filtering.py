@@ -3,7 +3,8 @@
 Clients evaluated as poor are warned; a second consecutive poor evaluation
 disconnects them permanently. Recovering in between resets the strike
 count. Disconnects that would leave fewer than ``min_active`` participating
-clients are suppressed (in ascending client id order) and logged.
+clients are suppressed (in ascending client id order) and logged, as is a
+lowest-precision round in which every tracked client ties.
 """
 
 from __future__ import annotations
@@ -103,6 +104,13 @@ def filter_step(
     new = state.copy()
     tracked = [i for i in state.participating() if i not in exempt]
     poor = _poor_clients(state, metrics, tracked)
+    if (state.policy.kind == POLICY_LOWEST_PRECISION and len(tracked) >= 2
+            and len({metrics[i][0] for i in tracked}) == 1):
+        log.warning(
+            "round %d: all %d tracked clients tie at precision %g; "
+            "the lowest-id tie-break picks client %d",
+            round_no, len(tracked), metrics[tracked[0]][0], min(poor),
+        )
     candidates = []
     for cid in tracked:
         if cid in poor:

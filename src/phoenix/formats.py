@@ -8,17 +8,19 @@ parameter: u16 name length, UTF-8 name, u8 flags (bit 0 = personal), and an
 embedded PHXT record.
 
 All multi-byte header fields are little-endian. JSON documents are written
-with sorted keys.
+with sorted keys. Every writer here replaces its target atomically: a failed
+write leaves the previous file as it was.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import struct
 from contextlib import contextmanager
 from pathlib import Path
-from typing import BinaryIO, Mapping
+from typing import BinaryIO, Iterable, Mapping
 
 import numpy as np
 
@@ -54,6 +56,14 @@ def write_json(path: str | Path, doc, indent: int | None = None) -> None:
     """Write ``doc`` as JSON; ``path`` changes only if the whole write succeeds."""
     with _replace_on_success(path, "w") as f:
         json.dump(doc, f, indent=indent, sort_keys=True)
+
+
+def write_csv(path: str | Path, header: list[str], rows: Iterable[Iterable]) -> None:
+    """Write ``header`` then ``rows`` as CSV; ``path`` changes only if every row is written."""
+    with _replace_on_success(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _read_exact(f: BinaryIO, n: int, what: str) -> bytes:
@@ -98,7 +108,7 @@ def read_tensor_from(f: BinaryIO) -> np.ndarray:
 
 
 def write_tensor(path: str | Path, array: np.ndarray) -> None:
-    with open(path, "wb") as f:
+    with _replace_on_success(path) as f:
         write_tensor_to(f, array)
 
 
@@ -163,7 +173,7 @@ def write_image(path: str | Path, image: np.ndarray) -> None:
     header = f"{'P5' if c == 1 else 'P6'}\n{w} {h}\n255\n".encode("ascii")
     # PGM/PPM interleave channels per pixel; our layout is channel-major.
     body = pixels[0] if c == 1 else pixels.transpose(1, 2, 0)
-    with open(path, "wb") as f:
+    with _replace_on_success(path) as f:
         f.write(header)
         f.write(np.ascontiguousarray(body).tobytes())
 

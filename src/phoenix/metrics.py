@@ -8,7 +8,7 @@ comparison. All functions are deterministic in their inputs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -42,21 +42,7 @@ class MetricsReport:
     n_reference: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "fid": self.fid,
-                "is_mean": self.is_mean,
-                "is_std": self.is_std,
-                "precision": self.precision,
-                "recall": self.recall,
-                "class_histogram": self.class_histogram,
-                "tv_distance": self.tv_distance,
-                "feature_space": self.feature_space,
-                "n_generated": self.n_generated,
-                "n_reference": self.n_reference,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def gaussian_stats(features: np.ndarray) -> FeatureStats:
@@ -181,33 +167,14 @@ def total_variation(hist_a: np.ndarray, hist_b: np.ndarray) -> float:
     return float(0.5 * np.abs(a / a.sum() - b / b.sum()).sum())
 
 
-def _batched(fn: Callable[[np.ndarray], np.ndarray], images: np.ndarray,
-             batch_size: int = 256) -> np.ndarray:
-    """``fn`` over consecutive row blocks of ``images``, concatenated."""
-    return np.concatenate(
-        [fn(images[s:s + batch_size]) for s in range(0, len(images), batch_size)]
-    )
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
 
 
-def class_distribution(
-    classifier: EvalClassifier,
-    samples: np.ndarray,
-    reference_histogram: np.ndarray,
-    batch_size: int = 256,
-) -> tuple[np.ndarray, float]:
-    """Argmax-classify samples; compare the histogram to the reference.
-
-    Returns (per-class counts, total-variation distance between the
-    normalized histograms).
-    """
-    reference_histogram = np.asarray(reference_histogram, dtype=np.float64)
-    if reference_histogram.shape != (classifier.num_classes,):
-        raise ValueError(
-            f"reference histogram must have {classifier.num_classes} entries"
-        )
-    counts = np.bincount(_batched(classifier.predict, samples, batch_size),
-                         minlength=classifier.num_classes)
-    return counts, total_variation(counts, reference_histogram)
+def _pixels(images: np.ndarray) -> np.ndarray:
+    return np.asarray(images, dtype=np.float64).reshape(len(images), -1)
 
 
 def sorted_histogram(counts: np.ndarray) -> list[tuple[int, int]]:
@@ -218,12 +185,20 @@ def sorted_histogram(counts: np.ndarray) -> list[tuple[int, int]]:
 
 @dataclass
 class MetricsContext:
-    """Feature extractor plus precomputed reference-side quantities."""
+    """One reference set, seen through one feature space.
+
+    Holds the classifier together with the reference features and the
+    reference class histogram, both taken from one classifier pass over the
+    reference images. A pixel-space context built without a classifier can
+    still extract features for the filter, but cannot score a report.
+    """
 
     extract: Callable[[np.ndarray], np.ndarray]
     reference_features: np.ndarray
     feature_space: str
     knn_k: int = 3
+    classifier: EvalClassifier | None = None
+    reference_histogram: np.ndarray | None = None
 
     @classmethod
     def build(
@@ -232,56 +207,56 @@ class MetricsContext:
         classifier: EvalClassifier | None,
         feature_space: str,
         knn_k: int = 3,
-        batch_size: int = 256,
     ) -> "MetricsContext":
         if feature_space == FEATURE_SPACE_CLASSIFIER:
             if classifier is None:
                 raise ValueError("classifier feature space needs a trained classifier")
             def extract(images: np.ndarray) -> np.ndarray:
-                return _batched(classifier.features, images, batch_size)
+                return classifier.embed(images)[0]
         elif feature_space == FEATURE_SPACE_PIXELS:
-            def extract(images: np.ndarray) -> np.ndarray:
-                return np.asarray(images, dtype=np.float64).reshape(len(images), -1)
+            extract = _pixels
         else:
             raise ValueError(f"unknown feature space '{feature_space}'")
+        features, histogram = None, None
+        if classifier is not None:
+            features, logits = classifier.embed(reference_images)
+            histogram = np.bincount(logits.argmax(axis=1), minlength=classifier.num_classes)
+        if feature_space == FEATURE_SPACE_PIXELS:
+            features = _pixels(reference_images)
         return cls(
             extract=extract,
-            reference_features=extract(reference_images),
+            reference_features=features,
             feature_space=feature_space,
             knn_k=knn_k,
+            classifier=classifier,
+            reference_histogram=histogram,
         )
 
 
 def compute_report(
     generated: np.ndarray,
-    reference_images: np.ndarray,
-    classifier: EvalClassifier,
     ctx: MetricsContext,
     is_splits: int = 10,
 ) -> MetricsReport:
-    """Full metric sweep of a generated batch against a reference set.
+    """Full metric sweep of a generated batch against ``ctx``'s reference set.
 
-    ``ctx`` must have been built from ``reference_images``; its feature
-    space and k are the report's.
+    One classifier pass over ``generated`` yields its features (in
+    classifier space), its class posteriors and its class histogram.
     """
-    if len(ctx.reference_features) != len(reference_images):
-        raise ValueError(
-            f"context holds {len(ctx.reference_features)} reference features "
-            f"but {len(reference_images)} reference images were given"
-        )
-    gen_features = ctx.extract(generated)
+    if ctx.classifier is None:
+        raise ValueError("a report needs a metrics context built with a classifier")
+    gen_features, logits = ctx.classifier.embed(generated)
+    if ctx.feature_space == FEATURE_SPACE_PIXELS:
+        gen_features = _pixels(generated)
     fid = frechet_distance(
         gaussian_stats(ctx.reference_features), gaussian_stats(gen_features)
     )
-    probs = _batched(classifier.probabilities, generated)
     splits = min(is_splits, len(generated))
-    is_mean, is_std = inception_style_score(probs, splits)
+    is_mean, is_std = inception_style_score(_softmax(logits), splits)
     precision, recall = knn_precision_recall(
         ctx.reference_features, gen_features, ctx.knn_k
     )
-    ref_hist = np.bincount(_batched(classifier.predict, reference_images),
-                           minlength=classifier.num_classes)
-    counts, tv = class_distribution(classifier, generated, ref_hist)
+    counts = np.bincount(logits.argmax(axis=1), minlength=ctx.classifier.num_classes)
     return MetricsReport(
         fid=fid,
         is_mean=is_mean,
@@ -289,8 +264,8 @@ def compute_report(
         precision=precision,
         recall=recall,
         class_histogram=[int(c) for c in counts],
-        tv_distance=tv,
+        tv_distance=total_variation(counts, ctx.reference_histogram),
         feature_space=ctx.feature_space,
         n_generated=len(generated),
-        n_reference=len(reference_images),
+        n_reference=len(ctx.reference_features),
     )

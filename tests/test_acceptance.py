@@ -314,8 +314,7 @@ def _desk_run(seed: int, mode: str) -> tuple[float, float]:
     final, _ = run_federation(initial, plan, fed, train, seed, metrics_ctx=ctx)
     samples = diffusion.generate(final, fed.schedule, cfg.metrics.eval_sample_count,
                                  derive_seed(seed, DOMAIN_SAMPLE, 0))
-    report = compute_report(samples, test.images, classifier, ctx,
-                            cfg.metrics.is_splits)
+    report = compute_report(samples, ctx, cfg.metrics.is_splits)
     return report.recall, report.tv_distance
 
 

@@ -64,7 +64,9 @@ class TestConfigHandling:
         {"metrics": {"eval_sample_count": 3, "knn_k": 3}},
         {"federation": {"threshold_filtering": True, "eval_sample_count": 3}},
         {"federation": {"optimizer": "rmsprop"}},
-    ], ids=["metrics-samples-below-k", "filter-samples-below-k", "unknown-optimizer"])
+        {"dataset": {"test_per_class": 1}, "metrics": {"knn_k": 4}},
+    ], ids=["metrics-samples-below-k", "filter-samples-below-k", "unknown-optimizer",
+            "reference-below-k"])
     def test_unrunnable_config_refused_before_writing(self, tmp_path, override):
         # train would otherwise run its rounds before refusing these
         path = micro_config(tmp_path, **override)
@@ -309,8 +311,7 @@ class TestEvaluateCommand:
         # the CLI persists its tensor first; score the persisted bytes
         ctx = MetricsContext.build(test.images, clf, cfg.metrics.feature_space,
                                    cfg.metrics.knn_k)
-        report = compute_report(read_tensor(samples), test.images, clf, ctx,
-                                cfg.metrics.is_splits)
+        report = compute_report(read_tensor(samples), ctx, cfg.metrics.is_splits)
         assert doc["fid"] == pytest.approx(report.fid, rel=1e-12)
         assert doc["precision"] == report.precision
         assert doc["recall"] == report.recall

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +64,11 @@ def model():
 
 def make_plan(dataset, client_count):
     return partition_label_skew(dataset, client_count, 2, seed=5)
+
+
+def timeless_rows(runlog):
+    """Runlog rows without ``wall_ms``, the one column that varies run to run."""
+    return [tuple(v for k, v in asdict(r).items() if k != "wall_ms") for r in runlog.rows]
 
 
 class TestWarmup:
@@ -381,16 +388,50 @@ class TestRunFederation:
         def run(workers):
             final, runlog = run_federation(initial, plan, cfg, dataset, seed=5,
                                            workers=workers)
-            rows = [(r.round, r.client_id, r.status, r.samples, r.train_loss,
-                     r.precision, r.recall, r.bytes_up, r.bytes_down)
-                    for r in runlog.rows]
-            return final, rows
+            return final, timeless_rows(runlog)
 
         final_a, rows_a = run(workers=1)
         final_b, rows_b = run(workers=4)
         assert rows_a == rows_b
         for name in final_a.params:
             np.testing.assert_array_equal(final_a.params[name], final_b.params[name])
+
+    def test_worker_independence_with_personalization_and_filtering(self, dataset,
+                                                                    tmp_path):
+        cfg = tiny_config(client_count=3, server_rounds=2, personalization=True,
+                          threshold_filtering=True, eval_start_round=1,
+                          min_active_clients=2)
+        plan = make_plan(dataset, 3)
+        ctx = MetricsContext.build(dataset.images[:8], None, "pixels")
+        initial = build_unet(TINY, seed=21)
+        runs = {}
+        for workers in (1, 4):
+            out = tmp_path / str(workers)
+            final, runlog = run_federation(initial, plan, cfg, dataset, seed=5,
+                                           metrics_ctx=ctx, workers=workers, out_dir=out)
+            personal = {p.name: p.read_bytes() for p in out.glob("client_*_personal.phxc")}
+            runs[workers] = (final, timeless_rows(runlog), personal)
+        (final_a, rows_a, personal_a), (final_b, rows_b, personal_b) = runs[1], runs[4]
+        assert any(row[5] is not None for row in rows_a)  # precision was scored
+        assert rows_a == rows_b
+        assert len(personal_a) == 3 and personal_a == personal_b
+        for name in final_a.params:
+            np.testing.assert_array_equal(final_a.params[name], final_b.params[name])
+
+    def test_wall_ms_includes_client_scoring(self, dataset, monkeypatch):
+        def slow_score(client, m, ctx, cfg, rnd, seed):
+            time.sleep(0.25)
+            return 0.5 + 0.1 * client.id, 0.5
+
+        monkeypatch.setattr(federation, "evaluate_client", slow_score)
+        cfg = tiny_config(client_count=2, server_rounds=2, threshold_filtering=True,
+                          eval_start_round=2)
+        ctx = MetricsContext.build(dataset.images[:8], None, "pixels")
+        _, runlog = run_federation(build_unet(TINY, seed=1), make_plan(dataset, 2), cfg,
+                                   dataset, seed=2, metrics_ctx=ctx)
+        scored = [r.wall_ms for r in runlog.rows if r.precision is not None]
+        assert [r.round for r in runlog.rows if r.precision is not None] == [2, 2]
+        assert min(scored) >= 250
 
     def test_faulted_client_excluded_and_state_restored(self, dataset, monkeypatch):
         cfg = tiny_config(client_count=2, server_rounds=1)

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,25 @@ def test_filter_step_does_not_mutate_input():
     filter_step(state, metrics, 1)
     assert all(s == ACTIVE for s in state.status.values())
     assert all(v == 0 for v in state.poor_streak.values())
+
+
+@pytest.mark.parametrize("policy, precisions, warned", [
+    (LP, [0.0, 0.0, 0.0], True),
+    (LP, [0.0, 0.0, 0.1], False),
+    (TH(0.5), [0.0, 0.0, 0.0], False),
+], ids=["lp-all-tied", "lp-one-differs", "threshold-all-tied"])
+def test_all_tied_round_is_flagged(caplog, policy, precisions, warned):
+    state = FilterState.fresh(range(3), policy)
+    metrics = {cid: (prec, 0.5) for cid, prec in enumerate(precisions)}
+    with caplog.at_level(logging.WARNING, logger="phoenix.filtering"):
+        new, _, _ = filter_step(state, metrics, 4)
+    messages = [r.getMessage() for r in caplog.records]
+    if warned:
+        assert messages == ["round 4: all 3 tracked clients tie at precision 0; "
+                            "the lowest-id tie-break picks client 0"]
+        assert [new.status[c] for c in range(3)] == [WARNED, ACTIVE, ACTIVE]
+    else:
+        assert messages == []
 
 
 def test_unknown_policy_rejected():

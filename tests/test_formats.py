@@ -8,6 +8,7 @@ from phoenix.formats import (
     read_checkpoint,
     read_tensor,
     write_checkpoint,
+    write_csv,
     write_image,
     write_json,
     write_tensor,
@@ -72,6 +73,27 @@ def test_failed_json_overwrite_keeps_old_file(tmp_path):
     # keys are sorted, so "a" reaches the file before "b" fails to encode
     with pytest.raises(TypeError):
         write_json(path, {"a": 2, "b": object()})
+    assert path.read_bytes() == old
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def _rows_that_fail_partway():
+    yield [1, 2]
+    raise RuntimeError("row source failed")
+
+
+@pytest.mark.parametrize("write_old, write_bad, error", [
+    (lambda p: write_csv(p, ["a", "b"], [[0, 1]]),
+     lambda p: write_csv(p, ["a", "b"], _rows_that_fail_partway()), RuntimeError),
+    (lambda p: write_tensor(p, np.ones(3, np.float32)),
+     lambda p: write_tensor(p, np.array([1.0, np.nan], np.float32)), FormatError),
+], ids=["csv", "tensor"])
+def test_failed_overwrite_keeps_old_file(tmp_path, write_old, write_bad, error):
+    path = tmp_path / "artifact"
+    write_old(path)
+    old = path.read_bytes()
+    with pytest.raises(error):
+        write_bad(path)
     assert path.read_bytes() == old
     assert list(tmp_path.iterdir()) == [path]
 

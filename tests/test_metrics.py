@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 from phoenix.classifier import (
+    EvalClassifier,
     load_classifier,
     save_classifier,
     train_eval_classifier,
 )
 from phoenix.datasets import make_toy_dataset
+from phoenix.layers import as_leaves
 from phoenix.metrics import (
     FeatureStats,
     MetricsContext,
+    _softmax,
     compute_report,
     frechet_distance,
     gaussian_stats,
@@ -246,7 +249,7 @@ class TestEvalClassifier:
         assert clf.accuracy(toy_test) >= 0.9
 
     def test_probabilities_sum_to_one(self, toy_classifier, toy_test):
-        probs = toy_classifier.probabilities(toy_test.images[:32])
+        probs = _softmax(toy_classifier.embed(toy_test.images[:32])[1])
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
     def test_same_seed_identical(self, toy_train):
@@ -264,41 +267,47 @@ class TestEvalClassifier:
         path = tmp_path / "clf.phxc"
         save_classifier(path, toy_classifier)
         loaded = load_classifier(path)
-        np.testing.assert_array_equal(
-            loaded.logits(toy_test.images[:8]),
-            toy_classifier.logits(toy_test.images[:8]),
-        )
+        for got, want in zip(loaded.embed(toy_test.images[:8]),
+                             toy_classifier.embed(toy_test.images[:8])):
+            np.testing.assert_array_equal(got, want)
 
     def test_features_have_declared_dim(self, toy_classifier, toy_test):
-        feats = toy_classifier.features(toy_test.images[:8])
+        feats, logits = toy_classifier.embed(toy_test.images[:8])
         assert feats.shape == (8, toy_classifier.feature_dim)
+        assert logits.shape == (8, toy_classifier.num_classes)
+
+    def test_embed_matches_a_single_forward_pass(self, toy_classifier, toy_test):
+        # 300 rows span two 256-row blocks; each row's outputs must not
+        # depend on which block it lands in
+        images = np.concatenate([toy_test.images] * 2)[:300]
+        feats, logits = toy_classifier.embed(images)
+        p = as_leaves(toy_classifier.params, requires_grad=False)
+        for lo, hi in ((0, 256), (256, 300)):
+            want_feats, want_logits = toy_classifier._forward(p, images[lo:hi])
+            np.testing.assert_array_equal(feats[lo:hi], want_feats.data)
+            np.testing.assert_array_equal(logits[lo:hi], want_logits.data)
 
 
 class TestReport:
     def test_reference_scored_against_itself(self, toy_classifier, toy_test):
         ctx = MetricsContext.build(toy_test.images, toy_classifier, "classifier")
-        report = compute_report(toy_test.images, toy_test.images, toy_classifier, ctx)
+        report = compute_report(toy_test.images, ctx)
         assert report.fid == pytest.approx(0.0, abs=1e-6)
         assert report.precision == 1.0
         assert report.recall == 1.0
         assert report.tv_distance == pytest.approx(0.0, abs=1e-12)
         assert sum(report.class_histogram) == len(toy_test)
 
-    def test_context_from_another_reference_set_rejected(self, toy_classifier, toy_test):
-        ctx = MetricsContext.build(toy_test.images[:16], toy_classifier, "classifier")
-        with pytest.raises(ValueError, match="reference"):
-            compute_report(toy_test.images, toy_test.images, toy_classifier, ctx)
-
     def test_pixel_feature_space(self, toy_classifier, toy_test):
         ctx = MetricsContext.build(toy_test.images, toy_classifier, "pixels")
-        report = compute_report(toy_test.images, toy_test.images, toy_classifier, ctx)
+        report = compute_report(toy_test.images, ctx)
         assert report.feature_space == "pixels"
         assert report.precision == 1.0 and report.recall == 1.0
 
     def test_json_fields(self, toy_classifier, toy_test):
         import json
         ctx = MetricsContext.build(toy_test.images, toy_classifier, "classifier")
-        report = compute_report(toy_test.images[:32], toy_test.images, toy_classifier, ctx)
+        report = compute_report(toy_test.images[:32], ctx)
         doc = json.loads(report.to_json())
         assert set(doc) == {
             "fid", "is_mean", "is_std", "precision", "recall", "class_histogram",
@@ -313,3 +322,26 @@ class TestReport:
     def test_context_requires_classifier_for_classifier_space(self, toy_test):
         with pytest.raises(ValueError):
             MetricsContext.build(toy_test.images, None, "classifier")
+
+    def test_report_refuses_context_without_classifier(self, toy_test):
+        ctx = MetricsContext.build(toy_test.images, None, "pixels")
+        with pytest.raises(ValueError, match="classifier"):
+            compute_report(toy_test.images, ctx)
+
+    @pytest.mark.parametrize("feature_space", ["classifier", "pixels"])
+    def test_report_classifies_each_image_once(self, toy_classifier, toy_test,
+                                               feature_space, monkeypatch):
+        ctx = MetricsContext.build(toy_test.images, toy_classifier, feature_space)
+        generated = np.concatenate([toy_test.images] * 2)[:300]
+        batches = []
+        original = EvalClassifier._forward
+
+        def counting(self, p, images):
+            batches.append(len(images))
+            return original(self, p, images)
+
+        monkeypatch.setattr(EvalClassifier, "_forward", counting)
+        report = compute_report(generated, ctx)
+        assert batches == [256, 44]
+        assert report.n_generated == 300
+        assert report.n_reference == len(toy_test)
