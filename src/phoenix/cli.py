@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--seed", type=int, default=None, help="override the run seed")
     shared.add_argument("--out", default=None, help="override the output directory")
     shared.add_argument("--workers", type=int, default=1,
-                        help="worker cap for client training")
+                        help="worker cap for client training and scoring")
 
     parser = argparse.ArgumentParser(
         prog="phoenix",

@@ -1,15 +1,16 @@
 """Federated orchestration: warmup, local training, aggregation, filtering.
 
-One server round broadcasts the global base parameters, trains every
-participating client locally, optionally evaluates precision/recall and
-advances the filtering state machine, then aggregates the surviving
-updates by sample-count-weighted averaging. Personal-flagged parameters
-never leave their client: they are stored in the client state and excluded
-from every update.
+A server round broadcasts the global base parameters and runs one job per
+participating client: local training and, in rounds where threshold
+filtering scores clients, k-NN precision/recall of the trained model. A job
+writes no shared state; ``run_federation`` commits each client's next state
+in id order, advances the filtering state machine and aggregates the
+surviving updates by sample-count-weighted averaging. Personal-flagged
+parameters never leave their client: they stay in the client state and are
+excluded from every update.
 
 All randomness is derived from (seed, domain, round, epoch, ...) keys, so
-results do not depend on worker scheduling; aggregation iterates clients in
-id order.
+results do not depend on worker scheduling.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from __future__ import annotations
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from contextlib import nullcontext
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping
 
@@ -248,15 +250,14 @@ def local_train(
     config: FederationConfig,
     round_no: int,
     seed: int,
-) -> ClientUpdate | None:
-    """One client's local epochs; returns its update, or None when skipped.
+) -> tuple[ClientUpdate, ClientState] | None:
+    """One client's local epochs; returns (update, next state), or None when skipped.
 
-    Training runs on a copy of the client's optimizer state. Only once every
-    step has succeeded are the new optimizer state and, when
-    personalization is on, the trained personal layers stored back into the
-    client; the personal layers are then stripped from the update. A
-    non-finite loss or gradient marks the client faulted for the round: the
-    exception propagates and the client state is as it was before the call.
+    Writes nothing into ``client``. Training runs on a copy of its optimizer
+    state; the next state holds that trained copy and, when personalization
+    is on, the trained personal layers, which are stripped from the update.
+    The caller decides whether to commit it. A non-finite loss or gradient
+    raises ``NumericError`` and leaves no trace in ``client``.
     """
     if not client.data_indices:
         log.warning("client %d has no data; skipping round %d", client.id, round_no)
@@ -275,10 +276,11 @@ def local_train(
         epochs=config.local_epochs,
         optimizer_state=optimizer_state,
     )
-    client.optimizer_state = optimizer_state
+    personal = client.personal_params
     if config.personalization:
-        params, client.personal_params = split_parameters(global_model.with_params(params))
-    return ClientUpdate(client.id, params, len(client.data_indices), mean_loss)
+        params, personal = split_parameters(global_model.with_params(params))
+    return (ClientUpdate(client.id, params, len(client.data_indices), mean_loss),
+            replace(client, personal_params=personal, optimizer_state=optimizer_state))
 
 
 def fedavg(updates: list[ClientUpdate]) -> dict[str, np.ndarray]:
@@ -331,6 +333,31 @@ def _param_bytes(params: Mapping[str, np.ndarray]) -> int:
     return 4 * sum(v.size for v in params.values())
 
 
+def _client_job(client: ClientState, global_model: DenoiserModel, dataset: Dataset,
+                config: FederationConfig, round_no: int, seed: int,
+                metrics_ctx: MetricsContext | None):
+    """Train one client and, given ``metrics_ctx``, score it; writes no shared state.
+
+    Returns (next state, (update, status, (precision, recall) or None, wall_ms)).
+    A faulted client keeps its state and is not scored; a skipped client is
+    scored on the broadcast model plus its stored personal layers.
+    """
+    start = time.perf_counter()
+    update, state, status, scores = None, client, STATUS_FAULTED, None
+    try:
+        trained = local_train(client, global_model, dataset, config, round_no, seed)
+    except ad.NumericError:
+        log.warning("client %d faulted in round %d (non-finite loss)", client.id, round_no)
+    else:
+        update, state = trained or (None, client)
+        status = STATUS_SKIPPED if trained is None else ACTIVE
+        if metrics_ctx is not None:
+            base = global_model.params if update is None else update.params
+            model = global_model.with_params(_client_params(global_model, base, state))
+            scores = evaluate_client(state, model, metrics_ctx, config, round_no, seed)
+    return state, (update, status, scores, int((time.perf_counter() - start) * 1000))
+
+
 def run_federation(
     initial_model: DenoiserModel,
     plan: PartitionPlan | SharingPlan,
@@ -368,101 +395,73 @@ def run_federation(
     ) if config.threshold_filtering else None
     runlog = RunLog()
 
-    def train_one(client: ClientState, round_no: int):
-        start = time.perf_counter()
-        try:
-            update = local_train(client, global_model, dataset, config, round_no, seed)
-            status = STATUS_SKIPPED if update is None else ACTIVE
-        except ad.NumericError:
-            log.warning("client %d faulted in round %d (non-finite loss)", client.id, round_no)
-            update, status = None, STATUS_FAULTED
-        wall_ms = int((time.perf_counter() - start) * 1000)
-        return update, status, wall_ms
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for round_no in range(1, config.server_rounds + 1):
+            participating = (filter_state.participating() if filter_state is not None
+                             else [c.id for c in clients])
+            if not participating:
+                raise FederationError(f"round {round_no}: no participating clients remain")
+            broadcast_bytes = _param_bytes(
+                split_parameters(global_model)[0] if config.personalization and round_no > 1
+                else global_model.params
+            )
+            scoring = config.threshold_filtering and round_no >= config.eval_start_round
+            # a generator: serial jobs read each client only when they start, so
+            # its old state is freed as soon as its next state is committed
+            jobs = (pool.map if pool is not None else map)(
+                lambda c: _client_job(c, global_model, dataset, config, round_no, seed,
+                                      metrics_ctx if scoring else None),
+                (clients[cid] for cid in participating),
+            )
+            results = {}
+            for cid, (state, result) in zip(participating, jobs):
+                clients[cid], results[cid] = state, result  # commit in id order
 
-    for round_no in range(1, config.server_rounds + 1):
-        participating = (
-            filter_state.participating() if filter_state is not None
-            else [c.id for c in clients]
-        )
-        if not participating:
-            raise FederationError(f"round {round_no}: no participating clients remain")
-        broadcast_bytes = _param_bytes(
-            split_parameters(global_model)[0] if config.personalization and round_no > 1
-            else global_model.params
-        )
-        jobs = [clients[cid] for cid in participating]
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = dict(zip(
-                    participating,
-                    pool.map(lambda c: train_one(c, round_no), jobs),
-                ))
-        else:
-            results = {c.id: train_one(c, round_no) for c in jobs}
-
-        evaluated: dict[int, tuple[float, float]] = {}
-        eval_ms: dict[int, int] = {}
-        disconnected_now: list[int] = []
-        if (
-            config.threshold_filtering
-            and round_no >= config.eval_start_round
-        ):
-            faulted = {cid for cid, (_, status, _) in results.items()
-                       if status == STATUS_FAULTED}
-            for cid in participating:
-                if cid in faulted:
-                    continue
-                # score the freshly trained model; skipped clients fall back
-                # to the broadcast model plus their stored personal layers
-                update = results[cid][0]
-                base = global_model.params if update is None else update.params
-                params = _client_params(global_model, base, clients[cid])
-                start = time.perf_counter()
-                evaluated[cid] = evaluate_client(
-                    clients[cid], global_model.with_params(params),
-                    metrics_ctx, config, round_no, seed,
+            disconnected_now: list[int] = []
+            if scoring:
+                scored = {cid: scores for cid, (_, _, scores, _) in results.items()
+                          if scores is not None}
+                # only a faulted client goes unscored; its filter state carries over
+                filter_state, disconnected_now, _ = filter_step(
+                    filter_state, scored, round_no, exempt=results.keys() - scored.keys()
                 )
-                eval_ms[cid] = int((time.perf_counter() - start) * 1000)
-            filter_state, disconnected_now, _ = filter_step(
-                filter_state, evaluated, round_no, exempt=faulted
-            )
 
-        updates = [
-            upd for cid, (upd, status, _) in sorted(results.items())
-            if upd is not None and cid not in disconnected_now
-        ]
-        if not updates:
-            raise FederationError(
-                f"round {round_no}: no usable client updates (all faulted, "
-                f"skipped, or disconnected)"
-            )
-        global_model = global_model.with_params({**global_model.params, **fedavg(updates)})
+            updates = [
+                upd for cid, (upd, _, _, _) in sorted(results.items())
+                if upd is not None and cid not in disconnected_now
+            ]
+            if not updates:
+                raise FederationError(
+                    f"round {round_no}: no usable client updates (all faulted, "
+                    f"skipped, or disconnected)"
+                )
+            global_model = global_model.with_params({**global_model.params, **fedavg(updates)})
 
-        for cid in range(config.client_count):
-            update, status, wall_ms = results.get(cid, (None, DISCONNECTED, 0))
-            if filter_state is not None and status == ACTIVE:
-                status = filter_state.status[cid]
-            precision, recall = evaluated.get(cid, (None, None))
-            runlog.rows.append(RunRow(
-                round=round_no, client_id=cid, status=status,
-                samples=update.sample_count if update else 0,
-                train_loss=update.train_loss if update else None,
-                precision=precision, recall=recall,
-                bytes_up=_param_bytes(update.params) if update else 0,
-                bytes_down=broadcast_bytes if cid in results else 0,
-                wall_ms=wall_ms + eval_ms.get(cid, 0),
-            ))
+            for cid in range(config.client_count):
+                update, status, scores, wall_ms = results.get(cid, (None, DISCONNECTED, None, 0))
+                if filter_state is not None and status == ACTIVE:
+                    status = filter_state.status[cid]
+                precision, recall = scores or (None, None)
+                runlog.rows.append(RunRow(
+                    round=round_no, client_id=cid, status=status,
+                    samples=update.sample_count if update else 0,
+                    train_loss=update.train_loss if update else None,
+                    precision=precision, recall=recall,
+                    bytes_up=_param_bytes(update.params) if update else 0,
+                    bytes_down=broadcast_bytes if cid in results else 0,
+                    wall_ms=wall_ms,
+                ))
 
-        if out_path is not None:
-            write_checkpoint(
-                out_path / f"round_{round_no}.phxc",
-                global_model.params, set(global_model.personal_names),
-            )
-            for client in clients:
-                if client.personal_params:
-                    write_checkpoint(
-                        out_path / f"client_{client.id}_personal.phxc",
-                        client.personal_params, set(client.personal_params),
-                    )
-            runlog.write_csv(out_path / "runlog.csv")
+            if out_path is not None:
+                write_checkpoint(
+                    out_path / f"round_{round_no}.phxc",
+                    global_model.params, set(global_model.personal_names),
+                )
+                for client in clients:
+                    if client.personal_params:
+                        write_checkpoint(
+                            out_path / f"client_{client.id}_personal.phxc",
+                            client.personal_params, set(client.personal_params),
+                        )
+                runlog.write_csv(out_path / "runlog.csv")
     return global_model, runlog

@@ -168,6 +168,8 @@ def write_image(path: str | Path, image: np.ndarray) -> None:
     """Write one (C,H,W) image in [-1, 1] as binary PGM (C=1) or PPM (C=3)."""
     if image.ndim != 3 or image.shape[0] not in (1, 3):
         raise FormatError(f"image must be (1|3, H, W), got {image.shape}")
+    if not np.all(np.isfinite(image)):
+        raise FormatError("refusing to write non-finite pixel values")
     c, h, w = image.shape
     pixels = np.clip(np.round((image + 1.0) * 127.5), 0, 255).astype(np.uint8)
     header = f"{'P5' if c == 1 else 'P6'}\n{w} {h}\n255\n".encode("ascii")

@@ -263,11 +263,11 @@ def test_criterion_8_personalization_retention(tmp_path, verdict):
         return original_fedavg(updates)
 
     def local_spy(client, model, data, config, round_no, seed):
-        update = original_local(client, model, data, config, round_no, seed)
+        update, state = original_local(client, model, data, config, round_no, seed)
         personal_by_round.setdefault(round_no, {})[client.id] = {
-            k: v.copy() for k, v in client.personal_params.items()
+            k: v.copy() for k, v in state.personal_params.items()
         }
-        return update
+        return update, state
 
     federation.fedavg = fedavg_spy
     federation.local_train = local_spy

@@ -1,9 +1,12 @@
 import csv
+import gc
 import os
 import subprocess
 import sys
 import textwrap
+import threading
 import time
+import weakref
 from dataclasses import asdict
 from pathlib import Path
 
@@ -114,26 +117,29 @@ class TestLocalTrain:
     def test_update_contains_all_names_without_personalization(self, dataset, model):
         cfg = tiny_config()
         client = ClientState(id=0, data_indices=list(range(8)))
-        update = local_train(client, model, dataset, cfg, round_no=1, seed=1)
+        update, state = local_train(client, model, dataset, cfg, round_no=1, seed=1)
         assert set(update.params) == set(model.params)
         assert update.sample_count == 8
-        assert client.personal_params == {}
+        assert state.personal_params == {}
 
     def test_personalization_strips_personal_names(self, dataset, model):
         cfg = tiny_config(personalization=True)
         client = ClientState(id=0, data_indices=list(range(8)))
-        update = local_train(client, model, dataset, cfg, round_no=1, seed=1)
+        update, state = local_train(client, model, dataset, cfg, round_no=1, seed=1)
         assert set(update.params) == set(model.params) - set(model.personal_names)
-        assert list(client.personal_params) == [
+        assert list(state.personal_params) == [
             k for k in model.params if k in model.personal_names
         ]
+        # the next state comes back; the client passed in is not written
+        assert client.personal_params == {}
+        assert client.optimizer_state is None
 
     def test_fault_leaves_client_state_untouched(self, dataset, model, monkeypatch):
         # a NaN gradient in the second Adam step must leave the client exactly
         # as the previous successful call left it
         cfg = tiny_config(personalization=True, batch_size=4)
-        client = ClientState(id=0, data_indices=list(range(8)))
-        local_train(client, model, dataset, cfg, round_no=1, seed=1)
+        _, client = local_train(ClientState(id=0, data_indices=list(range(8))),
+                                model, dataset, cfg, round_no=1, seed=1)
         state = client.optimizer_state
         before = (
             state.step_count,
@@ -175,7 +181,7 @@ class TestLocalTrain:
         cfg = tiny_config(batch_size=64, local_epochs=1)
         indices = list(range(10))
         client = ClientState(id=3, data_indices=indices)
-        update = local_train(client, model, dataset, cfg, round_no=2, seed=11)
+        update, _ = local_train(client, model, dataset, cfg, round_no=2, seed=11)
 
         idx = np.asarray(indices)
         order = idx[derive_rng(11, DOMAIN_SHUFFLE, 3, 2, 0).permutation(len(idx))]
@@ -272,7 +278,7 @@ class TestRunFederation:
         final, runlog = run_federation(model, plan, cfg, dataset, seed=4)
 
         client = ClientState(id=0, data_indices=list(range(len(dataset))))
-        update = local_train(client, model, dataset, cfg, round_no=1, seed=4)
+        update, _ = local_train(client, model, dataset, cfg, round_no=1, seed=4)
         for name in update.params:
             np.testing.assert_array_equal(final.params[name], update.params[name])
         assert len(runlog.rows) == 1
@@ -417,6 +423,62 @@ class TestRunFederation:
         assert len(personal_a) == 3 and personal_a == personal_b
         for name in final_a.params:
             np.testing.assert_array_equal(final_a.params[name], final_b.params[name])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_client_jobs_train_and_score_in_the_pool(self, dataset, monkeypatch, workers):
+        # client 1 faults in round 1, client 2 has no data; every client's
+        # job trains and scores it, on a pool thread exactly when workers > 1
+        cfg = tiny_config(client_count=3, server_rounds=2, threshold_filtering=True,
+                          eval_start_round=1, min_active_clients=2)
+        plan = PartitionPlan([[0, 1, 2, 3], [4, 5, 6, 7], []], 3, "iid", 0)
+        ctx = MetricsContext.build(dataset.images[:8], None, "pixels")
+        original_train = federation.local_train
+        original_score = federation.evaluate_client
+        on_main_thread = []
+
+        def train(client, model, data, config, round_no, seed):
+            if (client.id, round_no) == (1, 1):
+                raise ad.NumericError("scripted fault")
+            return original_train(client, model, data, config, round_no, seed)
+
+        def score(*args):
+            on_main_thread.append(threading.current_thread() is threading.main_thread())
+            return original_score(*args)
+
+        monkeypatch.setattr(federation, "local_train", train)
+        monkeypatch.setattr(federation, "evaluate_client", score)
+
+        def run(n):
+            _, runlog = run_federation(build_unet(TINY, seed=1), plan, cfg, dataset,
+                                       seed=2, metrics_ctx=ctx, workers=n)
+            return runlog
+
+        runlog = run(workers)
+        rows = {(r.round, r.client_id): r for r in runlog.rows}
+        assert [key for key, r in rows.items() if r.status == "faulted"] == [(1, 1)]
+        assert rows[(1, 1)].precision is None
+        assert all(r.precision is not None for key, r in rows.items() if key != (1, 1))
+        assert rows[(1, 2)].status == rows[(2, 2)].status == "skipped"
+        assert len(on_main_thread) == 5 and set(on_main_thread) == {workers == 1}
+        assert timeless_rows(runlog) == timeless_rows(run(1))
+
+    def test_serial_round_frees_each_replaced_optimizer_state(self, dataset, monkeypatch):
+        # when a client's job starts, the states that earlier jobs of the
+        # round replaced must already be garbage
+        original = federation.local_train
+        replaced, alive = {}, []
+
+        def train(client, model, data, config, round_no, seed):
+            gc.collect()
+            alive.extend(k for k, ref in replaced.items() if ref() is not None)
+            if client.optimizer_state is not None:
+                replaced[client.id] = weakref.ref(client.optimizer_state)
+            return original(client, model, data, config, round_no, seed)
+
+        monkeypatch.setattr(federation, "local_train", train)
+        run_federation(build_unet(TINY, seed=1), make_plan(dataset, 3),
+                       tiny_config(client_count=3, server_rounds=2), dataset, seed=2)
+        assert len(replaced) == 3 and alive == []
 
     def test_wall_ms_includes_client_scoring(self, dataset, monkeypatch):
         def slow_score(client, m, ctx, cfg, rnd, seed):

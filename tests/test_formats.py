@@ -87,7 +87,9 @@ def _rows_that_fail_partway():
      lambda p: write_csv(p, ["a", "b"], _rows_that_fail_partway()), RuntimeError),
     (lambda p: write_tensor(p, np.ones(3, np.float32)),
      lambda p: write_tensor(p, np.array([1.0, np.nan], np.float32)), FormatError),
-], ids=["csv", "tensor"])
+    (lambda p: write_image(p, np.zeros((1, 2, 2), np.float32)),
+     lambda p: write_image(p, np.full((1, 2, 2), np.nan, np.float32)), FormatError),
+], ids=["csv", "tensor", "image"])
 def test_failed_overwrite_keeps_old_file(tmp_path, write_old, write_bad, error):
     path = tmp_path / "artifact"
     write_old(path)
