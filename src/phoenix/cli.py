@@ -33,12 +33,7 @@ from .config import (
     preset_names,
 )
 from .datasets import DataFormatError
-from .federation import (
-    FederationConfig,
-    FederationError,
-    run_federation,
-    warmup_train,
-)
+from .federation import FederationError, run_federation, warmup_train
 from .formats import (
     FormatError,
     image_extension,
@@ -53,7 +48,6 @@ from .formats import (
 from .metrics import MetricsContext, compute_report, sorted_histogram
 from .partition import (
     MODE_DATA_SHARING,
-    SharingPlan,
     data_sharing_split,
     load_plan,
     partition_iid,
@@ -87,30 +81,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.out is not None:
         cfg.out_dir = args.out
     cfg.validate()
-    _build_fed_config(cfg)  # refuse a bad federation config before any command writes
     return cfg
-
-
-def _build_fed_config(cfg: RunConfig) -> FederationConfig:
-    f = cfg.federation
-    fed = FederationConfig(
-        client_count=f.client_count,
-        server_rounds=f.server_rounds,
-        local_epochs=f.local_epochs,
-        batch_size=f.batch_size,
-        learning_rate=f.learning_rate,
-        schedule=cfg.diffusion.build(),
-        warmup_epochs=f.warmup_epochs,
-        optimizer=f.optimizer,
-        personalization=f.personalization,
-        threshold_filtering=f.threshold_filtering,
-        drop_policy=f.build_policy(),
-        eval_sample_count=f.eval_sample_count,
-        eval_start_round=f.eval_start_round,
-        min_active_clients=f.min_active_clients,
-    )
-    fed.validate()
-    return fed
 
 
 def _load_required_plan(cfg: RunConfig):
@@ -178,7 +149,7 @@ def cmd_partition(cfg: RunConfig, args: argparse.Namespace) -> int:
               ([cid] + [int(c) for c in row] for cid, row in enumerate(counts)))
     sizes = [len(plan.client_indices(i)) for i in range(plan.client_count)]
     print(f"wrote {out / PLAN_FILE}: mode={p.mode} clients={sizes}")
-    if isinstance(plan, SharingPlan):
+    if plan.mode == MODE_DATA_SHARING:
         print(f"shared pool |G|={len(plan.shared_pool)} "
               f"(beta={plan.beta_pct:g}%, alpha={plan.alpha_pct:g}%)")
     return EXIT_OK
@@ -186,13 +157,13 @@ def cmd_partition(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_warmup(cfg: RunConfig, args: argparse.Namespace) -> int:
     plan = _load_required_plan(cfg)
-    if not isinstance(plan, SharingPlan):
+    if plan.mode != MODE_DATA_SHARING:
         raise InputError(
             f"warmup needs a data-sharing plan, found mode '{plan.mode}'"
         )
     train, _ = load_datasets(cfg)
-    fed = _build_fed_config(cfg)
-    shared = train.subset(plan.warmup_indices)
+    fed = cfg.federation_config()
+    shared = train.subset(plan.shared_pool)
     model, curve = warmup_train(shared, cfg.model_config(), fed, cfg.seed)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -207,9 +178,9 @@ def cmd_warmup(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     plan = _load_required_plan(cfg)
     train, test = load_datasets(cfg)
-    fed = _build_fed_config(cfg)
+    fed = cfg.federation_config()
     out = Path(cfg.out_dir)
-    if isinstance(plan, SharingPlan):
+    if plan.mode == MODE_DATA_SHARING:
         initial = _model_from_checkpoint(cfg, out / WARMUP_CHECKPOINT)
     else:
         initial = build_unet(cfg.model_config(), cfg.seed)

@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .datasets import Dataset, load_cifar10, make_toy_dataset
+from .federation import FederationConfig
 from .filtering import DropPolicy
 from .schedule import NoiseSchedule, cosine_schedule, linear_schedule
 from .seeding import DOMAIN_DATA, derive_seed
@@ -129,12 +130,14 @@ class RunConfig:
     run_id: str | None = None
 
     def validate(self) -> None:
+        """Refuse a config no command can run: every section's rules, every
+        rule of ``FederationConfig.validate`` and the k-NN sample-set sizes."""
         self.dataset.validate()
         self.partition.validate()
         self.diffusion.validate()
         self.metrics.validate()
         self.model_config().validate()
-        self.federation.build_policy().validate()
+        self.federation_config()
         # precision/recall need a k-th neighbour inside every sample set
         need = self.metrics.knn_k + 1
         sample_sets = {"metrics.eval_sample_count": self.metrics.eval_sample_count}
@@ -148,6 +151,28 @@ class RunConfig:
                 raise ConfigError(f"{key}={count} is below knn_k+1={need}")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
+
+    def federation_config(self) -> FederationConfig:
+        """This run's ``FederationConfig``; raises ``ValueError`` on a broken rule."""
+        f = self.federation
+        fed = FederationConfig(
+            client_count=f.client_count,
+            server_rounds=f.server_rounds,
+            local_epochs=f.local_epochs,
+            batch_size=f.batch_size,
+            learning_rate=f.learning_rate,
+            schedule=self.diffusion.build(),
+            warmup_epochs=f.warmup_epochs,
+            optimizer=f.optimizer,
+            personalization=f.personalization,
+            threshold_filtering=f.threshold_filtering,
+            drop_policy=f.build_policy(),
+            eval_sample_count=f.eval_sample_count,
+            eval_start_round=f.eval_start_round,
+            min_active_clients=f.min_active_clients,
+        )
+        fed.validate()
+        return fed
 
     def model_config(self) -> DenoiserConfig:
         if isinstance(self.model, str):

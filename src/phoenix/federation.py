@@ -32,7 +32,7 @@ from .filtering import ACTIVE, DISCONNECTED, DropPolicy, FilterState, filter_ste
 from .formats import write_checkpoint, write_csv
 from .metrics import MetricsContext, knn_precision_recall
 from .optim import AdamState, adam_step, sgd_step
-from .partition import PartitionPlan, SharingPlan
+from .partition import PartitionPlan
 from .schedule import NoiseSchedule
 from .seeding import (
     DOMAIN_EVAL,
@@ -360,7 +360,7 @@ def _client_job(client: ClientState, global_model: DenoiserModel, dataset: Datas
 
 def run_federation(
     initial_model: DenoiserModel,
-    plan: PartitionPlan | SharingPlan,
+    plan: PartitionPlan,
     config: FederationConfig,
     dataset: Dataset,
     seed: int,
@@ -439,7 +439,7 @@ def run_federation(
 
             for cid in range(config.client_count):
                 update, status, scores, wall_ms = results.get(cid, (None, DISCONNECTED, None, 0))
-                if filter_state is not None and status == ACTIVE:
+                if scores is not None:  # scored this round, so the filter decided
                     status = filter_state.status[cid]
                 precision, recall = scores or (None, None)
                 runlog.rows.append(RunRow(

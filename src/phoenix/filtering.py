@@ -18,6 +18,8 @@ ACTIVE = "active"
 WARNED = "warned"
 DISCONNECTED = "disconnected"
 
+_STRIKES = {ACTIVE: 0, WARNED: 1, DISCONNECTED: 2}
+
 POLICY_LOWEST_PRECISION = "lowest_precision"
 POLICY_THRESHOLD = "threshold"
 
@@ -49,26 +51,25 @@ class DropPolicy:
 @dataclass
 class FilterState:
     status: dict[int, str]
-    poor_streak: dict[int, int]
     policy: DropPolicy
     min_active: int = 2
 
     @classmethod
     def fresh(cls, client_ids, policy: DropPolicy, min_active: int = 2) -> "FilterState":
         policy.validate()
-        ids = list(client_ids)
-        return cls(
-            status={i: ACTIVE for i in ids},
-            poor_streak={i: 0 for i in ids},
-            policy=policy,
-            min_active=min_active,
-        )
+        return cls(status={i: ACTIVE for i in client_ids}, policy=policy,
+                   min_active=min_active)
+
+    @property
+    def poor_streak(self) -> dict[int, int]:
+        """Strike count per client, which its status determines: 0, 1 or 2."""
+        return {i: _STRIKES[s] for i, s in self.status.items()}
 
     def participating(self) -> list[int]:
         return sorted(i for i, s in self.status.items() if s != DISCONNECTED)
 
     def copy(self) -> "FilterState":
-        return replace(self, status=dict(self.status), poor_streak=dict(self.poor_streak))
+        return replace(self, status=dict(self.status))
 
 
 def _poor_clients(
@@ -97,7 +98,7 @@ def filter_step(
     """Advance the machine one evaluation round.
 
     Clients in ``exempt`` were not evaluated this round (e.g. they faulted);
-    their status and strike count carry over unchanged. Returns (new state,
+    their status, and with it the strike count, carries over. Returns (new state,
     clients disconnected this round, clients whose disconnect was suppressed
     by the participation floor).
     """
@@ -114,24 +115,20 @@ def filter_step(
     candidates = []
     for cid in tracked:
         if cid in poor:
-            strikes = 2 if state.policy.immediate else new.poor_streak[cid] + 1
-            new.poor_streak[cid] = min(strikes, 2)
-            new.status[cid] = WARNED
-            if new.poor_streak[cid] >= 2:
+            # a second consecutive strike, or the first one under `immediate`
+            if state.policy.immediate or state.status[cid] == WARNED:
                 candidates.append(cid)
+            new.status[cid] = WARNED
         else:
-            new.poor_streak[cid] = 0
             new.status[cid] = ACTIVE
     disconnected = []
     suppressed = []
     for cid in sorted(candidates):
         if len(new.participating()) - 1 >= new.min_active:
             new.status[cid] = DISCONNECTED
-            new.poor_streak[cid] = 2
             disconnected.append(cid)
         else:
-            # cannot drop below the participation floor; strike not recorded
-            new.poor_streak[cid] = 1
+            # cannot drop below the participation floor; the client stays warned
             suppressed.append(cid)
             log.warning(
                 "round %d: suppressed disconnect of client %d (min_active=%d)",

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -193,7 +192,6 @@ class MetricsContext:
     still extract features for the filter, but cannot score a report.
     """
 
-    extract: Callable[[np.ndarray], np.ndarray]
     reference_features: np.ndarray
     feature_space: str
     knn_k: int = 3
@@ -208,15 +206,10 @@ class MetricsContext:
         feature_space: str,
         knn_k: int = 3,
     ) -> "MetricsContext":
-        if feature_space == FEATURE_SPACE_CLASSIFIER:
-            if classifier is None:
-                raise ValueError("classifier feature space needs a trained classifier")
-            def extract(images: np.ndarray) -> np.ndarray:
-                return classifier.embed(images)[0]
-        elif feature_space == FEATURE_SPACE_PIXELS:
-            extract = _pixels
-        else:
+        if feature_space not in (FEATURE_SPACE_CLASSIFIER, FEATURE_SPACE_PIXELS):
             raise ValueError(f"unknown feature space '{feature_space}'")
+        if feature_space == FEATURE_SPACE_CLASSIFIER and classifier is None:
+            raise ValueError("classifier feature space needs a trained classifier")
         features, histogram = None, None
         if classifier is not None:
             features, logits = classifier.embed(reference_images)
@@ -224,13 +217,18 @@ class MetricsContext:
         if feature_space == FEATURE_SPACE_PIXELS:
             features = _pixels(reference_images)
         return cls(
-            extract=extract,
             reference_features=features,
             feature_space=feature_space,
             knn_k=knn_k,
             classifier=classifier,
             reference_histogram=histogram,
         )
+
+    def extract(self, images: np.ndarray) -> np.ndarray:
+        """Features of ``images`` in this context's feature space."""
+        if self.feature_space == FEATURE_SPACE_CLASSIFIER:
+            return self.classifier.embed(images)[0]
+        return _pixels(images)
 
 
 def compute_report(

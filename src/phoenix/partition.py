@@ -1,4 +1,9 @@
-"""Client data partitioning: IID, label-skew, and the data-sharing split."""
+"""Client data partitioning: IID, label-skew, and the data-sharing split.
+
+Every mode yields one ``PartitionPlan``; its sharing fields (the label-skew
+client parts, the shared pool G and the beta/alpha percentages) are filled
+only by the data-sharing split and stay empty in every other mode.
+"""
 
 from __future__ import annotations
 
@@ -28,39 +33,26 @@ def round_half_up(x: float) -> int:
 
 @dataclass
 class PartitionPlan:
+    """Which training samples each client holds.
+
+    ``assignments[c]`` is everything client c trains on. In ``data_sharing``
+    mode, ``client_part`` partitions the client pool C by label skew,
+    ``shared_pool`` is the warmup set G drawn from the server pool S, and
+    each assignment adds the same alpha-fraction of G to the client's part;
+    in every other mode these fields stay empty (percentages ``None``).
+    """
+
     assignments: list[list[int]]
     client_count: int
     mode: str
     seed: int
+    client_part: list[list[int]] = field(default_factory=list)
+    shared_pool: list[int] = field(default_factory=list)
+    beta_pct: float | None = None
+    alpha_pct: float | None = None
 
     def client_indices(self, client: int) -> list[int]:
         return self.assignments[client]
-
-
-@dataclass
-class SharingPlan:
-    """Client/server split with a globally shared warmup subset.
-
-    ``client_part`` partitions the client pool C by label skew;
-    ``shared_pool`` is the warmup set G drawn from the server pool S;
-    ``merged_clients`` adds the same alpha-fraction of G to every client.
-    """
-
-    client_part: list[list[int]]
-    shared_pool: list[int]
-    merged_clients: list[list[int]]
-    beta_pct: float
-    alpha_pct: float
-    client_count: int
-    seed: int
-    mode: str = field(default=MODE_DATA_SHARING)
-
-    @property
-    def warmup_indices(self) -> list[int]:
-        return self.shared_pool
-
-    def client_indices(self, client: int) -> list[int]:
-        return self.merged_clients[client]
 
 
 def partition_iid(dataset: Dataset, client_count: int, seed: int) -> PartitionPlan:
@@ -175,7 +167,7 @@ def data_sharing_split(
     alpha_pct: float,
     classes_per_client: int,
     seed: int,
-) -> SharingPlan:
+) -> PartitionPlan:
     """Build the warmup-plus-merge sharing plan over an 80/20 C/S split.
 
     The shared pool G holds round(beta_pct% of |C|) samples drawn uniformly
@@ -206,59 +198,48 @@ def data_sharing_split(
         int(i) for i in rng.permutation(np.asarray(shared))[:merge_size]
     )
     merged = [sorted(part + merge_subset) for part in client_part]
-    return SharingPlan(
+    return PartitionPlan(
+        merged, client_count, MODE_DATA_SHARING, seed,
         client_part=client_part,
         shared_pool=shared,
-        merged_clients=merged,
         beta_pct=beta_pct,
         alpha_pct=alpha_pct,
-        client_count=client_count,
-        seed=seed,
     )
 
 
-def plan_to_json(plan: PartitionPlan | SharingPlan) -> dict:
-    if isinstance(plan, SharingPlan):
-        return {
-            "mode": plan.mode,
-            "clients": plan.merged_clients,
-            "client_part": plan.client_part,
-            "shared_pool": plan.shared_pool,
-            "beta_pct": plan.beta_pct,
-            "alpha_pct": plan.alpha_pct,
-            "seed": plan.seed,
-        }
-    return {
+def plan_to_json(plan: PartitionPlan) -> dict:
+    doc = {
         "mode": plan.mode,
         "clients": plan.assignments,
-        "shared_pool": [],
-        "beta_pct": None,
-        "alpha_pct": None,
+        "shared_pool": plan.shared_pool,
+        "beta_pct": plan.beta_pct,
+        "alpha_pct": plan.alpha_pct,
         "seed": plan.seed,
     }
+    if plan.mode == MODE_DATA_SHARING:
+        doc["client_part"] = plan.client_part
+    return doc
 
 
-def plan_from_json(doc: dict) -> PartitionPlan | SharingPlan:
+def plan_from_json(doc: dict) -> PartitionPlan:
     mode = doc["mode"]
-    clients = [list(map(int, c)) for c in doc["clients"]]
-    if mode == MODE_DATA_SHARING:
-        return SharingPlan(
-            client_part=[list(map(int, c)) for c in doc["client_part"]],
-            shared_pool=list(map(int, doc["shared_pool"])),
-            merged_clients=clients,
-            beta_pct=float(doc["beta_pct"]),
-            alpha_pct=float(doc["alpha_pct"]),
-            client_count=len(clients),
-            seed=int(doc["seed"]),
-        )
-    if mode not in (MODE_IID, MODE_LABEL_SKEW):
+    if mode not in (MODE_IID, MODE_LABEL_SKEW, MODE_DATA_SHARING):
         raise ValueError(f"unknown partition mode '{mode}'")
-    return PartitionPlan(clients, len(clients), mode, int(doc["seed"]))
+    clients = [list(map(int, c)) for c in doc["clients"]]
+    beta, alpha = (None if doc.get(key) is None else float(doc[key])
+                   for key in ("beta_pct", "alpha_pct"))
+    return PartitionPlan(
+        clients, len(clients), mode, int(doc["seed"]),
+        client_part=[list(map(int, c)) for c in doc.get("client_part", [])],
+        shared_pool=list(map(int, doc.get("shared_pool", []))),
+        beta_pct=beta,
+        alpha_pct=alpha,
+    )
 
 
-def save_plan(path: str | Path, plan: PartitionPlan | SharingPlan) -> None:
+def save_plan(path: str | Path, plan: PartitionPlan) -> None:
     write_json(path, plan_to_json(plan))
 
 
-def load_plan(path: str | Path) -> PartitionPlan | SharingPlan:
+def load_plan(path: str | Path) -> PartitionPlan:
     return plan_from_json(json.loads(Path(path).read_text()))

@@ -17,7 +17,7 @@ import phoenix.federation as federation
 from phoenix import autodiff as ad
 from phoenix import diffusion
 from phoenix.classifier import train_eval_classifier
-from phoenix.cli import _build_fed_config, main
+from phoenix.cli import main
 from phoenix.config import load_config, load_datasets
 from phoenix.datasets import Dataset, make_toy_dataset
 from phoenix.federation import run_federation, warmup_train
@@ -179,7 +179,7 @@ def test_criterion_5_sharing_size_table(verdict):
         plan = data_sharing_split(dataset, 10, beta, alpha, 2, seed=7)
         assert len(plan.shared_pool) == server_size, (beta, alpha)
         assert all(len(p) == 4000 for p in plan.client_part)
-        assert all(len(m) == client_size for m in plan.merged_clients), (beta, alpha)
+        assert all(len(m) == client_size for m in plan.assignments), (beta, alpha)
     verdict(5, f"({len(table)} rows exact)")
 
 
@@ -247,7 +247,7 @@ def test_criterion_8_personalization_retention(tmp_path, verdict):
     cfg.federation.personalization = True
     cfg.seed = 11
     train, _ = load_datasets(cfg)
-    fed = _build_fed_config(cfg)
+    fed = cfg.federation_config()
     plan = partition_label_skew(train, fed.client_count, 2, cfg.seed)
     initial = build_unet(cfg.model_config(), cfg.seed)
     personal = set(initial.personal_names)
@@ -298,7 +298,7 @@ def _desk_run(seed: int, mode: str) -> tuple[float, float]:
     cfg = load_config("desk")
     cfg.seed = seed
     train, test = load_datasets(cfg)
-    fed = _build_fed_config(cfg)
+    fed = cfg.federation_config()
     classifier = train_eval_classifier(train, cfg.metrics.classifier_epochs, seed)
     ctx = MetricsContext.build(test.images, classifier,
                                cfg.metrics.feature_space, cfg.metrics.knn_k)
@@ -309,7 +309,7 @@ def _desk_run(seed: int, mode: str) -> tuple[float, float]:
         plan = data_sharing_split(train, fed.client_count,
                                   cfg.partition.beta_pct, cfg.partition.alpha_pct,
                                   cfg.partition.classes_per_client, seed)
-        initial, _ = warmup_train(train.subset(plan.warmup_indices),
+        initial, _ = warmup_train(train.subset(plan.shared_pool),
                                   cfg.model_config(), fed, seed)
     final, _ = run_federation(initial, plan, fed, train, seed, metrics_ctx=ctx)
     samples = diffusion.generate(final, fed.schedule, cfg.metrics.eval_sample_count,

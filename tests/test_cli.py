@@ -1,13 +1,15 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from phoenix import diffusion
 from phoenix.cli import main
-from phoenix.config import load_config
+from phoenix.config import FederationSpec, config_from_dict, load_config
+from phoenix.federation import FederationConfig
 from phoenix.formats import read_checkpoint, read_tensor
-from phoenix.schedule import cosine_schedule
+from phoenix.schedule import cosine_schedule, linear_schedule
 from phoenix.unet import build_unet
 
 
@@ -72,6 +74,37 @@ class TestConfigHandling:
         path = micro_config(tmp_path, **override)
         assert main(["partition", "--config", str(path)]) == 2
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("federation", [
+        {"threshold_filtering": True, "eval_start_round": 9},
+        {"optimizer": "rmsprop"},
+        {"server_rounds": 0},
+    ], ids=["eval-start-after-last-round", "unknown-optimizer", "no-rounds"])
+    def test_config_document_refuses_federation_rules(self, federation):
+        with pytest.raises(ValueError):
+            config_from_dict({"preset": "desk", "federation": federation})
+
+    def test_federation_config_carries_every_federation_field(self):
+        values = {"client_count": 3, "server_rounds": 7, "local_epochs": 2,
+                  "batch_size": 4, "learning_rate": 5e-3, "warmup_epochs": 1,
+                  "optimizer": "sgd", "personalization": True,
+                  "threshold_filtering": True, "drop_policy": "threshold",
+                  "drop_threshold": 0.4, "drop_immediate": True,
+                  "eval_sample_count": 32, "eval_start_round": 6,
+                  "min_active_clients": 3}
+        policy = {"drop_policy": "kind", "drop_threshold": "threshold",
+                  "drop_immediate": "immediate"}
+        assert set(values) == {f.name for f in fields(FederationSpec)}
+        assert all(getattr(FederationSpec(), key) != v for key, v in values.items())
+        assert {f.name for f in fields(FederationConfig)} == (
+            set(values) - set(policy) | {"drop_policy", "schedule"})
+        fed = config_from_dict({"preset": "desk", "federation": values,
+                                "diffusion": {"schedule": "linear", "steps": 20}}
+                               ).federation_config()
+        for key, value in values.items():
+            got = getattr(fed.drop_policy, policy[key]) if key in policy else getattr(fed, key)
+            assert got == value, key
+        np.testing.assert_array_equal(fed.schedule.beta, linear_schedule(20).beta)
 
     def test_filter_sample_count_checked_only_with_filtering(self, tmp_path):
         path = micro_config(tmp_path, federation={"eval_sample_count": 3})

@@ -386,6 +386,27 @@ class TestRunFederation:
         assert by_round[4][2].status == "warned"
         assert by_round[4][1].status == "active"
 
+    def test_scored_client_without_data_logs_its_filter_status(self, dataset,
+                                                               monkeypatch):
+        # client 2 holds no data but is scored every round, so its rows must
+        # show the filter's decision rather than "skipped"
+        scripted = {0: 0.9, 1: 0.8, 2: 0.1}
+        monkeypatch.setattr(
+            federation, "evaluate_client",
+            lambda client, m, ctx, cfg, rnd, seed: (scripted[client.id], 0.5),
+        )
+        cfg = tiny_config(
+            client_count=3, server_rounds=3, threshold_filtering=True,
+            eval_start_round=1, min_active_clients=2,
+            drop_policy=DropPolicy(kind="lowest_precision"),
+        )
+        plan = PartitionPlan([[0, 1], [2, 3], []], 3, "iid", 0)
+        ctx = MetricsContext.build(dataset.images[:8], None, "pixels")
+        _, runlog = run_federation(build_unet(TINY, seed=1), plan, cfg, dataset,
+                                   seed=3, metrics_ctx=ctx)
+        assert [r.status for r in runlog.rows if r.client_id == 2] == [
+            "warned", "disconnected", "disconnected"]
+
     def test_deterministic_replay_and_worker_independence(self, dataset):
         cfg = tiny_config(client_count=2, server_rounds=2, local_epochs=2)
         plan = make_plan(dataset, 2)
@@ -458,7 +479,8 @@ class TestRunFederation:
         assert [key for key, r in rows.items() if r.status == "faulted"] == [(1, 1)]
         assert rows[(1, 1)].precision is None
         assert all(r.precision is not None for key, r in rows.items() if key != (1, 1))
-        assert rows[(1, 2)].status == rows[(2, 2)].status == "skipped"
+        assert all(rows[key].samples == 0 and rows[key].train_loss is None
+                   for key in ((1, 2), (2, 2)))
         assert len(on_main_thread) == 5 and set(on_main_thread) == {workers == 1}
         assert timeless_rows(runlog) == timeless_rows(run(1))
 

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -318,6 +320,16 @@ class TestReport:
     def test_sorted_histogram_descending(self):
         pairs = sorted_histogram(np.array([3, 9, 1, 9]))
         assert pairs == [(1, 9), (3, 9), (0, 3), (2, 1)]
+
+    @pytest.mark.parametrize("feature_space", ["classifier", "pixels"])
+    def test_context_survives_pickle(self, toy_classifier, toy_test, feature_space):
+        # a client job's arguments, the context among them, must be able to
+        # travel to a child process as they are
+        ctx = MetricsContext.build(toy_test.images, toy_classifier, feature_space)
+        loaded = pickle.loads(pickle.dumps(ctx))
+        np.testing.assert_array_equal(loaded.reference_features, ctx.reference_features)
+        np.testing.assert_array_equal(loaded.extract(toy_test.images[:8]),
+                                      ctx.extract(toy_test.images[:8]))
 
     def test_context_requires_classifier_for_classifier_space(self, toy_test):
         with pytest.raises(ValueError):

@@ -3,7 +3,6 @@ import pytest
 
 from phoenix.datasets import Dataset, make_toy_dataset
 from phoenix.partition import (
-    SharingPlan,
     data_sharing_split,
     load_plan,
     partition_iid,
@@ -123,7 +122,7 @@ class TestDataSharing:
                                   server_size, client_size):
         plan = data_sharing_split(cifar_labels, 10, beta, alpha, 2, seed=0)
         assert len(plan.shared_pool) == server_size
-        assert all(len(m) == client_size for m in plan.merged_clients)
+        assert all(len(m) == client_size for m in plan.assignments)
         assert all(len(p) == 4000 for p in plan.client_part)
 
     @pytest.mark.parametrize("beta", [2.5, 5, 15, 25])
@@ -138,7 +137,7 @@ class TestDataSharing:
         g = round_half_up(beta / 100 * pool_size)
         assert len(plan.shared_pool) == g
         merge = round_half_up(alpha / 100 * g)
-        for part, merged in zip(plan.client_part, plan.merged_clients):
+        for part, merged in zip(plan.client_part, plan.assignments):
             assert len(merged) == len(part) + merge
         # G drawn from the server pool: disjoint from every client part
         assert not client_pool & set(plan.shared_pool)
@@ -146,7 +145,7 @@ class TestDataSharing:
     def test_alpha_zero_reduces_to_label_skew_of_client_pool(self):
         ds = make_toy_dataset(4, 125, 8, seed=3)
         plan = data_sharing_split(ds, 4, 25, 0, 2, seed=1)
-        assert plan.merged_clients == plan.client_part
+        assert plan.assignments == plan.client_part
         for part in plan.client_part:
             assert len(np.unique(ds.labels[np.array(part)])) <= 2
 
@@ -154,7 +153,7 @@ class TestDataSharing:
         ds = make_toy_dataset(4, 125, 8, seed=3)
         plan = data_sharing_split(ds, 4, 25, 50, 2, seed=1)
         extras = [sorted(set(m) - set(p))
-                  for m, p in zip(plan.merged_clients, plan.client_part)]
+                  for m, p in zip(plan.assignments, plan.client_part)]
         assert all(e == extras[0] for e in extras)
         assert set(extras[0]) <= set(plan.shared_pool)
 
@@ -174,7 +173,7 @@ class TestDataSharing:
         ds = make_toy_dataset(4, 125, 8, seed=3)
         a = data_sharing_split(ds, 4, 25, 50, 2, seed=9)
         b = data_sharing_split(ds, 4, 25, 50, 2, seed=9)
-        assert a.merged_clients == b.merged_clients
+        assert a.assignments == b.assignments
         assert a.shared_pool == b.shared_pool
 
 
@@ -195,8 +194,9 @@ class TestPlanJson:
         path = tmp_path / "plan.json"
         save_plan(path, plan)
         loaded = load_plan(path)
-        assert isinstance(loaded, SharingPlan)
-        assert loaded.merged_clients == plan.merged_clients
+        assert loaded.mode == "data_sharing"
+        assert loaded.assignments == plan.assignments
+        assert loaded.client_part == plan.client_part
         assert loaded.shared_pool == plan.shared_pool
         assert loaded.beta_pct == plan.beta_pct
         assert loaded.alpha_pct == plan.alpha_pct
@@ -216,10 +216,11 @@ class TestPlanJson:
 
     def test_json_schema_keys(self):
         ds = make_toy_dataset(4, 20, 8, seed=1)
-        plan = partition_iid(ds, 4, seed=5)
-        doc = plan_to_json(plan)
-        assert {"mode", "clients", "shared_pool", "beta_pct", "alpha_pct",
-                "seed"} <= set(doc)
+        common = {"mode", "clients", "shared_pool", "beta_pct", "alpha_pct", "seed"}
+        plans = [partition_iid(ds, 4, seed=5), partition_label_skew(ds, 4, 2, seed=5),
+                 data_sharing_split(ds, 4, 25, 50, 2, seed=5)]
+        assert [set(plan_to_json(plan)) for plan in plans] == [
+            common, common, common | {"client_part"}]
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
