@@ -14,10 +14,19 @@ import numpy as np
 
 from . import autodiff as ad
 from .datasets import Dataset
-from .formats import FormatError, read_checkpoint, write_checkpoint
+from .formats import read_params, write_checkpoint
 from .layers import Conv, GroupNorm2d, Linear, as_leaves, init_layers
 from .optim import AdamState, adam_step
 from .seeding import DOMAIN_CLASSIFIER, derive_rng
+
+
+# The architecture and training recipe; only the input shape and the class
+# count vary, and they follow from the dataset.
+CONV_WIDTHS = (16, 32)
+FEATURE_DIM = 64
+NORM_GROUPS = 4
+BATCH_SIZE = 32
+LEARNING_RATE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -25,9 +34,10 @@ class ClassifierConfig:
     image_channels: int
     image_side: int
     num_classes: int
-    conv_widths: tuple[int, int] = (16, 32)
-    feature_dim: int = 64
-    norm_groups: int = 4
+
+    @classmethod
+    def for_dataset(cls, data: Dataset) -> "ClassifierConfig":
+        return cls(data.images.shape[1], data.images.shape[2], data.num_classes)
 
     def validate(self) -> None:
         if self.image_side % 4:
@@ -37,7 +47,7 @@ class ClassifierConfig:
 
     @property
     def flat_dim(self) -> int:
-        return self.conv_widths[1] * (self.image_side // 4) ** 2
+        return CONV_WIDTHS[1] * (self.image_side // 4) ** 2
 
 
 class EvalClassifier:
@@ -50,7 +60,7 @@ class EvalClassifier:
 
     @property
     def feature_dim(self) -> int:
-        return self.config.feature_dim
+        return FEATURE_DIM
 
     @property
     def num_classes(self) -> int:
@@ -58,14 +68,14 @@ class EvalClassifier:
 
     @staticmethod
     def _modules(cfg: ClassifierConfig):
-        w1, w2 = cfg.conv_widths
+        w1, w2 = CONV_WIDTHS
         return {
             "conv1": Conv("conv1", cfg.image_channels, w1),
-            "norm1": GroupNorm2d("norm1", w1, cfg.norm_groups),
+            "norm1": GroupNorm2d("norm1", w1, NORM_GROUPS),
             "conv2": Conv("conv2", w1, w2),
-            "norm2": GroupNorm2d("norm2", w2, cfg.norm_groups),
-            "fc": Linear("fc", cfg.flat_dim, cfg.feature_dim),
-            "head": Linear("head", cfg.feature_dim, cfg.num_classes),
+            "norm2": GroupNorm2d("norm2", w2, NORM_GROUPS),
+            "fc": Linear("fc", cfg.flat_dim, FEATURE_DIM),
+            "head": Linear("head", FEATURE_DIM, cfg.num_classes),
         }
 
     @classmethod
@@ -102,52 +112,30 @@ def save_classifier(path, clf: EvalClassifier) -> None:
     write_checkpoint(path, clf.params)
 
 
-def load_classifier(path) -> EvalClassifier:
-    """Rebuild a classifier from a checkpoint; the config follows the shapes."""
-    params, _ = read_checkpoint(path)
-    try:
-        w1, channels = params["conv1.w"].shape[:2]
-        w2 = params["conv2.w"].shape[0]
-        flat, feature_dim = params["fc.w"].shape
-        num_classes = params["head.w"].shape[1]
-    except KeyError as exc:
-        raise FormatError(f"classifier checkpoint missing parameter {exc}") from None
-    side = 4 * int(round((flat / w2) ** 0.5))
-    cfg = ClassifierConfig(
-        image_channels=channels, image_side=side, num_classes=num_classes,
-        conv_widths=(w1, w2), feature_dim=feature_dim,
-    )
-    if cfg.flat_dim != flat:
-        raise FormatError("classifier checkpoint shapes are inconsistent")
-    return EvalClassifier(cfg, params)
+def load_classifier(path, data: Dataset) -> EvalClassifier:
+    """Load the eval classifier for ``data`` from a checkpoint.
+
+    The architecture follows from the dataset's image shape and class count,
+    never from the checkpoint; ``FormatError`` if the checkpoint's parameter
+    names or shapes differ from it.
+    """
+    scaffold = EvalClassifier.initialize(ClassifierConfig.for_dataset(data), seed=0)
+    return EvalClassifier(scaffold.config, read_params(path, scaffold.params))
 
 
-def train_eval_classifier(
-    train: Dataset,
-    epochs: int,
-    seed: int,
-    batch_size: int = 32,
-    learning_rate: float = 1e-3,
-    feature_dim: int = 64,
-) -> EvalClassifier:
+def train_eval_classifier(train: Dataset, epochs: int, seed: int) -> EvalClassifier:
     """Train the feature/classification network with cross-entropy."""
     if len(train) == 0:
         raise ValueError("training dataset is empty")
     if len(np.unique(train.labels)) < 2:
         raise ValueError("classifier training needs at least 2 distinct classes")
-    cfg = ClassifierConfig(
-        image_channels=train.images.shape[1],
-        image_side=train.images.shape[2],
-        num_classes=train.num_classes,
-        feature_dim=feature_dim,
-    )
-    clf = EvalClassifier.initialize(cfg, seed)
-    state = AdamState(learning_rate=learning_rate)
+    clf = EvalClassifier.initialize(ClassifierConfig.for_dataset(train), seed)
+    state = AdamState(learning_rate=LEARNING_RATE)
     for epoch in range(epochs):
         rng = derive_rng(seed, DOMAIN_CLASSIFIER, 1, epoch)
         order = rng.permutation(len(train))
-        for start in range(0, len(order), batch_size):
-            idx = order[start:start + batch_size]
+        for start in range(0, len(order), BATCH_SIZE):
+            idx = order[start:start + BATCH_SIZE]
             leaves = as_leaves(clf.params, requires_grad=True)
             _, logits = clf._forward(leaves, train.images[idx])
             loss = ad.nll_loss(ad.log_softmax(logits), train.labels[idx])

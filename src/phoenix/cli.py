@@ -37,7 +37,7 @@ from .federation import FederationError, run_federation, warmup_train
 from .formats import (
     FormatError,
     image_extension,
-    read_checkpoint,
+    read_params,
     read_tensor,
     write_checkpoint,
     write_csv,
@@ -85,35 +85,34 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _load_required_plan(cfg: RunConfig):
+    """The run's plan; ``InputError`` if it is missing or was cut for
+    another partition mode or client count than ``cfg`` asks for."""
     path = Path(cfg.out_dir) / PLAN_FILE
     if not path.exists():
         raise InputError(f"no partition plan at {path}; run 'phoenix partition' first")
-    return load_plan(path)
+    plan = load_plan(path)
+    if (plan.mode, plan.client_count) != (cfg.partition.mode, cfg.federation.client_count):
+        raise InputError(
+            f"plan {path} is {plan.mode} over {plan.client_count} clients, the config "
+            f"{cfg.partition.mode} over {cfg.federation.client_count}; "
+            f"rerun 'phoenix partition'"
+        )
+    return plan
 
 
 def _model_from_checkpoint(cfg: RunConfig, path: Path) -> DenoiserModel:
     if not path.exists():
         raise InputError(f"no checkpoint at {path}")
-    params, _ = read_checkpoint(path)
     scaffold = build_unet(cfg.model_config(), cfg.seed)
-    if set(params) != set(scaffold.params):
-        diff = sorted(set(params) ^ set(scaffold.params))
-        raise InputError(f"checkpoint {path} does not match the model config: {diff}")
-    for name, arr in params.items():
-        if arr.shape != scaffold.params[name].shape:
-            raise InputError(
-                f"checkpoint {path}: parameter '{name}' has shape {arr.shape}, "
-                f"expected {scaffold.params[name].shape}"
-            )
-    return scaffold.with_params(params)
+    return scaffold.with_params(read_params(path, scaffold.params))
 
 
 def _obtain_classifier(cfg: RunConfig, train_dataset, explicit: str | None) -> EvalClassifier:
     if explicit is not None:
-        return load_classifier(explicit)
+        return load_classifier(explicit, train_dataset)
     default = Path(cfg.out_dir) / CLASSIFIER_FILE
     if default.exists():
-        return load_classifier(default)
+        return load_classifier(default, train_dataset)
     clf = train_eval_classifier(
         train_dataset, cfg.metrics.classifier_epochs, cfg.seed
     )
@@ -279,6 +278,8 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
             log.warning("skipping %s: no summary.json", run_dir)
             continue
         doc = json.loads(summary_path.read_text())
+        if not isinstance(doc, dict):
+            raise InputError(f"{summary_path} must hold a JSON object")
         rows.append([doc.get(col) for col in REPORT_COLUMNS])
     rows.sort(key=lambda r: str(r[0]))
     out = Path(cfg.out_dir)

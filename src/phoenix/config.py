@@ -2,9 +2,11 @@
 
 A config names a dataset, a partitioning regime, the model and diffusion
 settings, the federation parameters, and the metric settings, plus the run
-seed and output directory. Presets ``desk`` (minutes on a laptop CPU) and
-``paper`` (the full-scale setup) ship in-tree; a config file may start from
-a preset via a top-level ``{"preset": ...}`` key and override sections.
+seed and output directory. Every field's default is the ``desk`` preset
+(minutes on a laptop CPU), so a document without a top-level ``"preset"``
+key starts from desk; ``{"preset": "paper"}`` (the full-scale setup)
+starts from the twelve values where paper differs. Either way the
+document's own sections override field by field.
 
 Environment overrides: PHOENIX_SEED and PHOENIX_OUT (seed and output
 directory only).
@@ -30,8 +32,7 @@ class ConfigError(ValueError):
 
 
 MODEL_PRESETS = {
-    "desk": DenoiserConfig(image_channels=1, image_side=8, base_channels=16,
-                           depth=2, blocks_per_stage=1, time_embed_dim=32),
+    "desk": DenoiserConfig(),
     "paper": DenoiserConfig(image_channels=3, image_side=32, base_channels=64,
                             depth=4, blocks_per_stage=1, time_embed_dim=128),
 }
@@ -66,7 +67,7 @@ class PartitionSpec:
 @dataclass
 class DiffusionSpec:
     schedule: str = "cosine"
-    steps: int = 1000
+    steps: int = 50
     beta_start: float = 1e-4
     beta_end: float = 0.02
     cosine_offset: float = 0.008
@@ -83,11 +84,11 @@ class DiffusionSpec:
 
 @dataclass
 class FederationSpec:
-    client_count: int = 10
-    server_rounds: int = 10
-    local_epochs: int = 100
-    batch_size: int = 128
-    learning_rate: float = 1e-4
+    client_count: int = 4
+    server_rounds: int = 5
+    local_epochs: int = 5
+    batch_size: int = 8
+    learning_rate: float = 2e-3
     warmup_epochs: int = 5
     optimizer: str = "adam"
     personalization: bool = False
@@ -95,8 +96,8 @@ class FederationSpec:
     drop_policy: str = "lowest_precision"
     drop_threshold: float = 0.7
     drop_immediate: bool = False
-    eval_sample_count: int = 1000
-    eval_start_round: int = 5
+    eval_sample_count: int = 128
+    eval_start_round: int = 4
     min_active_clients: int = 2
 
     def build_policy(self) -> DropPolicy:
@@ -220,38 +221,17 @@ def load_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset]:
     return train, test
 
 
+# The section defaults are the desk preset; paper lists where it differs.
 _PRESETS: dict[str, dict] = {
-    "desk": {
-        "dataset": {"kind": "toy", "classes": 4, "per_class": 125, "side": 8,
-                    "test_per_class": 64},
-        "partition": {"mode": "label_skew", "classes_per_client": 2,
-                      "beta_pct": 25.0, "alpha_pct": 100.0},
-        "model": "desk",
-        "diffusion": {"schedule": "cosine", "steps": 50},
-        "federation": {"client_count": 4, "server_rounds": 5, "local_epochs": 5,
-                       "batch_size": 8, "learning_rate": 2e-3,
-                       "warmup_epochs": 5, "eval_sample_count": 128,
-                       "eval_start_round": 4, "min_active_clients": 2},
-        "metrics": {"feature_space": "classifier", "knn_k": 3, "is_splits": 10,
-                    "eval_sample_count": 256, "classifier_epochs": 4},
-        "seed": 42,
-        "out_dir": "out",
-    },
+    "desk": {},
     "paper": {
-        "dataset": {"kind": "cifar10", "path": "data/cifar-10-batches-bin"},
-        "partition": {"mode": "label_skew", "classes_per_client": 2,
-                      "beta_pct": 25.0, "alpha_pct": 100.0},
+        "dataset": {"kind": "cifar10"},
         "model": "paper",
-        "diffusion": {"schedule": "cosine", "steps": 1000},
-        "federation": {"client_count": 10, "server_rounds": 10,
-                       "local_epochs": 100, "batch_size": 128,
-                       "learning_rate": 1e-4, "warmup_epochs": 5,
-                       "eval_sample_count": 1000, "eval_start_round": 5,
-                       "min_active_clients": 2},
-        "metrics": {"feature_space": "classifier", "knn_k": 3, "is_splits": 10,
-                    "eval_sample_count": 10000, "classifier_epochs": 10},
-        "seed": 42,
-        "out_dir": "out",
+        "diffusion": {"steps": 1000},
+        "federation": {"client_count": 10, "server_rounds": 10, "local_epochs": 100,
+                       "batch_size": 128, "learning_rate": 1e-4,
+                       "eval_sample_count": 1000, "eval_start_round": 5},
+        "metrics": {"eval_sample_count": 10000, "classifier_epochs": 10},
     },
 }
 

@@ -164,6 +164,25 @@ def read_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], set[str]]:
     return params, personal
 
 
+def read_params(path: str | Path, expected: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Load the parameter table of a model whose scaffold holds ``expected``.
+
+    Returns the checkpoint's table, in the checkpoint's order, without its
+    personal flags. ``FormatError`` names every missing or unexpected
+    parameter, or the first one whose shape differs from ``expected``.
+    """
+    params, _ = read_checkpoint(path)
+    missing, extra = sorted(set(expected) - set(params)), sorted(set(params) - set(expected))
+    if missing or extra:
+        raise FormatError(f"checkpoint {path} does not match the model: "
+                          f"missing {missing}, unexpected {extra}")
+    for name, arr in params.items():
+        if arr.shape != expected[name].shape:
+            raise FormatError(f"checkpoint {path}: parameter '{name}' has shape "
+                              f"{arr.shape}, expected {expected[name].shape}")
+    return params
+
+
 def write_image(path: str | Path, image: np.ndarray) -> None:
     """Write one (C,H,W) image in [-1, 1] as binary PGM (C=1) or PPM (C=3)."""
     if image.ndim != 3 or image.shape[0] not in (1, 3):

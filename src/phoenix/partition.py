@@ -222,6 +222,9 @@ def plan_to_json(plan: PartitionPlan) -> dict:
 
 
 def plan_from_json(doc: dict) -> PartitionPlan:
+    missing = [key for key in ("mode", "clients", "seed") if key not in doc]
+    if missing:
+        raise ValueError(f"partition plan lacks {missing}")
     mode = doc["mode"]
     if mode not in (MODE_IID, MODE_LABEL_SKEW, MODE_DATA_SHARING):
         raise ValueError(f"unknown partition mode '{mode}'")

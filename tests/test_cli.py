@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from phoenix import diffusion
+from phoenix.classifier import ClassifierConfig, EvalClassifier, save_classifier
 from phoenix.cli import main
-from phoenix.config import FederationSpec, config_from_dict, load_config
+from phoenix.config import FederationSpec, config_from_dict, load_config, load_datasets
 from phoenix.federation import FederationConfig
-from phoenix.formats import read_checkpoint, read_tensor
+from phoenix.formats import read_checkpoint, read_tensor, write_tensor
 from phoenix.schedule import cosine_schedule, linear_schedule
 from phoenix.unet import build_unet
 
@@ -105,6 +106,15 @@ class TestConfigHandling:
             got = getattr(fed.drop_policy, policy[key]) if key in policy else getattr(fed, key)
             assert got == value, key
         np.testing.assert_array_equal(fed.schedule.beta, linear_schedule(20).beta)
+
+    def test_document_without_preset_is_desk(self):
+        assert config_from_dict({}) == load_config("desk")
+
+    def test_paper_preset_keeps_paper_scale(self):
+        cfg = load_config("paper")
+        assert (cfg.federation.client_count, cfg.diffusion.steps, cfg.dataset.kind,
+                cfg.metrics.eval_sample_count, cfg.metrics.classifier_epochs) == (
+                    10, 1000, "cifar10", 10000, 10)
 
     def test_filter_sample_count_checked_only_with_filtering(self, tmp_path):
         path = micro_config(tmp_path, federation={"eval_sample_count": 3})
@@ -234,6 +244,22 @@ class TestTrainCommand:
             assert key in summary
         assert (run_dir / "round_1.phxc").exists()
 
+    @pytest.mark.parametrize("plan_doc, train_doc", [
+        ({"partition": {"mode": "data_sharing"}}, {"partition": {"mode": "label_skew"}}),
+        ({}, {"federation": {"client_count": 3}}),
+    ], ids=["mode", "client-count"])
+    def test_plan_of_another_config_refused_before_any_work(self, tmp_path, plan_doc,
+                                                            train_doc):
+        base = {"dataset": {"per_class": 15}}
+        plan_config = str(micro_config(tmp_path, **base, **plan_doc))
+        assert main(["partition", "--config", plan_config]) == 0
+        if "partition" in plan_doc:  # the sharing plan's warmup model is on disk too
+            assert main(["warmup", "--config", plan_config]) == 0
+        assert main(["train", "--config", str(micro_config(tmp_path, **base,
+                                                           **train_doc))]) == 2
+        assert not (tmp_path / "out" / "eval_classifier.phxc").exists()
+        assert not (tmp_path / "out" / "runs").exists()
+
     def test_sharing_requires_warmup_checkpoint(self, tmp_path):
         path = micro_config(tmp_path, dataset={"per_class": 15},
                             partition={"mode": "data_sharing"})
@@ -324,6 +350,26 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--config", str(path), "--samples", str(samples),
                      "--classifier", str(tmp_path / "missing.phxc")]) == 2
 
+    @pytest.mark.parametrize("broken", ["missing-norm1.g", "three-class-head"])
+    def test_classifier_of_another_architecture_exits_2(self, tmp_path, capsys, broken):
+        path = micro_config(tmp_path)
+        train, test = load_datasets(load_config(str(path)))
+        samples = tmp_path / "s.phxt"
+        write_tensor(samples, test.images[:8])
+        if broken == "missing-norm1.g":
+            clf = EvalClassifier.initialize(ClassifierConfig.for_dataset(train), seed=0)
+            del clf.params["norm1.g"]
+            named = "norm1.g"
+        else:
+            clf = EvalClassifier.initialize(ClassifierConfig(1, 8, 3), seed=0)
+            named = "head.w"
+        ckpt = tmp_path / "clf.phxc"
+        save_classifier(ckpt, clf)
+        assert main(["evaluate", "--config", str(path), "--samples", str(samples),
+                     "--classifier", str(ckpt)]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out" / "metrics.json").exists()
+
     def test_matches_direct_library_call(self, tmp_path):
         path = micro_config(tmp_path)
         cfg = load_config(str(path))
@@ -391,3 +437,11 @@ class TestReportCommand:
         lines = (out / "report.csv").read_text().splitlines()
         assert len(lines) == 2
         assert lines[1].startswith("ok,")
+
+    def test_non_object_summary_exits_2(self, tmp_path):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "summary.json").write_text("[1, 2]")
+        out = tmp_path / "out"
+        assert main(["report", "--config", "desk", "--out", str(out), str(run)]) == 2
+        assert not (out / "report.csv").exists()

@@ -6,6 +6,7 @@ import pytest
 from phoenix.formats import (
     FormatError,
     read_checkpoint,
+    read_params,
     read_tensor,
     write_checkpoint,
     write_csv,
@@ -132,6 +133,30 @@ def test_checkpoint_trailing_bytes_rejected(tmp_path):
     path.write_bytes(path.read_bytes() + b"junk")
     with pytest.raises(FormatError, match="trailing"):
         read_checkpoint(path)
+
+
+@pytest.mark.parametrize("table, message", [
+    ({"a": np.ones(2, np.float32)}, r"missing \['b'\]"),
+    ({"a": np.ones(2, np.float32), "b": np.ones((2, 2), np.float32),
+      "c": np.ones(1, np.float32)}, r"unexpected \['c'\]"),
+    ({"a": np.ones(2, np.float32), "b": np.ones((2, 3), np.float32)}, "'b' has shape"),
+], ids=["missing-name", "extra-name", "wrong-shape"])
+def test_read_params_refuses_another_model(tmp_path, table, message):
+    path = tmp_path / "m.phxc"
+    write_checkpoint(path, table)
+    expected = {"a": np.zeros(2, np.float32), "b": np.zeros((2, 2), np.float32)}
+    with pytest.raises(FormatError, match=message):
+        read_params(path, expected)
+
+
+def test_read_params_returns_the_checkpoint_table(tmp_path):
+    params = {"b": np.full((2, 2), 3.0, np.float32), "a": np.ones(2, np.float32)}
+    path = tmp_path / "m.phxc"
+    write_checkpoint(path, params, personal_names={"a"})
+    loaded = read_params(path, {"a": np.zeros(2, np.float32), "b": np.zeros((2, 2), np.float32)})
+    assert list(loaded) == list(params)
+    for name in params:
+        np.testing.assert_array_equal(loaded[name], params[name])
 
 
 def test_pgm_pixel_mapping(tmp_path):

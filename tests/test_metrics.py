@@ -265,10 +265,10 @@ class TestEvalClassifier:
         with pytest.raises(ValueError):
             train_eval_classifier(single, epochs=1, seed=0)
 
-    def test_checkpoint_round_trip(self, toy_classifier, toy_test, tmp_path):
+    def test_checkpoint_round_trip(self, toy_classifier, toy_train, toy_test, tmp_path):
         path = tmp_path / "clf.phxc"
         save_classifier(path, toy_classifier)
-        loaded = load_classifier(path)
+        loaded = load_classifier(path, toy_train)
         for got, want in zip(loaded.embed(toy_test.images[:8]),
                              toy_classifier.embed(toy_test.images[:8])):
             np.testing.assert_array_equal(got, want)

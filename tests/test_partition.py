@@ -225,3 +225,10 @@ class TestPlanJson:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             plan_from_json({"mode": "bogus", "clients": [[0]], "seed": 1})
+
+    @pytest.mark.parametrize("key", ["mode", "clients", "seed"])
+    def test_missing_key_rejected(self, key):
+        doc = {"mode": "iid", "clients": [[0]], "seed": 1}
+        del doc[key]
+        with pytest.raises(ValueError, match=key):
+            plan_from_json(doc)
