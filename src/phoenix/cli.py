@@ -32,7 +32,7 @@ from .config import (
     load_datasets,
     preset_names,
 )
-from .datasets import DataFormatError
+from .datasets import DataFormatError, Dataset
 from .federation import FederationError, run_federation, warmup_train
 from .formats import (
     FormatError,
@@ -48,6 +48,7 @@ from .formats import (
 from .metrics import MetricsContext, compute_report, sorted_histogram
 from .partition import (
     MODE_DATA_SHARING,
+    PartitionPlan,
     data_sharing_split,
     load_plan,
     partition_iid,
@@ -84,9 +85,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _load_required_plan(cfg: RunConfig):
-    """The run's plan; ``InputError`` if it is missing or was cut for
-    another partition mode or client count than ``cfg`` asks for."""
+def _load_required_plan(cfg: RunConfig, train: Dataset) -> PartitionPlan:
+    """The run's plan; ``InputError`` if it is missing, was cut for another
+    partition mode or client count than ``cfg`` asks for, or names a sample
+    that ``train`` does not hold."""
     path = Path(cfg.out_dir) / PLAN_FILE
     if not path.exists():
         raise InputError(f"no partition plan at {path}; run 'phoenix partition' first")
@@ -95,6 +97,14 @@ def _load_required_plan(cfg: RunConfig):
         raise InputError(
             f"plan {path} is {plan.mode} over {plan.client_count} clients, the config "
             f"{cfg.partition.mode} over {cfg.federation.client_count}; "
+            f"rerun 'phoenix partition'"
+        )
+    top = max((max(part, default=-1)
+               for part in (*plan.assignments, *plan.client_part, plan.shared_pool)),
+              default=-1)
+    if top >= len(train):
+        raise InputError(
+            f"plan {path} names sample {top}, the training set holds {len(train)}; "
             f"rerun 'phoenix partition'"
         )
     return plan
@@ -155,12 +165,12 @@ def cmd_partition(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_warmup(cfg: RunConfig, args: argparse.Namespace) -> int:
-    plan = _load_required_plan(cfg)
+    train, _ = load_datasets(cfg)
+    plan = _load_required_plan(cfg, train)
     if plan.mode != MODE_DATA_SHARING:
         raise InputError(
             f"warmup needs a data-sharing plan, found mode '{plan.mode}'"
         )
-    train, _ = load_datasets(cfg)
     fed = cfg.federation_config()
     shared = train.subset(plan.shared_pool)
     model, curve = warmup_train(shared, cfg.model_config(), fed, cfg.seed)
@@ -175,8 +185,8 @@ def cmd_warmup(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
-    plan = _load_required_plan(cfg)
     train, test = load_datasets(cfg)
+    plan = _load_required_plan(cfg, train)
     fed = cfg.federation_config()
     out = Path(cfg.out_dir)
     if plan.mode == MODE_DATA_SHARING:

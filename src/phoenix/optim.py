@@ -56,7 +56,12 @@ def adam_step(
 ) -> dict[str, np.ndarray]:
     """One bias-corrected Adam update; advances ``state`` and returns new params.
 
-    Moments start at zero and stay shape-congruent with their parameters.
+    Moments start at zero and stay shape- and dtype-congruent with their
+    parameters. The textbook expressions are evaluated in their usual order
+    but into four arrays per parameter (the new moments, one scratch array
+    and the new parameter), so the result is bitwise that of
+    ``p - lr * (m / bias1) / (sqrt(v / bias2) + eps)``. New moment arrays
+    are allocated every step, never written in place.
     """
     _check_gradients(params, grads)
     state.step_count += 1
@@ -72,14 +77,22 @@ def adam_step(
         if m is None:
             m = np.zeros_like(p)
             v = np.zeros_like(p)
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * (g * g)
+        scratch = np.multiply(g, 1.0 - b1, dtype=p.dtype)
+        m = np.multiply(m, b1)
+        m += scratch
+        np.multiply(g, g, out=scratch)
+        scratch *= 1.0 - b2
+        v = np.multiply(v, b2)
+        v += scratch
         state.first_moment[name] = m
         state.second_moment[name] = v
-        m_hat = m / bias1
-        v_hat = v / bias2
-        step = state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
-        out[name] = (p - step).astype(p.dtype)
+        np.divide(v, bias2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += state.epsilon
+        step = m / bias1
+        step *= state.learning_rate
+        step /= scratch
+        out[name] = np.subtract(p, step, out=step)
     return out
 
 

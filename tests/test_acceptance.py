@@ -318,6 +318,7 @@ def _desk_run(seed: int, mode: str) -> tuple[float, float]:
     return report.recall, report.tv_distance
 
 
+@pytest.mark.slow
 def test_criterion_9_directional_trend(verdict):
     seeds = (1, 2, 3)
     recall_wins = 0
@@ -341,6 +342,7 @@ def _strip_wall_ms(csv_path) -> list[list[str]]:
     return [row[:-1] for row in rows]
 
 
+@pytest.mark.slow
 def test_criterion_10_pipeline_reproducibility(tmp_path, verdict):
     """partition -> warmup -> train -> generate -> evaluate, workers 1 vs 4."""
     outputs = {}

@@ -260,6 +260,24 @@ class TestTrainCommand:
         assert not (tmp_path / "out" / "eval_classifier.phxc").exists()
         assert not (tmp_path / "out" / "runs").exists()
 
+    @pytest.mark.parametrize("clients, message", [
+        (5, "clients"),
+        ([[0, 1], [2], [3], [99999]], "99999"),
+    ], ids=["not-a-list", "index-out-of-range"])
+    @pytest.mark.parametrize("command", ["train", "warmup"])
+    def test_malformed_plan_refused_before_any_work(self, tmp_path, capsys, command,
+                                                    clients, message):
+        mode = "data_sharing" if command == "warmup" else "label_skew"
+        path = micro_config(tmp_path, partition={"mode": mode})
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "plan.json").write_text(json.dumps(
+            {"mode": mode, "clients": clients, "client_part": [], "shared_pool": [0],
+             "seed": 5}))
+        assert main([command, "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["plan.json"]
+
     def test_sharing_requires_warmup_checkpoint(self, tmp_path):
         path = micro_config(tmp_path, dataset={"per_class": 15},
                             partition={"mode": "data_sharing"})

@@ -88,3 +88,50 @@ def test_sgd_step_is_plain_descent():
     params = {"w": np.array([1.0, 2.0], dtype=np.float32)}
     out = sgd_step(params, {"w": np.array([0.5, -1.0], np.float32)}, 0.1)
     np.testing.assert_allclose(out["w"], [0.95, 2.1], rtol=1e-6)
+
+
+def test_three_steps_bitwise_equal_to_textbook_formula():
+    # the textbook expressions, each evaluated into fresh arrays
+    rng = np.random.default_rng(7)
+    shapes = {"conv.w": (4, 3, 3, 3), "conv.b": (4,), "lin.w": (5, 2), "emb": (1, 6, 1, 2)}
+    params = {k: 0.01 * rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()}
+    # a step as large as the parameters, so its last bits reach the result
+    lr, b1, b2, eps = 0.03, 0.9, 0.999, 1e-8
+    state = AdamState(learning_rate=lr, beta1=b1, beta2=b2, epsilon=eps)
+    expected = dict(params)
+    m = {k: np.zeros_like(p) for k, p in params.items()}
+    v = {k: np.zeros_like(p) for k, p in params.items()}
+    for t in (1, 2, 3):
+        grads = {k: rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()}
+        for k, g in grads.items():
+            m[k] = b1 * m[k] + (1.0 - b1) * g
+            v[k] = b2 * v[k] + (1.0 - b2) * (g * g)
+            m_hat = m[k] / (1.0 - b1 ** t)
+            v_hat = v[k] / (1.0 - b2 ** t)
+            expected[k] = expected[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        params = adam_step(params, grads, state)
+        for k in shapes:
+            assert params[k].dtype == np.float32
+            np.testing.assert_array_equal(params[k], expected[k])
+            np.testing.assert_array_equal(state.first_moment[k], m[k])
+            np.testing.assert_array_equal(state.second_moment[k], v[k])
+
+
+def test_step_leaves_inputs_and_snapshot_untouched():
+    rng = np.random.default_rng(8)
+    params = {"w": rng.standard_normal((3, 4)).astype(np.float32)}
+    state = AdamState(learning_rate=1e-2)
+    params = adam_step(params, {"w": rng.standard_normal((3, 4)).astype(np.float32)}, state)
+    snap = state.snapshot()
+    kept_m = snap.first_moment["w"].copy()
+    kept_v = snap.second_moment["w"].copy()
+    kept_p = params["w"].copy()
+    grads = {"w": rng.standard_normal((3, 4)).astype(np.float32)}
+    kept_g = grads["w"].copy()
+    adam_step(params, grads, state)
+    assert snap.step_count == 1 and state.step_count == 2
+    np.testing.assert_array_equal(snap.first_moment["w"], kept_m)
+    np.testing.assert_array_equal(snap.second_moment["w"], kept_v)
+    assert not np.array_equal(state.first_moment["w"], kept_m)
+    np.testing.assert_array_equal(params["w"], kept_p)
+    np.testing.assert_array_equal(grads["w"], kept_g)

@@ -232,3 +232,22 @@ class TestPlanJson:
         del doc[key]
         with pytest.raises(ValueError, match=key):
             plan_from_json(doc)
+
+    @pytest.mark.parametrize("key, value", [
+        ("clients", 5),
+        ("clients", [0, 1]),
+        ("clients", [[0, "1"]]),
+        ("clients", [[0, 1.0]]),
+        ("clients", [[0, True]]),
+        ("clients", [[0, -1]]),
+        ("client_part", [[0], 3]),
+        ("shared_pool", [[0]]),
+        ("shared_pool", "0,1"),
+    ], ids=["int", "flat-list", "string", "float", "bool", "negative", "part-int",
+            "pool-nested", "pool-string"])
+    def test_malformed_index_lists_rejected(self, key, value):
+        doc = {"mode": "data_sharing", "clients": [[0, 1], [2]], "client_part": [[0], [2]],
+               "shared_pool": [1], "seed": 1}
+        doc[key] = value
+        with pytest.raises(ValueError, match=key):
+            plan_from_json(doc)
