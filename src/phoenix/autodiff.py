@@ -339,10 +339,11 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int,
     _same_dtype("group_norm", x, gamma, beta)
     dt = x.data.dtype
     xg = x.data.reshape(n, groups, -1)
-    mean = xg.mean(axis=2, keepdims=True)
-    var = xg.var(axis=2, keepdims=True)
+    centred = xg - xg.mean(axis=2, keepdims=True)
+    var = (centred * centred).mean(axis=2, keepdims=True)  # np.var's own arithmetic
     inv_std = 1.0 / np.sqrt(var + dt.type(eps))
-    xhat = ((xg - mean) * inv_std).reshape(n, c, h, w)
+    centred *= inv_std
+    xhat = centred.reshape(n, c, h, w)
     out = xhat * gamma.data[None, :, None, None] + beta.data[None, :, None, None]
 
     def bw(g):

@@ -141,5 +141,5 @@ def train_eval_classifier(train: Dataset, epochs: int, seed: int) -> EvalClassif
             loss = ad.nll_loss(ad.log_softmax(logits), train.labels[idx])
             ad.backward(loss)
             grads = {name: leaf.grad for name, leaf in leaves.items()}
-            clf.params = adam_step(clf.params, grads, state)
+            clf.params, state = adam_step(clf.params, grads, state)
     return clf

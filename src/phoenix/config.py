@@ -131,13 +131,21 @@ class RunConfig:
     run_id: str | None = None
 
     def validate(self) -> None:
-        """Refuse a config no command can run: every section's rules, every
-        rule of ``FederationConfig.validate`` and the k-NN sample-set sizes."""
+        """Refuse a config no command can run: every section's rules, toy images
+        of another shape than the model's, every rule of
+        ``FederationConfig.validate`` and the k-NN sample-set sizes."""
         self.dataset.validate()
         self.partition.validate()
         self.diffusion.validate()
         self.metrics.validate()
-        self.model_config().validate()
+        model = self.model_config()
+        model.validate()
+        if self.dataset.kind == "toy" and (1, self.dataset.side, self.dataset.side) != (
+                model.image_channels, model.image_side, model.image_side):
+            raise ConfigError(
+                f"toy images are 1x{self.dataset.side}x{self.dataset.side}, the model "
+                f"takes {model.image_channels}x{model.image_side}x{model.image_side}"
+            )
         self.federation_config()
         # precision/recall need a k-th neighbour inside every sample set
         need = self.metrics.knn_k + 1

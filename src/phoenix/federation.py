@@ -7,7 +7,9 @@ writes no shared state; ``run_federation`` commits each client's next state
 in id order, advances the filtering state machine and aggregates the
 surviving updates by sample-count-weighted averaging. Personal-flagged
 parameters never leave their client: they stay in the client state and are
-excluded from every update.
+excluded from every update. A client's state, Adam moments included, is a
+value that training reads and never writes, so a faulted client keeps it
+as it was.
 
 All randomness is derived from (seed, domain, round, epoch, ...) keys, so
 results do not depend on worker scheduling.
@@ -87,6 +89,8 @@ class FederationConfig:
             raise ValueError("client_count and batch_size must be at least 1")
         if self.threshold_filtering and self.client_count < 2:
             raise ValueError("threshold filtering needs at least 2 clients")
+        if self.threshold_filtering and self.min_active_clients < 1:
+            raise ValueError("threshold filtering needs min_active_clients >= 1")
         if self.threshold_filtering and not 1 <= self.eval_start_round <= self.server_rounds:
             raise ValueError(
                 f"eval_start_round {self.eval_start_round} outside "
@@ -177,8 +181,14 @@ def _train_epochs(
     noise_key: tuple[int, ...],
     epochs: int,
     optimizer_state: AdamState | None,
-) -> tuple[dict[str, np.ndarray], float]:
-    """Run seeded mini-batch epochs over ``indices``; returns (params, mean loss)."""
+) -> tuple[dict[str, np.ndarray], AdamState | None, float]:
+    """Run seeded mini-batch epochs over ``indices``.
+
+    Returns (params, optimizer state, mean loss). With Adam, a ``None``
+    state starts from fresh moments; with SGD the state stays ``None``.
+    """
+    if config.optimizer == OPTIMIZER_ADAM and optimizer_state is None:
+        optimizer_state = AdamState(learning_rate=config.learning_rate)
     image_shape = dataset.images.shape[1:]
     idx = np.asarray(indices, dtype=np.int64)
     losses: list[float] = []
@@ -194,12 +204,15 @@ def _train_epochs(
             )
             ad.backward(loss)
             grads = {name: leaf.grad for name, leaf in leaves.items()}
+            losses.append(loss.item())
+            # the graph holds every activation and node gradient; free it now,
+            # not at the end of the next batch's forward pass
+            del loss, leaves
             if config.optimizer == OPTIMIZER_ADAM:
-                params = adam_step(params, grads, optimizer_state)
+                params, optimizer_state = adam_step(params, grads, optimizer_state)
             else:
                 params = sgd_step(params, grads, config.learning_rate)
-            losses.append(loss.item())
-    return params, float(np.mean(losses)) if losses else float("nan")
+    return params, optimizer_state, float(np.mean(losses)) if losses else float("nan")
 
 
 def warmup_train(
@@ -217,11 +230,10 @@ def warmup_train(
     if len(shared) == 0:
         raise ValueError("warmup needs a non-empty shared pool")
     model = build_unet(model_config, seed)
-    params = dict(model.params)
-    state = AdamState(learning_rate=config.learning_rate)
+    params, state = model.params, None
     curve: list[float] = []
     for epoch in range(config.warmup_epochs):
-        params, mean_loss = _train_epochs(
+        params, state, mean_loss = _train_epochs(
             model, params, shared, list(range(len(shared))), config, seed,
             shuffle_key=(DOMAIN_WARMUP, 0, epoch),
             noise_key=(DOMAIN_WARMUP, 1),
@@ -253,28 +265,22 @@ def local_train(
 ) -> tuple[ClientUpdate, ClientState] | None:
     """One client's local epochs; returns (update, next state), or None when skipped.
 
-    Writes nothing into ``client``. Training runs on a copy of its optimizer
-    state; the next state holds that trained copy and, when personalization
-    is on, the trained personal layers, which are stripped from the update.
-    The caller decides whether to commit it. A non-finite loss or gradient
-    raises ``NumericError`` and leaves no trace in ``client``.
+    Training starts from the client's state, a value it reads and never
+    writes. The next state holds the trained optimizer state and, when
+    personalization is on, the trained personal layers, which are stripped
+    from the update. The caller decides whether to commit it; a non-finite
+    loss or gradient raises ``NumericError`` and ``client`` stays as it was.
     """
     if not client.data_indices:
         log.warning("client %d has no data; skipping round %d", client.id, round_no)
         return None
-    optimizer_state = None
-    if config.optimizer == OPTIMIZER_ADAM:
-        optimizer_state = (
-            AdamState(learning_rate=config.learning_rate)
-            if client.optimizer_state is None else client.optimizer_state.snapshot()
-        )
-    params, mean_loss = _train_epochs(
+    params, optimizer_state, mean_loss = _train_epochs(
         global_model, _client_params(global_model, global_model.params, client),
         dataset, client.data_indices, config, seed,
         shuffle_key=(DOMAIN_SHUFFLE, client.id, round_no),
         noise_key=(DOMAIN_TRAIN_NOISE, round_no),
         epochs=config.local_epochs,
-        optimizer_state=optimizer_state,
+        optimizer_state=client.optimizer_state,
     )
     personal = client.personal_params
     if config.personalization:
@@ -389,7 +395,7 @@ def run_federation(
         ClientState(id=i, data_indices=list(plan.client_indices(i)))
         for i in range(config.client_count)
     ]
-    global_model = initial_model.clone()
+    global_model = initial_model
     filter_state = FilterState.fresh(
         [c.id for c in clients], config.drop_policy, config.min_active_clients
     ) if config.threshold_filtering else None

@@ -1,9 +1,8 @@
 """Internal building blocks for the networks (denoiser and eval classifier).
 
-Each layer knows its parameter names/shapes, how to initialize them from a
-generator, and how to apply itself to autodiff tensors. Weights draw from a
-normal distribution scaled by 1/sqrt(fan_in); biases start at zero and
-normalization scales at one.
+Each layer initializes its named parameters from a generator and applies
+itself to autodiff tensors. Weights draw from a normal distribution scaled
+by 1/sqrt(fan_in); biases start at zero and normalization scales at one.
 """
 
 from __future__ import annotations
@@ -32,12 +31,6 @@ class Conv:
         self.kernel = kernel
         self.padding = padding
 
-    def param_shapes(self) -> dict[str, tuple[int, ...]]:
-        return {
-            f"{self.name}.w": (self.cout, self.cin, self.kernel, self.kernel),
-            f"{self.name}.b": (self.cout,),
-        }
-
     def init(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
         fan_in = self.cin * self.kernel * self.kernel
         w = (rng.standard_normal((self.cout, self.cin, self.kernel, self.kernel))
@@ -54,9 +47,6 @@ class GroupNorm2d:
         self.channels = channels
         self.groups = norm_group_count(channels, groups)
 
-    def param_shapes(self) -> dict[str, tuple[int, ...]]:
-        return {f"{self.name}.g": (self.channels,), f"{self.name}.b": (self.channels,)}
-
     def init(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
         return {
             f"{self.name}.g": np.ones(self.channels, np.float32),
@@ -72,9 +62,6 @@ class Linear:
         self.name = name
         self.d_in = d_in
         self.d_out = d_out
-
-    def param_shapes(self) -> dict[str, tuple[int, ...]]:
-        return {f"{self.name}.w": (self.d_in, self.d_out), f"{self.name}.b": (self.d_out,)}
 
     def init(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
         w = (rng.standard_normal((self.d_in, self.d_out)) / np.sqrt(self.d_in)).astype(np.float32)

@@ -1,4 +1,8 @@
-"""Adam and plain-SGD parameter updates over named parameter tables."""
+"""Adam and plain-SGD parameter updates over named parameter tables.
+
+Both return new tables and write into none of their inputs; Adam's state is
+a value, and ``adam_step`` returns the next one.
+"""
 
 from __future__ import annotations
 
@@ -10,9 +14,10 @@ import numpy as np
 from .autodiff import NumericError
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdamState:
-    """Per-parameter moment estimates plus the shared step counter."""
+    """Per-parameter moment estimates plus the shared step counter; a value
+    that no step changes, so it can be kept or restored as it stands."""
 
     learning_rate: float
     beta1: float = 0.9
@@ -21,15 +26,6 @@ class AdamState:
     step_count: int = 0
     first_moment: dict[str, np.ndarray] = field(default_factory=dict)
     second_moment: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def snapshot(self) -> "AdamState":
-        """A copy that later steps on ``self`` leave untouched.
-
-        ``adam_step`` replaces moment arrays rather than writing into them,
-        so copying the two dicts is enough.
-        """
-        return replace(self, first_moment=dict(self.first_moment),
-                       second_moment=dict(self.second_moment))
 
 
 def _check_gradients(
@@ -53,23 +49,23 @@ def adam_step(
     params: Mapping[str, np.ndarray],
     grads: Mapping[str, np.ndarray],
     state: AdamState,
-) -> dict[str, np.ndarray]:
-    """One bias-corrected Adam update; advances ``state`` and returns new params.
+) -> tuple[dict[str, np.ndarray], AdamState]:
+    """One bias-corrected Adam update; returns (new params, next state).
 
     Moments start at zero and stay shape- and dtype-congruent with their
     parameters. The textbook expressions are evaluated in their usual order
-    but into four arrays per parameter (the new moments, one scratch array
-    and the new parameter), so the result is bitwise that of
-    ``p - lr * (m / bias1) / (sqrt(v / bias2) + eps)``. New moment arrays
-    are allocated every step, never written in place.
+    but into four new arrays per parameter (the new moments, one scratch
+    array and the new parameter), so the result is bitwise that of
+    ``p - lr * (m / bias1) / (sqrt(v / bias2) + eps)``.
     """
     _check_gradients(params, grads)
-    state.step_count += 1
-    t = state.step_count
+    t = state.step_count + 1
     b1, b2 = state.beta1, state.beta2
     bias1 = 1.0 - b1 ** t
     bias2 = 1.0 - b2 ** t
     out: dict[str, np.ndarray] = {}
+    first: dict[str, np.ndarray] = {}
+    second: dict[str, np.ndarray] = {}
     for name, p in params.items():
         g = grads[name]
         m = state.first_moment.get(name)
@@ -84,8 +80,8 @@ def adam_step(
         scratch *= 1.0 - b2
         v = np.multiply(v, b2)
         v += scratch
-        state.first_moment[name] = m
-        state.second_moment[name] = v
+        first[name] = m
+        second[name] = v
         np.divide(v, bias2, out=scratch)
         np.sqrt(scratch, out=scratch)
         scratch += state.epsilon
@@ -93,7 +89,7 @@ def adam_step(
         step *= state.learning_rate
         step /= scratch
         out[name] = np.subtract(p, step, out=step)
-    return out
+    return out, replace(state, step_count=t, first_moment=first, second_moment=second)
 
 
 def sgd_step(

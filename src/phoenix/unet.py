@@ -64,10 +64,6 @@ class DenoiserModel:
     def parameter_count(self) -> int:
         return sum(arr.size for arr in self.params.values())
 
-    def clone(self) -> "DenoiserModel":
-        return DenoiserModel(self.config, {k: v.copy() for k, v in self.params.items()},
-                             self.personal_names)
-
     def with_params(self, params: Mapping[str, np.ndarray]) -> "DenoiserModel":
         return replace(self, params=dict(params))
 
@@ -102,7 +98,6 @@ class _ResBlock:
 
     def __init__(self, name: str, cin: int, cout: int, embed_dim: int, groups: int):
         self.name = name
-        self.cin = cin
         self.cout = cout
         self.norm1 = GroupNorm2d(f"{name}.norm1", cin, groups)
         self.conv1 = Conv(f"{name}.conv1", cin, cout)
@@ -110,18 +105,9 @@ class _ResBlock:
         self.norm2 = GroupNorm2d(f"{name}.norm2", cout, groups)
         self.conv2 = Conv(f"{name}.conv2", cout, cout)
         self.skip = Conv(f"{name}.skip", cin, cout, kernel=1) if cin != cout else None
-
-    def sublayers(self):
-        layers = [self.norm1, self.conv1, self.time_proj, self.norm2, self.conv2]
+        self.layers = [self.norm1, self.conv1, self.time_proj, self.norm2, self.conv2]
         if self.skip is not None:
-            layers.append(self.skip)
-        return layers
-
-    def param_names(self) -> list[str]:
-        names: list[str] = []
-        for layer in self.sublayers():
-            names.extend(layer.param_shapes())
-        return names
+            self.layers.append(self.skip)
 
     def apply(self, p: Mapping[str, ad.Tensor], x: ad.Tensor, emb: ad.Tensor) -> ad.Tensor:
         n = x.shape[0]
@@ -134,12 +120,13 @@ class _ResBlock:
 
 
 class _Layout:
-    """The ordered module structure implied by a config."""
+    """The module structure implied by a config; ``layers`` lists every layer
+    in construction (and therefore initialization) order."""
 
     def __init__(self, cfg: DenoiserConfig):
         widths = [cfg.base_channels * 2 ** i for i in range(cfg.depth)]
-        self.widths = widths
         self.stem = Conv("stem", cfg.image_channels, cfg.base_channels)
+        self.layers = [self.stem]
         self.enc: list[list[_ResBlock]] = []
         ch = cfg.base_channels
         for i, w in enumerate(widths):
@@ -147,10 +134,12 @@ class _Layout:
             for b in range(cfg.blocks_per_stage):
                 blocks.append(_ResBlock(f"enc{i}.block{b}", ch, w,
                                         cfg.time_embed_dim, cfg.norm_groups))
+                self.layers += blocks[-1].layers
                 ch = w
             self.enc.append(blocks)
         self.bottleneck = _ResBlock("bottleneck", ch, ch,
                                     cfg.time_embed_dim, cfg.norm_groups)
+        self.layers += self.bottleneck.layers
         self.dec: list[list[_ResBlock]] = [[] for _ in range(cfg.depth)]
         for i in reversed(range(cfg.depth)):
             blocks = []
@@ -158,35 +147,22 @@ class _Layout:
             for b in range(cfg.blocks_per_stage):
                 blocks.append(_ResBlock(f"dec{i}.block{b}", cin, widths[i],
                                         cfg.time_embed_dim, cfg.norm_groups))
+                self.layers += blocks[-1].layers
                 cin = widths[i]
             self.dec[i] = blocks
             ch = widths[i]
         self.out_norm = GroupNorm2d("out.norm", cfg.base_channels, cfg.norm_groups)
         self.out_conv = Conv("out.conv", cfg.base_channels, cfg.image_channels)
-
-    def modules(self):
-        """All layers in construction (and therefore initialization) order."""
-        yield self.stem
-        for blocks in self.enc:
-            for block in blocks:
-                yield from block.sublayers()
-        yield from self.bottleneck.sublayers()
-        for i in reversed(range(len(self.dec))):
-            for block in self.dec[i]:
-                yield from block.sublayers()
-        yield self.out_norm
-        yield self.out_conv
-
-    def personal_block(self) -> _ResBlock:
-        return self.dec[0][-1]
+        self.layers += [self.out_norm, self.out_conv]
 
 
 def build_unet(config: DenoiserConfig, seed: int) -> DenoiserModel:
     """Construct and initialize the denoiser for ``config`` from ``seed``."""
     config.validate()
     layout = _Layout(config)
-    params = init_layers(layout.modules(), derive_rng(seed, DOMAIN_MODEL_INIT))
-    personal = frozenset(layout.personal_block().param_names())
+    params = init_layers(layout.layers, derive_rng(seed, DOMAIN_MODEL_INIT))
+    prefix = layout.dec[0][-1].name + "."  # the last decoder block is personal
+    personal = frozenset(name for name in params if name.startswith(prefix))
     return DenoiserModel(config=config, params=params, personal_names=personal)
 
 

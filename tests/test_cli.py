@@ -68,8 +68,9 @@ class TestConfigHandling:
         {"federation": {"threshold_filtering": True, "eval_sample_count": 3}},
         {"federation": {"optimizer": "rmsprop"}},
         {"dataset": {"test_per_class": 1}, "metrics": {"knn_k": 4}},
+        {"dataset": {"side": 16}},
     ], ids=["metrics-samples-below-k", "filter-samples-below-k", "unknown-optimizer",
-            "reference-below-k"])
+            "reference-below-k", "image-side-not-model"])
     def test_unrunnable_config_refused_before_writing(self, tmp_path, override):
         # train would otherwise run its rounds before refusing these
         path = micro_config(tmp_path, **override)
@@ -80,7 +81,10 @@ class TestConfigHandling:
         {"threshold_filtering": True, "eval_start_round": 9},
         {"optimizer": "rmsprop"},
         {"server_rounds": 0},
-    ], ids=["eval-start-after-last-round", "unknown-optimizer", "no-rounds"])
+        {"threshold_filtering": True, "drop_policy": "threshold", "drop_threshold": 1.0,
+         "drop_immediate": True, "min_active_clients": 0},
+    ], ids=["eval-start-after-last-round", "unknown-optimizer", "no-rounds",
+            "no-participation-floor"])
     def test_config_document_refuses_federation_rules(self, federation):
         with pytest.raises(ValueError):
             config_from_dict({"preset": "desk", "federation": federation})

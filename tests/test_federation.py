@@ -16,7 +16,7 @@ import pytest
 import phoenix.federation as federation
 from phoenix import autodiff as ad
 from phoenix import diffusion
-from phoenix.datasets import make_toy_dataset
+from phoenix.datasets import Dataset, make_toy_dataset
 from phoenix.federation import (
     ClientState,
     ClientUpdate,
@@ -196,7 +196,7 @@ class TestLocalTrain:
         )
         ad.backward(loss)
         state = AdamState(learning_rate=cfg.learning_rate)
-        expected = adam_step(dict(model.params),
+        expected, _ = adam_step(dict(model.params),
                              {k: leaf.grad for k, leaf in leaves.items()}, state)
         assert update.train_loss == pytest.approx(loss.item(), rel=1e-6)
         for name in expected:
@@ -577,6 +577,55 @@ class TestRunFederation:
             assert saved.keys() == now.keys()
             for name in saved:
                 np.testing.assert_array_equal(now[name], saved[name])
+
+    def test_run_over_read_only_inputs_equals_run_over_copies(self, dataset, monkeypatch):
+        # with Adam, personal layers, pixel-space filtering and client 1
+        # faulting on its second step of round 2, a run writes into neither
+        # the initial parameters nor the dataset images
+        cfg = tiny_config(client_count=3, server_rounds=2, personalization=True,
+                          threshold_filtering=True, eval_start_round=1,
+                          min_active_clients=2)
+        plan = make_plan(dataset, 3)
+        original_train, original_step = federation.local_train, federation.adam_step
+        current = {}
+
+        def train(client, model, data, config, round_no, seed):
+            current.update(key=(client.id, round_no), steps=0)
+            return original_train(client, model, data, config, round_no, seed)
+
+        def step(params, grads, state):
+            current["steps"] += 1
+            if (current["key"], current["steps"]) == ((1, 2), 2):
+                grads = {k: np.full_like(g, np.nan) for k, g in grads.items()}
+            return original_step(params, grads, state)
+
+        monkeypatch.setattr(federation, "local_train", train)
+        monkeypatch.setattr(federation, "adam_step", step)
+
+        def run(images, params):
+            data = Dataset(images, dataset.labels, dataset.num_classes)
+            initial = build_unet(TINY, seed=21).with_params(params)
+            ctx = MetricsContext.build(images[:8], None, "pixels")
+            final, runlog = run_federation(initial, plan, cfg, data, seed=5, metrics_ctx=ctx)
+            return final, timeless_rows(runlog)
+
+        def read_only(a):
+            a = a.copy()
+            a.flags.writeable = False
+            return a
+
+        params = build_unet(TINY, seed=21).params
+        final_ro, rows_ro = run(read_only(dataset.images),
+                                {k: read_only(v) for k, v in params.items()})
+        images = dataset.images.copy()
+        copies = {k: v.copy() for k, v in params.items()}
+        final, rows = run(images, copies)
+        assert [row[:3] for row in rows if row[2] == "faulted"] == [(2, 1, "faulted")]
+        assert rows_ro == rows
+        for name in params:
+            np.testing.assert_array_equal(final_ro.params[name], final.params[name])
+            np.testing.assert_array_equal(copies[name], params[name])
+        np.testing.assert_array_equal(images, dataset.images)
 
     def test_eval_start_round_checked_only_with_filtering(self, dataset):
         default = FederationConfig.eval_start_round

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from phoenix.optim import AdamState, adam_step, sgd_step
 def test_zero_gradient_leaves_params_and_moments_unchanged():
     params = {"w": np.array([1.0, -2.0], dtype=np.float32)}
     state = AdamState(learning_rate=0.1)
-    out = adam_step(params, {"w": np.zeros(2, np.float32)}, state)
+    out, state = adam_step(params, {"w": np.zeros(2, np.float32)}, state)
     np.testing.assert_array_equal(out["w"], params["w"])
     np.testing.assert_array_equal(state.first_moment["w"], np.zeros(2))
     np.testing.assert_array_equal(state.second_moment["w"], np.zeros(2))
@@ -20,7 +22,7 @@ def test_first_step_moves_by_learning_rate():
     # update is lr * g / (|g| + eps): 1.0 -> 0.9 up to the epsilon term
     params = {"w": np.array([1.0], dtype=np.float32)}
     state = AdamState(learning_rate=0.1)
-    out = adam_step(params, {"w": np.array([1.0], dtype=np.float32)}, state)
+    out, _ = adam_step(params, {"w": np.array([1.0], dtype=np.float32)}, state)
     assert out["w"][0] == pytest.approx(0.9, abs=1e-6)
 
 
@@ -40,9 +42,9 @@ def test_two_identical_steps_follow_scalar_recurrence():
     params = {"w": np.array([2.0], dtype=np.float32)}
     state = AdamState(learning_rate=lr, beta1=b1, beta2=b2, epsilon=eps)
     grads = {"w": np.array([g], dtype=np.float32)}
-    params = adam_step(params, grads, state)
+    params, state = adam_step(params, grads, state)
     assert params["w"][0] == pytest.approx(expected[0], rel=1e-6)
-    params = adam_step(params, grads, state)
+    params, state = adam_step(params, grads, state)
     assert params["w"][0] == pytest.approx(expected[1], rel=1e-6)
     assert state.step_count == 2
     assert state.first_moment["w"][0] == pytest.approx(m, rel=1e-6)
@@ -77,7 +79,7 @@ def test_moments_stay_shape_congruent():
     for _ in range(3):
         grads = {k: rng.standard_normal(v.shape).astype(np.float32)
                  for k, v in params.items()}
-        params = adam_step(params, grads, state)
+        params, state = adam_step(params, grads, state)
     for name, p in params.items():
         assert state.first_moment[name].shape == p.shape
         assert state.second_moment[name].shape == p.shape
@@ -109,7 +111,7 @@ def test_three_steps_bitwise_equal_to_textbook_formula():
             m_hat = m[k] / (1.0 - b1 ** t)
             v_hat = v[k] / (1.0 - b2 ** t)
             expected[k] = expected[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
-        params = adam_step(params, grads, state)
+        params, state = adam_step(params, grads, state)
         for k in shapes:
             assert params[k].dtype == np.float32
             np.testing.assert_array_equal(params[k], expected[k])
@@ -117,21 +119,54 @@ def test_three_steps_bitwise_equal_to_textbook_formula():
             np.testing.assert_array_equal(state.second_moment[k], v[k])
 
 
-def test_step_leaves_inputs_and_snapshot_untouched():
+def test_step_leaves_inputs_and_earlier_state_untouched():
     rng = np.random.default_rng(8)
     params = {"w": rng.standard_normal((3, 4)).astype(np.float32)}
     state = AdamState(learning_rate=1e-2)
-    params = adam_step(params, {"w": rng.standard_normal((3, 4)).astype(np.float32)}, state)
-    snap = state.snapshot()
-    kept_m = snap.first_moment["w"].copy()
-    kept_v = snap.second_moment["w"].copy()
+    params, state = adam_step(params, {"w": rng.standard_normal((3, 4)).astype(np.float32)},
+                              state)
+    earlier = state
+    kept_m = earlier.first_moment["w"].copy()
+    kept_v = earlier.second_moment["w"].copy()
     kept_p = params["w"].copy()
     grads = {"w": rng.standard_normal((3, 4)).astype(np.float32)}
     kept_g = grads["w"].copy()
-    adam_step(params, grads, state)
-    assert snap.step_count == 1 and state.step_count == 2
-    np.testing.assert_array_equal(snap.first_moment["w"], kept_m)
-    np.testing.assert_array_equal(snap.second_moment["w"], kept_v)
+    _, state = adam_step(params, grads, state)
+    assert earlier.step_count == 1 and state.step_count == 2
+    np.testing.assert_array_equal(earlier.first_moment["w"], kept_m)
+    np.testing.assert_array_equal(earlier.second_moment["w"], kept_v)
     assert not np.array_equal(state.first_moment["w"], kept_m)
     np.testing.assert_array_equal(params["w"], kept_p)
     np.testing.assert_array_equal(grads["w"], kept_g)
+
+
+def test_step_on_read_only_inputs_returns_a_new_state():
+    rng = np.random.default_rng(9)
+
+    def read_only(a):
+        a.flags.writeable = False
+        return a
+
+    shapes = {"w": (3, 4), "b": (4,)}
+    params = {k: read_only(rng.standard_normal(s).astype(np.float32))
+              for k, s in shapes.items()}
+    grads = {k: read_only(rng.standard_normal(s).astype(np.float32))
+             for k, s in shapes.items()}
+    state = AdamState(
+        learning_rate=1e-2, step_count=1,
+        first_moment={k: read_only(0.1 * rng.standard_normal(s).astype(np.float32))
+                      for k, s in shapes.items()},
+        second_moment={k: read_only(0.01 * rng.random(s).astype(np.float32))
+                       for k, s in shapes.items()},
+    )
+    first, second = dict(state.first_moment), dict(state.second_moment)
+    out, after = adam_step(params, grads, state)
+    assert state.step_count == 1 and after is not state and after.step_count == 2
+    for name in shapes:
+        assert state.first_moment[name] is first[name]
+        assert state.second_moment[name] is second[name]
+        assert after.first_moment[name] is not first[name]
+        assert after.second_moment[name] is not second[name]
+        assert not np.array_equal(out[name], params[name])
+    with pytest.raises(FrozenInstanceError):
+        state.step_count = 2

@@ -192,7 +192,7 @@ class TestResidualBlock:
         block = _ResBlock("blk", 4, 4, embed_dim=8, groups=4)
         rng = np.random.default_rng(0)
         params = {}
-        for layer in block.sublayers():
+        for layer in block.layers:
             params.update(layer.init(rng))
         for name in ("blk.conv1.w", "blk.conv1.b", "blk.conv2.w", "blk.conv2.b"):
             params[name] = np.zeros_like(params[name])
