@@ -24,7 +24,6 @@ from .seeding import DOMAIN_CLASSIFIER, derive_rng
 # count vary, and they follow from the dataset.
 CONV_WIDTHS = (16, 32)
 FEATURE_DIM = 64
-NORM_GROUPS = 4
 BATCH_SIZE = 32
 LEARNING_RATE = 1e-3
 
@@ -59,10 +58,6 @@ class EvalClassifier:
         self.params = params
 
     @property
-    def feature_dim(self) -> int:
-        return FEATURE_DIM
-
-    @property
     def num_classes(self) -> int:
         return self.config.num_classes
 
@@ -71,9 +66,9 @@ class EvalClassifier:
         w1, w2 = CONV_WIDTHS
         return {
             "conv1": Conv("conv1", cfg.image_channels, w1),
-            "norm1": GroupNorm2d("norm1", w1, NORM_GROUPS),
+            "norm1": GroupNorm2d("norm1", w1),
             "conv2": Conv("conv2", w1, w2),
-            "norm2": GroupNorm2d("norm2", w2, NORM_GROUPS),
+            "norm2": GroupNorm2d("norm2", w2),
             "fc": Linear("fc", cfg.flat_dim, FEATURE_DIM),
             "head": Linear("head", FEATURE_DIM, cfg.num_classes),
         }
@@ -102,10 +97,6 @@ class EvalClassifier:
         blocks = [self._forward(p, images[s:s + 256]) for s in range(0, len(images), 256)]
         return (np.concatenate([feats.data for feats, _ in blocks]),
                 np.concatenate([logits.data for _, logits in blocks]))
-
-    def accuracy(self, dataset: Dataset) -> float:
-        predicted = self.embed(dataset.images)[1].argmax(axis=1)
-        return int((predicted == dataset.labels).sum()) / len(dataset)
 
 
 def save_classifier(path, clf: EvalClassifier) -> None:
@@ -141,5 +132,7 @@ def train_eval_classifier(train: Dataset, epochs: int, seed: int) -> EvalClassif
             loss = ad.nll_loss(ad.log_softmax(logits), train.labels[idx])
             ad.backward(loss)
             grads = {name: leaf.grad for name, leaf in leaves.items()}
+            # free the graph now, not at the end of the next batch's forward pass
+            del leaves, logits, loss
             clf.params, state = adam_step(clf.params, grads, state)
     return clf

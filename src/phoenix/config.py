@@ -5,8 +5,8 @@ settings, the federation parameters, and the metric settings, plus the run
 seed and output directory. Every field's default is the ``desk`` preset
 (minutes on a laptop CPU), so a document without a top-level ``"preset"``
 key starts from desk; ``{"preset": "paper"}`` (the full-scale setup)
-starts from the twelve values where paper differs. Either way the
-document's own sections override field by field.
+starts from the values where paper differs. Either way the document's own
+sections override field by field.
 
 Environment overrides: PHOENIX_SEED and PHOENIX_OUT (seed and output
 directory only).
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .datasets import Dataset, load_cifar10, make_toy_dataset
@@ -31,19 +31,11 @@ class ConfigError(ValueError):
     """The run configuration is malformed or references unknown names."""
 
 
-MODEL_PRESETS = {
-    "desk": DenoiserConfig(),
-    "paper": DenoiserConfig(image_channels=3, image_side=32, base_channels=64,
-                            depth=4, blocks_per_stage=1, time_embed_dim=128),
-}
-
-
 @dataclass
 class DatasetSpec:
     kind: str = "toy"
     classes: int = 4
     per_class: int = 125
-    side: int = 8
     test_per_class: int = 64
     path: str = "data/cifar-10-batches-bin"
 
@@ -68,9 +60,6 @@ class PartitionSpec:
 class DiffusionSpec:
     schedule: str = "cosine"
     steps: int = 50
-    beta_start: float = 1e-4
-    beta_end: float = 0.02
-    cosine_offset: float = 0.008
 
     def validate(self) -> None:
         if self.schedule not in ("linear", "cosine"):
@@ -78,8 +67,8 @@ class DiffusionSpec:
 
     def build(self) -> NoiseSchedule:
         if self.schedule == "linear":
-            return linear_schedule(self.steps, self.beta_start, self.beta_end)
-        return cosine_schedule(self.steps, self.cosine_offset)
+            return linear_schedule(self.steps)
+        return cosine_schedule(self.steps)
 
 
 @dataclass
@@ -116,13 +105,16 @@ class MetricsSpec:
     def validate(self) -> None:
         if self.feature_space not in ("classifier", "pixels"):
             raise ConfigError(f"unknown feature space '{self.feature_space}'")
+        if self.knn_k < 1 or self.is_splits < 1:
+            raise ConfigError(
+                f"knn_k ({self.knn_k}) and is_splits ({self.is_splits}) must be at least 1")
 
 
 @dataclass
 class RunConfig:
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
     partition: PartitionSpec = field(default_factory=PartitionSpec)
-    model: str | dict = "desk"
+    model: DenoiserConfig = field(default_factory=DenoiserConfig)
     diffusion: DiffusionSpec = field(default_factory=DiffusionSpec)
     federation: FederationSpec = field(default_factory=FederationSpec)
     metrics: MetricsSpec = field(default_factory=MetricsSpec)
@@ -131,21 +123,17 @@ class RunConfig:
     run_id: str | None = None
 
     def validate(self) -> None:
-        """Refuse a config no command can run: every section's rules, toy images
-        of another shape than the model's, every rule of
+        """Refuse a config no command can run: every section's rules, a model
+        of more than one channel on the grayscale toy images, every rule of
         ``FederationConfig.validate`` and the k-NN sample-set sizes."""
         self.dataset.validate()
         self.partition.validate()
         self.diffusion.validate()
         self.metrics.validate()
-        model = self.model_config()
-        model.validate()
-        if self.dataset.kind == "toy" and (1, self.dataset.side, self.dataset.side) != (
-                model.image_channels, model.image_side, model.image_side):
+        self.model.validate()
+        if self.dataset.kind == "toy" and self.model.image_channels != 1:
             raise ConfigError(
-                f"toy images are 1x{self.dataset.side}x{self.dataset.side}, the model "
-                f"takes {model.image_channels}x{model.image_side}x{model.image_side}"
-            )
+                f"toy images have 1 channel, the model takes {self.model.image_channels}")
         self.federation_config()
         # precision/recall need a k-th neighbour inside every sample set
         need = self.metrics.knn_k + 1
@@ -184,17 +172,7 @@ class RunConfig:
         return fed
 
     def model_config(self) -> DenoiserConfig:
-        if isinstance(self.model, str):
-            if self.model not in MODEL_PRESETS:
-                raise ConfigError(
-                    f"unknown model preset '{self.model}' "
-                    f"(available: {sorted(MODEL_PRESETS)})"
-                )
-            return MODEL_PRESETS[self.model]
-        try:
-            return DenoiserConfig(**self.model)
-        except TypeError as exc:
-            raise ConfigError(f"bad model config: {exc}") from None
+        return self.model
 
     def resolved_run_id(self) -> str:
         if self.run_id:
@@ -213,18 +191,17 @@ class RunConfig:
             label += f"+filter_{self.federation.build_policy().label()}"
         return label
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
 
 def load_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset]:
-    """Resolve (train, test) datasets for a config."""
+    """Resolve (train, test) datasets for a config; toy images take the
+    model's side."""
     spec = cfg.dataset
     if spec.kind == "cifar10":
         return load_cifar10(spec.path, "train"), load_cifar10(spec.path, "test")
-    train = make_toy_dataset(spec.classes, spec.per_class, spec.side,
+    side = cfg.model_config().image_side
+    train = make_toy_dataset(spec.classes, spec.per_class, side,
                              derive_seed(cfg.seed, DOMAIN_DATA, 0))
-    test = make_toy_dataset(spec.classes, spec.test_per_class, spec.side,
+    test = make_toy_dataset(spec.classes, spec.test_per_class, side,
                             derive_seed(cfg.seed, DOMAIN_DATA, 1))
     return train, test
 
@@ -234,7 +211,8 @@ _PRESETS: dict[str, dict] = {
     "desk": {},
     "paper": {
         "dataset": {"kind": "cifar10"},
-        "model": "paper",
+        "model": {"image_channels": 3, "image_side": 32, "base_channels": 64, "depth": 4,
+                  "time_embed_dim": 128},
         "diffusion": {"steps": 1000},
         "federation": {"client_count": 10, "server_rounds": 10, "local_epochs": 100,
                        "batch_size": 128, "learning_rate": 1e-4,
@@ -261,6 +239,7 @@ def _merge(base: dict, override: dict) -> dict:
 _SECTION_TYPES = {
     "dataset": DatasetSpec,
     "partition": PartitionSpec,
+    "model": DenoiserConfig,
     "diffusion": DiffusionSpec,
     "federation": FederationSpec,
     "metrics": MetricsSpec,
@@ -291,7 +270,7 @@ def config_from_dict(doc: dict) -> RunConfig:
             if not isinstance(value, dict):
                 raise ConfigError(f"section '{section}' must be an object")
             kwargs[section] = _build_section(cls, value, section)
-    for key in ("model", "seed", "out_dir", "run_id"):
+    for key in ("seed", "out_dir", "run_id"):
         if key in doc:
             kwargs[key] = doc.pop(key)
     if doc:

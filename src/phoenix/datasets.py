@@ -44,9 +44,6 @@ class Dataset:
         idx = np.asarray(indices, dtype=np.int64)
         return Dataset(self.images[idx], self.labels[idx], self.num_classes)
 
-    def class_counts(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.num_classes)
-
 
 def load_cifar10(directory: str | Path, split: str = "train") -> Dataset:
     """Parse the CIFAR-10 binary batches into a normalized dataset.

@@ -42,7 +42,7 @@ class Conv:
 
 
 class GroupNorm2d:
-    def __init__(self, name: str, channels: int, groups: int):
+    def __init__(self, name: str, channels: int, groups: int = 4):
         self.name = name
         self.channels = channels
         self.groups = norm_group_count(channels, groups)

@@ -145,6 +145,8 @@ def knn_precision_recall(
         raise ValueError(
             f"feature matrices must share a dim: {real.shape} vs {gen.shape}"
         )
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     if len(real) < k + 1 or len(gen) < k + 1:
         raise ValueError(f"need at least k+1={k + 1} points per set")
     real_radii = _knn_radii(real, k)

@@ -37,7 +37,6 @@ class DenoiserConfig:
     depth: int = 2
     blocks_per_stage: int = 1
     time_embed_dim: int = 32
-    norm_groups: int = 4
 
     def validate(self) -> None:
         if self.depth < 1 or self.blocks_per_stage < 1:
@@ -51,8 +50,8 @@ class DenoiserConfig:
             )
         if self.time_embed_dim < 2 or self.time_embed_dim % 2:
             raise ValueError(f"time_embed_dim must be even, got {self.time_embed_dim}")
-        if self.image_channels < 1 or self.base_channels < 1 or self.norm_groups < 1:
-            raise ValueError("channel and group counts must be positive")
+        if self.image_channels < 1 or self.base_channels < 1:
+            raise ValueError("channel counts must be positive")
 
 
 @dataclass
@@ -60,9 +59,6 @@ class DenoiserModel:
     config: DenoiserConfig
     params: dict[str, np.ndarray]
     personal_names: frozenset[str]
-
-    def parameter_count(self) -> int:
-        return sum(arr.size for arr in self.params.values())
 
     def with_params(self, params: Mapping[str, np.ndarray]) -> "DenoiserModel":
         return replace(self, params=dict(params))
@@ -96,13 +92,13 @@ def time_embedding(t, dim: int) -> np.ndarray:
 class _ResBlock:
     """norm-silu-conv, add step projection, norm-silu-conv, plus a skip path."""
 
-    def __init__(self, name: str, cin: int, cout: int, embed_dim: int, groups: int):
+    def __init__(self, name: str, cin: int, cout: int, embed_dim: int):
         self.name = name
         self.cout = cout
-        self.norm1 = GroupNorm2d(f"{name}.norm1", cin, groups)
+        self.norm1 = GroupNorm2d(f"{name}.norm1", cin)
         self.conv1 = Conv(f"{name}.conv1", cin, cout)
         self.time_proj = Linear(f"{name}.time", embed_dim, cout)
-        self.norm2 = GroupNorm2d(f"{name}.norm2", cout, groups)
+        self.norm2 = GroupNorm2d(f"{name}.norm2", cout)
         self.conv2 = Conv(f"{name}.conv2", cout, cout)
         self.skip = Conv(f"{name}.skip", cin, cout, kernel=1) if cin != cout else None
         self.layers = [self.norm1, self.conv1, self.time_proj, self.norm2, self.conv2]
@@ -132,13 +128,11 @@ class _Layout:
         for i, w in enumerate(widths):
             blocks = []
             for b in range(cfg.blocks_per_stage):
-                blocks.append(_ResBlock(f"enc{i}.block{b}", ch, w,
-                                        cfg.time_embed_dim, cfg.norm_groups))
+                blocks.append(_ResBlock(f"enc{i}.block{b}", ch, w, cfg.time_embed_dim))
                 self.layers += blocks[-1].layers
                 ch = w
             self.enc.append(blocks)
-        self.bottleneck = _ResBlock("bottleneck", ch, ch,
-                                    cfg.time_embed_dim, cfg.norm_groups)
+        self.bottleneck = _ResBlock("bottleneck", ch, ch, cfg.time_embed_dim)
         self.layers += self.bottleneck.layers
         self.dec: list[list[_ResBlock]] = [[] for _ in range(cfg.depth)]
         for i in reversed(range(cfg.depth)):
@@ -146,12 +140,12 @@ class _Layout:
             cin = ch + widths[i]  # upsampled features concatenated with the skip
             for b in range(cfg.blocks_per_stage):
                 blocks.append(_ResBlock(f"dec{i}.block{b}", cin, widths[i],
-                                        cfg.time_embed_dim, cfg.norm_groups))
+                                        cfg.time_embed_dim))
                 self.layers += blocks[-1].layers
                 cin = widths[i]
             self.dec[i] = blocks
             ch = widths[i]
-        self.out_norm = GroupNorm2d("out.norm", cfg.base_channels, cfg.norm_groups)
+        self.out_norm = GroupNorm2d("out.norm", cfg.base_channels)
         self.out_conv = Conv("out.conv", cfg.base_channels, cfg.image_channels)
         self.layers += [self.out_norm, self.out_conv]
 

@@ -1,5 +1,5 @@
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -68,9 +68,16 @@ class TestConfigHandling:
         {"federation": {"threshold_filtering": True, "eval_sample_count": 3}},
         {"federation": {"optimizer": "rmsprop"}},
         {"dataset": {"test_per_class": 1}, "metrics": {"knn_k": 4}},
-        {"dataset": {"side": 16}},
+        {"model": {"image_channels": 3}},
+        {"metrics": {"is_splits": 0}},
+        {"metrics": {"knn_k": 0}},
+        {"model": "desk"},
+        {"model": {"norm_groups": 4}},
+        {"diffusion": {"beta_end": 0.02}},
+        {"dataset": {"side": 8}},
     ], ids=["metrics-samples-below-k", "filter-samples-below-k", "unknown-optimizer",
-            "reference-below-k", "image-side-not-model"])
+            "reference-below-k", "toy-channels-not-model", "is-splits-zero", "knn-k-zero",
+            "model-by-name", "model-norm-groups", "diffusion-beta-end", "dataset-side"])
     def test_unrunnable_config_refused_before_writing(self, tmp_path, override):
         # train would otherwise run its rounds before refusing these
         path = micro_config(tmp_path, **override)
@@ -119,6 +126,18 @@ class TestConfigHandling:
         assert (cfg.federation.client_count, cfg.diffusion.steps, cfg.dataset.kind,
                 cfg.metrics.eval_sample_count, cfg.metrics.classifier_epochs) == (
                     10, 1000, "cifar10", 10000, 10)
+
+    def test_paper_model_overridden_field_by_field(self):
+        paper = load_config("paper").model_config()
+        cfg = config_from_dict({"preset": "paper", "model": {"depth": 3}})
+        assert paper.depth == 4
+        assert cfg.model_config() == replace(paper, depth=3)
+
+    def test_toy_images_take_the_model_side(self, tmp_path):
+        path = micro_config(tmp_path, model={"image_side": 16})
+        assert main(["partition", "--config", str(path)]) == 0
+        train, test = load_datasets(load_config(path))
+        assert train.images.shape[1:] == test.images.shape[1:] == (1, 16, 16)
 
     def test_filter_sample_count_checked_only_with_filtering(self, tmp_path):
         path = micro_config(tmp_path, federation={"eval_sample_count": 3})

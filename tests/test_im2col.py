@@ -11,7 +11,7 @@ import pytest
 
 from phoenix import autodiff as ad
 from phoenix import unet
-from phoenix.config import MODEL_PRESETS
+from phoenix.config import load_config
 
 
 def _loop_im2col(a, ph, pw, kh, kw):
@@ -99,7 +99,7 @@ class TestIndexCache:
 
 def _conv_shapes(preset, batch):
     """(x shape, weight shape, padding) of every conv in one denoiser pass."""
-    config = MODEL_PRESETS[preset]
+    config = load_config(preset).model_config()
     shapes = []
     original = ad.conv2d
 

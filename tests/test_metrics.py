@@ -1,9 +1,12 @@
 import pickle
+import weakref
 
 import numpy as np
 import pytest
 
+from phoenix import autodiff as ad
 from phoenix.classifier import (
+    FEATURE_DIM,
     EvalClassifier,
     load_classifier,
     save_classifier,
@@ -210,6 +213,12 @@ class TestKnnPrecisionRecall:
         with pytest.raises(ValueError):
             knn_precision_recall(pts, pts, k=3)
 
+    def test_k_below_one_rejected(self):
+        # k=0 would take each point's zero self-distance as its radius
+        pts = np.random.default_rng(11).standard_normal((8, 2))
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            knn_precision_recall(pts, pts, k=0)
+
 
 class TestTotalVariation:
     def test_equal_histograms(self):
@@ -248,7 +257,8 @@ class TestEvalClassifier:
     @pytest.mark.parametrize("seed", [20, 21, 22])
     def test_heldout_accuracy(self, toy_train, toy_test, seed):
         clf = train_eval_classifier(toy_train, epochs=4, seed=seed)
-        assert clf.accuracy(toy_test) >= 0.9
+        predicted = clf.embed(toy_test.images)[1].argmax(axis=1)
+        assert (predicted == toy_test.labels).mean() >= 0.9
 
     def test_probabilities_sum_to_one(self, toy_classifier, toy_test):
         probs = _softmax(toy_classifier.embed(toy_test.images[:32])[1])
@@ -259,6 +269,27 @@ class TestEvalClassifier:
         b = train_eval_classifier(toy_train, epochs=1, seed=5)
         for name in a.params:
             np.testing.assert_array_equal(a.params[name], b.params[name])
+
+    def test_previous_batch_graph_freed_before_next_forward(self, toy_train,
+                                                             monkeypatch):
+        # Tensor has no weakref slot, so the loss's array stands in for it
+        losses = []
+        forward, nll_loss = EvalClassifier._forward, ad.nll_loss
+
+        def spy_forward(self, p, images):
+            assert all(ref() is None for ref in losses)
+            return forward(self, p, images)
+
+        def spy_nll_loss(log_probs, labels):
+            loss = nll_loss(log_probs, labels)
+            losses.append(weakref.ref(loss.data))
+            return loss
+
+        monkeypatch.setattr(EvalClassifier, "_forward", spy_forward)
+        monkeypatch.setattr(ad, "nll_loss", spy_nll_loss)
+        train_eval_classifier(toy_train.subset(np.arange(0, len(toy_train), 5)),
+                              epochs=1, seed=5)
+        assert len(losses) > 1
 
     def test_single_class_rejected(self, toy_train):
         single = toy_train.subset(np.nonzero(toy_train.labels == 0)[0])
@@ -275,7 +306,7 @@ class TestEvalClassifier:
 
     def test_features_have_declared_dim(self, toy_classifier, toy_test):
         feats, logits = toy_classifier.embed(toy_test.images[:8])
-        assert feats.shape == (8, toy_classifier.feature_dim)
+        assert feats.shape == (8, FEATURE_DIM)
         assert logits.shape == (8, toy_classifier.num_classes)
 
     def test_embed_matches_a_single_forward_pass(self, toy_classifier, toy_test):
