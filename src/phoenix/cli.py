@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -75,6 +76,8 @@ class InputError(ValueError):
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     cfg = load_config(args.config)
     apply_env_overrides(cfg)
     if args.seed is not None:
@@ -307,8 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"preset name {preset_names()} or JSON config path")
     shared.add_argument("--seed", type=int, default=None, help="override the run seed")
     shared.add_argument("--out", default=None, help="override the output directory")
-    shared.add_argument("--workers", type=int, default=1,
-                        help="worker cap for client training and scoring")
+    shared.add_argument("--workers", type=int, default=len(os.sched_getaffinity(0)),
+                        help="processes for each round's client training and scoring "
+                             "(default: the usable cores)")
 
     parser = argparse.ArgumentParser(
         prog="phoenix",

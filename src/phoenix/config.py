@@ -246,11 +246,22 @@ _SECTION_TYPES = {
 }
 
 
+def _check_type(key: str, value, default) -> None:
+    """Refuse ``value`` unless it has the type of ``default``; an int stands
+    for a float, a bool never stands for a number."""
+    expected = type(default)
+    if type(value) is expected or (expected is float and type(value) is int):
+        return
+    raise ConfigError(f"{key} must be {expected.__name__}, got {value!r}")
+
+
 def _build_section(cls, doc: dict, section: str):
-    valid = {f.name for f in fields(cls)}
-    unknown = set(doc) - valid
+    defaults = {f.name: f.default for f in fields(cls)}
+    unknown = set(doc) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown keys in '{section}': {sorted(unknown)}")
+    for key, value in doc.items():
+        _check_type(f"{section}.{key}", value, defaults[key])
     return cls(**doc)
 
 
@@ -270,9 +281,11 @@ def config_from_dict(doc: dict) -> RunConfig:
             if not isinstance(value, dict):
                 raise ConfigError(f"section '{section}' must be an object")
             kwargs[section] = _build_section(cls, value, section)
-    for key in ("seed", "out_dir", "run_id"):
+    for key, default in (("seed", 0), ("out_dir", ""), ("run_id", "")):
         if key in doc:
-            kwargs[key] = doc.pop(key)
+            value = kwargs[key] = doc.pop(key)
+            if not (key == "run_id" and value is None):  # null: derive the run id
+                _check_type(key, value, default)
     if doc:
         raise ConfigError(f"unknown top-level config keys: {sorted(doc)}")
     cfg = RunConfig(**kwargs)

@@ -11,16 +11,19 @@ excluded from every update. A client's state, Adam moments included, is a
 value that training reads and never writes, so a faulted client keeps it
 as it was.
 
-All randomness is derived from (seed, domain, round, epoch, ...) keys, so
-results do not depend on worker scheduling.
+With more than one worker, a round's client jobs run in a pool of forked
+processes that inherit the round's inputs; only a client id goes down and
+only the client's next state and result come back. All randomness is
+derived from (seed, domain, round, epoch, ...) keys, so results are bitwise
+the same for every worker count.
 """
 
 from __future__ import annotations
 
 import logging
+import multiprocessing
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping
@@ -364,6 +367,23 @@ def _client_job(client: ClientState, global_model: DenoiserModel, dataset: Datas
     return state, (update, status, scores, int((time.perf_counter() - start) * 1000))
 
 
+# A pool worker's round: the clients, then _client_job's remaining arguments.
+# Only ``_set_round`` in a worker sets it, never the caller. Fork hands its
+# initargs over unpickled, so the workers share the global model, the dataset
+# and the metrics context with the caller copy-on-write.
+_round: tuple = ()
+
+
+def _set_round(*inputs) -> None:
+    global _round
+    _round = inputs
+
+
+def _pooled_job(cid: int):
+    clients, *inputs = _round
+    return _client_job(clients[cid], *inputs)
+
+
 def run_federation(
     initial_model: DenoiserModel,
     plan: PartitionPlan,
@@ -381,6 +401,8 @@ def run_federation(
     far, each replacing the previous file atomically.
     """
     config.validate()
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if plan.client_count != config.client_count:
         raise ValueError(
             f"plan has {plan.client_count} clients, config expects {config.client_count}"
@@ -401,73 +423,78 @@ def run_federation(
     ) if config.threshold_filtering else None
     runlog = RunLog()
 
-    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for round_no in range(1, config.server_rounds + 1):
-            participating = (filter_state.participating() if filter_state is not None
-                             else [c.id for c in clients])
-            if not participating:
-                raise FederationError(f"round {round_no}: no participating clients remain")
-            broadcast_bytes = _param_bytes(
-                split_parameters(global_model)[0] if config.personalization and round_no > 1
-                else global_model.params
+    for round_no in range(1, config.server_rounds + 1):
+        participating = (filter_state.participating() if filter_state is not None
+                         else [c.id for c in clients])
+        if not participating:
+            raise FederationError(f"round {round_no}: no participating clients remain")
+        broadcast_bytes = _param_bytes(
+            split_parameters(global_model)[0] if config.personalization and round_no > 1
+            else global_model.params
+        )
+        scoring = config.threshold_filtering and round_no >= config.eval_start_round
+        inputs = (global_model, dataset, config, round_no, seed,
+                  metrics_ctx if scoring else None)
+        pool_size = min(workers, len(participating))
+        if pool_size > 1:
+            with ProcessPoolExecutor(pool_size,
+                                     mp_context=multiprocessing.get_context("fork"),
+                                     initializer=_set_round,
+                                     initargs=(clients, *inputs)) as pool:
+                jobs = list(pool.map(_pooled_job, participating))
+        else:
+            # a generator: serial jobs read each client only when they start,
+            # so its old state is freed as soon as its next state is committed
+            jobs = (_client_job(clients[cid], *inputs) for cid in participating)
+        results = {}
+        for cid, (state, result) in zip(participating, jobs):
+            clients[cid], results[cid] = state, result  # commit in id order
+
+        disconnected_now: list[int] = []
+        if scoring:
+            scored = {cid: scores for cid, (_, _, scores, _) in results.items()
+                      if scores is not None}
+            # only a faulted client goes unscored; its filter state carries over
+            filter_state, disconnected_now, _ = filter_step(
+                filter_state, scored, round_no, exempt=results.keys() - scored.keys()
             )
-            scoring = config.threshold_filtering and round_no >= config.eval_start_round
-            # a generator: serial jobs read each client only when they start, so
-            # its old state is freed as soon as its next state is committed
-            jobs = (pool.map if pool is not None else map)(
-                lambda c: _client_job(c, global_model, dataset, config, round_no, seed,
-                                      metrics_ctx if scoring else None),
-                (clients[cid] for cid in participating),
+
+        updates = [
+            upd for cid, (upd, _, _, _) in sorted(results.items())
+            if upd is not None and cid not in disconnected_now
+        ]
+        if not updates:
+            raise FederationError(
+                f"round {round_no}: no usable client updates (all faulted, "
+                f"skipped, or disconnected)"
             )
-            results = {}
-            for cid, (state, result) in zip(participating, jobs):
-                clients[cid], results[cid] = state, result  # commit in id order
+        global_model = global_model.with_params({**global_model.params, **fedavg(updates)})
 
-            disconnected_now: list[int] = []
-            if scoring:
-                scored = {cid: scores for cid, (_, _, scores, _) in results.items()
-                          if scores is not None}
-                # only a faulted client goes unscored; its filter state carries over
-                filter_state, disconnected_now, _ = filter_step(
-                    filter_state, scored, round_no, exempt=results.keys() - scored.keys()
-                )
+        for cid in range(config.client_count):
+            update, status, scores, wall_ms = results.get(cid, (None, DISCONNECTED, None, 0))
+            if scores is not None:  # scored this round, so the filter decided
+                status = filter_state.status[cid]
+            precision, recall = scores or (None, None)
+            runlog.rows.append(RunRow(
+                round=round_no, client_id=cid, status=status,
+                samples=update.sample_count if update else 0,
+                train_loss=update.train_loss if update else None,
+                precision=precision, recall=recall,
+                bytes_up=_param_bytes(update.params) if update else 0,
+                bytes_down=broadcast_bytes if cid in results else 0,
+                wall_ms=wall_ms,
+            ))
 
-            updates = [
-                upd for cid, (upd, _, _, _) in sorted(results.items())
-                if upd is not None and cid not in disconnected_now
-            ]
-            if not updates:
-                raise FederationError(
-                    f"round {round_no}: no usable client updates (all faulted, "
-                    f"skipped, or disconnected)"
-                )
-            global_model = global_model.with_params({**global_model.params, **fedavg(updates)})
-
-            for cid in range(config.client_count):
-                update, status, scores, wall_ms = results.get(cid, (None, DISCONNECTED, None, 0))
-                if scores is not None:  # scored this round, so the filter decided
-                    status = filter_state.status[cid]
-                precision, recall = scores or (None, None)
-                runlog.rows.append(RunRow(
-                    round=round_no, client_id=cid, status=status,
-                    samples=update.sample_count if update else 0,
-                    train_loss=update.train_loss if update else None,
-                    precision=precision, recall=recall,
-                    bytes_up=_param_bytes(update.params) if update else 0,
-                    bytes_down=broadcast_bytes if cid in results else 0,
-                    wall_ms=wall_ms,
-                ))
-
-            if out_path is not None:
-                write_checkpoint(
-                    out_path / f"round_{round_no}.phxc",
-                    global_model.params, set(global_model.personal_names),
-                )
-                for client in clients:
-                    if client.personal_params:
-                        write_checkpoint(
-                            out_path / f"client_{client.id}_personal.phxc",
-                            client.personal_params, set(client.personal_params),
-                        )
-                runlog.write_csv(out_path / "runlog.csv")
+        if out_path is not None:
+            write_checkpoint(
+                out_path / f"round_{round_no}.phxc",
+                global_model.params, set(global_model.personal_names),
+            )
+            for client in clients:
+                if client.personal_params:
+                    write_checkpoint(
+                        out_path / f"client_{client.id}_personal.phxc",
+                        client.personal_params, set(client.personal_params),
+                    )
+            runlog.write_csv(out_path / "runlog.csv")
     return global_model, runlog

@@ -1,12 +1,13 @@
 import json
+import os
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from phoenix import diffusion
+from phoenix import diffusion, federation
 from phoenix.classifier import ClassifierConfig, EvalClassifier, save_classifier
-from phoenix.cli import main
+from phoenix.cli import build_parser, main
 from phoenix.config import FederationSpec, config_from_dict, load_config, load_datasets
 from phoenix.federation import FederationConfig
 from phoenix.formats import read_checkpoint, read_tensor, write_tensor
@@ -75,9 +76,17 @@ class TestConfigHandling:
         {"model": {"norm_groups": 4}},
         {"diffusion": {"beta_end": 0.02}},
         {"dataset": {"side": 8}},
+        {"model": {"depth": "3"}},
+        {"dataset": {"per_class": "5"}},
+        {"federation": {"personalization": "yes"}},
+        {"federation": {"learning_rate": "0.1"}},
+        {"model": {"depth": True}},
+        {"seed": "5"},
     ], ids=["metrics-samples-below-k", "filter-samples-below-k", "unknown-optimizer",
             "reference-below-k", "toy-channels-not-model", "is-splits-zero", "knn-k-zero",
-            "model-by-name", "model-norm-groups", "diffusion-beta-end", "dataset-side"])
+            "model-by-name", "model-norm-groups", "diffusion-beta-end", "dataset-side",
+            "depth-string", "per-class-string", "personalization-string",
+            "learning-rate-string", "depth-bool", "seed-string"])
     def test_unrunnable_config_refused_before_writing(self, tmp_path, override):
         # train would otherwise run its rounds before refusing these
         path = micro_config(tmp_path, **override)
@@ -126,6 +135,11 @@ class TestConfigHandling:
         assert (cfg.federation.client_count, cfg.diffusion.steps, cfg.dataset.kind,
                 cfg.metrics.eval_sample_count, cfg.metrics.classifier_epochs) == (
                     10, 1000, "cifar10", 10000, 10)
+
+    def test_int_stands_for_a_float(self):
+        cfg = config_from_dict({"federation": {"learning_rate": 1},
+                                "partition": {"beta_pct": 50}})
+        assert (cfg.federation.learning_rate, cfg.partition.beta_pct) == (1, 50)
 
     def test_paper_model_overridden_field_by_field(self):
         paper = load_config("paper").model_config()
@@ -300,6 +314,34 @@ class TestTrainCommand:
         assert main([command, "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["plan.json"]
+
+    def test_workers_default_to_the_usable_cores(self):
+        assert build_parser().parse_args(["train"]).workers == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_worker_count_below_one_refused_before_any_work(self, tmp_path, capsys,
+                                                            workers):
+        path = micro_config(tmp_path)
+        assert main(["partition", "--config", str(path)]) == 0
+        written = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert main(["train", "--config", str(path), "--workers", workers]) == 2
+        assert "--workers" in capsys.readouterr().err
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == written
+
+    def test_worker_that_dies_exits_3(self, tmp_path, monkeypatch, capsys):
+        parent = os.getpid()
+
+        def die(client, *args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return original(client, *args)
+
+        original = federation.local_train
+        monkeypatch.setattr(federation, "local_train", die)
+        path = micro_config(tmp_path)
+        assert main(["partition", "--config", str(path)]) == 0
+        assert main(["train", "--config", str(path), "--workers", "2"]) == 3
+        assert "runtime failure" in capsys.readouterr().err
 
     def test_sharing_requires_warmup_checkpoint(self, tmp_path):
         path = micro_config(tmp_path, dataset={"per_class": 15},

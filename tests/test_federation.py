@@ -4,9 +4,9 @@ import os
 import subprocess
 import sys
 import textwrap
-import threading
 import time
 import weakref
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
 from pathlib import Path
 
@@ -446,16 +446,17 @@ class TestRunFederation:
             np.testing.assert_array_equal(final_a.params[name], final_b.params[name])
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_client_jobs_train_and_score_in_the_pool(self, dataset, monkeypatch, workers):
+    def test_client_jobs_train_and_score_in_the_pool(self, dataset, monkeypatch, tmp_path,
+                                                     workers):
         # client 1 faults in round 1, client 2 has no data; every client's
-        # job trains and scores it, on a pool thread exactly when workers > 1
+        # job trains and scores it, in a worker process exactly when workers > 1
         cfg = tiny_config(client_count=3, server_rounds=2, threshold_filtering=True,
                           eval_start_round=1, min_active_clients=2)
         plan = PartitionPlan([[0, 1, 2, 3], [4, 5, 6, 7], []], 3, "iid", 0)
         ctx = MetricsContext.build(dataset.images[:8], None, "pixels")
         original_train = federation.local_train
         original_score = federation.evaluate_client
-        on_main_thread = []
+        scorer_pids = tmp_path / "scorer_pids"  # a worker's memory never comes back
 
         def train(client, model, data, config, round_no, seed):
             if (client.id, round_no) == (1, 1):
@@ -463,7 +464,8 @@ class TestRunFederation:
             return original_train(client, model, data, config, round_no, seed)
 
         def score(*args):
-            on_main_thread.append(threading.current_thread() is threading.main_thread())
+            with open(scorer_pids, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
             return original_score(*args)
 
         monkeypatch.setattr(federation, "local_train", train)
@@ -481,8 +483,31 @@ class TestRunFederation:
         assert all(r.precision is not None for key, r in rows.items() if key != (1, 1))
         assert all(rows[key].samples == 0 and rows[key].train_loss is None
                    for key in ((1, 2), (2, 2)))
-        assert len(on_main_thread) == 5 and set(on_main_thread) == {workers == 1}
+        pids = [int(line) for line in scorer_pids.read_text().split()]
+        assert len(pids) == 5 and {pid != os.getpid() for pid in pids} == {workers > 1}
         assert timeless_rows(runlog) == timeless_rows(run(1))
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_refused(self, dataset, workers):
+        with pytest.raises(ValueError, match="workers"):
+            run_federation(build_unet(TINY, seed=1), make_plan(dataset, 2),
+                           tiny_config(), dataset, seed=2, workers=workers)
+
+    def test_worker_that_dies_breaks_the_round_at_once(self, dataset, monkeypatch):
+        parent = os.getpid()
+
+        def die(client, *args):
+            if os.getpid() != parent and client.id == 1:
+                os._exit(1)
+            return original(client, *args)
+
+        original = federation.local_train
+        monkeypatch.setattr(federation, "local_train", die)
+        start = time.perf_counter()
+        with pytest.raises(BrokenProcessPool):
+            run_federation(build_unet(TINY, seed=1), make_plan(dataset, 2),
+                           tiny_config(), dataset, seed=2, workers=2)
+        assert time.perf_counter() - start < 30
 
     def test_serial_round_frees_each_replaced_optimizer_state(self, dataset, monkeypatch):
         # when a client's job starts, the states that earlier jobs of the
