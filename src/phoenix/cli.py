@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -34,7 +33,7 @@ from .config import (
     preset_names,
 )
 from .datasets import DataFormatError, Dataset
-from .federation import FederationError, run_federation, warmup_train
+from .federation import FederationError, check_workers, run_federation, warmup_train
 from .formats import (
     FormatError,
     image_extension,
@@ -76,8 +75,11 @@ class InputError(ValueError):
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    if args.workers < 1:
-        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
+    if args.workers is not None:
+        try:
+            check_workers(args.workers)
+        except ValueError as exc:
+            raise ConfigError(f"--workers: {exc}") from None
     cfg = load_config(args.config)
     apply_env_overrides(cfg)
     if args.seed is not None:
@@ -310,9 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"preset name {preset_names()} or JSON config path")
     shared.add_argument("--seed", type=int, default=None, help="override the run seed")
     shared.add_argument("--out", default=None, help="override the output directory")
-    shared.add_argument("--workers", type=int, default=len(os.sched_getaffinity(0)),
+    shared.add_argument("--workers", type=int, default=None,
                         help="processes for each round's client training and scoring "
-                             "(default: the usable cores)")
+                             "(default: the usable cores when BLAS is pinned to one "
+                             "thread and the model is small, else 1)")
 
     parser = argparse.ArgumentParser(
         prog="phoenix",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -246,22 +247,24 @@ _SECTION_TYPES = {
 }
 
 
-def _check_type(key: str, value, default) -> None:
-    """Refuse ``value`` unless it has the type of ``default``; an int stands
-    for a float, a bool never stands for a number."""
-    expected = type(default)
-    if type(value) is expected or (expected is float and type(value) is int):
-        return
-    raise ConfigError(f"{key} must be {expected.__name__}, got {value!r}")
+def _check_types(cls, doc: dict, prefix: str = "") -> None:
+    """Refuse any value of ``doc`` whose type is not its field's annotation in
+    ``cls``; an int stands for a float, a bool never stands for a number."""
+    hints = typing.get_type_hints(cls)
+    for key, value in doc.items():
+        allowed = typing.get_args(hints[key]) or (hints[key],)
+        if type(value) in allowed or (float in allowed and type(value) is int):
+            continue
+        names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+        raise ConfigError(f"{prefix}{key} must be {names}, got {value!r}")
 
 
 def _build_section(cls, doc: dict, section: str):
-    defaults = {f.name: f.default for f in fields(cls)}
-    unknown = set(doc) - set(defaults)
+    valid = {f.name for f in fields(cls)}
+    unknown = set(doc) - valid
     if unknown:
         raise ConfigError(f"unknown keys in '{section}': {sorted(unknown)}")
-    for key, value in doc.items():
-        _check_type(f"{section}.{key}", value, defaults[key])
+    _check_types(cls, doc, f"{section}.")
     return cls(**doc)
 
 
@@ -281,11 +284,9 @@ def config_from_dict(doc: dict) -> RunConfig:
             if not isinstance(value, dict):
                 raise ConfigError(f"section '{section}' must be an object")
             kwargs[section] = _build_section(cls, value, section)
-    for key, default in (("seed", 0), ("out_dir", ""), ("run_id", "")):
-        if key in doc:
-            value = kwargs[key] = doc.pop(key)
-            if not (key == "run_id" and value is None):  # null: derive the run id
-                _check_type(key, value, default)
+    scalars = {key: doc.pop(key) for key in ("seed", "out_dir", "run_id") if key in doc}
+    _check_types(RunConfig, scalars)
+    kwargs.update(scalars)
     if doc:
         raise ConfigError(f"unknown top-level config keys: {sorted(doc)}")
     cfg = RunConfig(**kwargs)

@@ -15,13 +15,16 @@ With more than one worker, a round's client jobs run in a pool of forked
 processes that inherit the round's inputs; only a client id goes down and
 only the client's next state and result come back. All randomness is
 derived from (seed, domain, round, epoch, ...) keys, so results are bitwise
-the same for every worker count.
+the same for every worker count. Unless told otherwise, a run pools only
+when that can pay: BLAS pinned to one thread, a small model and a platform
+that forks (``default_workers``).
 """
 
 from __future__ import annotations
 
 import logging
 import multiprocessing
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -384,6 +387,75 @@ def _pooled_job(cid: int):
     return _client_job(clients[cid], *inputs)
 
 
+def _round_jobs(clients: list[ClientState], participating: list[int], inputs: tuple,
+                pool_size: int):
+    """Run the participating clients' jobs; yield (id, next state, result) in id order."""
+    if pool_size == 1:
+        # serial jobs read each client only when they start, so its old state
+        # is freed as soon as its next state is committed
+        for cid in participating:
+            yield cid, *_client_job(clients[cid], *inputs)
+        return
+    with ProcessPoolExecutor(pool_size, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_set_round, initargs=(clients, *inputs)) as pool:
+        for cid, (state, result) in zip(participating, pool.map(_pooled_job, participating)):
+            yield cid, state, result
+
+
+# The variables that set the thread count of OpenBLAS, MKL and OpenMP BLAS.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+# The largest model the default pools: a pooled client pipes back its update
+# and both Adam moments, and every worker holds a whole training's memory.
+# On a 2-vCPU Xeon with BLAS pinned, 2 workers took a personalized, filtered
+# round of the 0.3 MB desk model from 20.7 to 12.2 s, but a round of the
+# 80 MB paper model from 19.5 to 22.2 s, each client sending back 252 MB.
+# Sizes in between are unmeasured.
+POOL_MAX_PARAM_BYTES = 8 * 2**20
+
+
+def blas_pinned(environ: Mapping[str, str] = os.environ) -> bool:
+    """Whether ``environ`` pins BLAS to one thread: at least one of
+    ``BLAS_THREAD_VARIABLES`` is set, and every one that is set says 1."""
+    values = [environ[name].strip() for name in BLAS_THREAD_VARIABLES if name in environ]
+    return bool(values) and all(value == "1" for value in values)
+
+
+def usable_cores() -> int:
+    """The cores this process may run on (all of them where affinity is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def can_fork() -> bool:
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
+def check_workers(workers: int) -> None:
+    """Refuse a worker count ``run_federation`` cannot run with."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    if workers > 1 and not can_fork():
+        raise ValueError(f"{workers} workers need processes started by fork, "
+                         f"which this platform lacks; use 1 worker")
+
+
+def default_workers(model: DenoiserModel) -> int:
+    """The worker count of a run that names none: every usable core when BLAS
+    is pinned to one thread, the model's parameters take at most
+    ``POOL_MAX_PARAM_BYTES`` and the platform forks; else 1.
+
+    A forked worker inherits its parent's BLAS threads, so with BLAS
+    unpinned the workers fight over the cores: two desk workers took 68-88 s
+    where one took 31-32 s.
+    """
+    if (blas_pinned() and can_fork()
+            and _param_bytes(model.params) <= POOL_MAX_PARAM_BYTES):
+        return usable_cores()
+    return 1
+
+
 def run_federation(
     initial_model: DenoiserModel,
     plan: PartitionPlan,
@@ -391,18 +463,22 @@ def run_federation(
     dataset: Dataset,
     seed: int,
     metrics_ctx: MetricsContext | None = None,
-    workers: int = 1,
+    workers: int | None = None,
     out_dir: str | Path | None = None,
 ) -> tuple[DenoiserModel, RunLog]:
     """Execute the configured number of server rounds and return the result.
+
+    Each round runs its client jobs in up to ``workers`` processes, by
+    default ``default_workers(initial_model)``.
 
     Under ``out_dir``, when given, each round ends by writing its global
     checkpoint, the per-client personal checkpoints and the run log CSV so
     far, each replacing the previous file atomically.
     """
     config.validate()
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    if workers is None:
+        workers = default_workers(initial_model)
+    check_workers(workers)
     if plan.client_count != config.client_count:
         raise ValueError(
             f"plan has {plan.client_count} clients, config expects {config.client_count}"
@@ -435,19 +511,9 @@ def run_federation(
         scoring = config.threshold_filtering and round_no >= config.eval_start_round
         inputs = (global_model, dataset, config, round_no, seed,
                   metrics_ctx if scoring else None)
-        pool_size = min(workers, len(participating))
-        if pool_size > 1:
-            with ProcessPoolExecutor(pool_size,
-                                     mp_context=multiprocessing.get_context("fork"),
-                                     initializer=_set_round,
-                                     initargs=(clients, *inputs)) as pool:
-                jobs = list(pool.map(_pooled_job, participating))
-        else:
-            # a generator: serial jobs read each client only when they start,
-            # so its old state is freed as soon as its next state is committed
-            jobs = (_client_job(clients[cid], *inputs) for cid in participating)
         results = {}
-        for cid, (state, result) in zip(participating, jobs):
+        for cid, state, result in _round_jobs(clients, participating, inputs,
+                                              min(workers, len(participating))):
             clients[cid], results[cid] = state, result  # commit in id order
 
         disconnected_now: list[int] = []

@@ -272,7 +272,8 @@ def test_criterion_8_personalization_retention(tmp_path, verdict):
     federation.fedavg = fedavg_spy
     federation.local_train = local_spy
     try:
-        final, _ = run_federation(initial, plan, fed, train, cfg.seed)
+        # one worker: the spies record into this process
+        final, _ = run_federation(initial, plan, fed, train, cfg.seed, workers=1)
     finally:
         federation.fedavg = original_fedavg
         federation.local_train = original_local

@@ -315,8 +315,49 @@ class TestTrainCommand:
         assert message in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["plan.json"]
 
-    def test_workers_default_to_the_usable_cores(self):
-        assert build_parser().parse_args(["train"]).workers == len(os.sched_getaffinity(0))
+    @pytest.mark.parametrize("pinned", [False, True], ids=["blas-unset", "blas-pinned"])
+    def test_default_workers_follow_the_blas_pin(self, tmp_path, monkeypatch, pinned):
+        # forked workers inherit the parent's BLAS threads, so only a pinned
+        # BLAS lets the default train clients outside this process
+        for name in federation.BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        if pinned:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        trainer_pids = tmp_path / "trainer_pids"  # a worker's memory never comes back
+        original = federation.local_train
+
+        def train(*args):
+            with open(trainer_pids, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return original(*args)
+
+        monkeypatch.setattr(federation, "local_train", train)
+        path = micro_config(tmp_path)
+        assert build_parser().parse_args(["train"]).workers is None
+        assert main(["partition", "--config", str(path)]) == 0
+        assert main(["train", "--config", str(path)]) == 0
+        pids = [int(line) for line in trainer_pids.read_text().split()]
+        assert len(pids) == 4
+        assert {pid != os.getpid() for pid in pids} == {pinned and federation.usable_cores() > 1}
+
+    def test_commands_run_without_affinity_support(self, tmp_path, monkeypatch):
+        # platforms without os.sched_getaffinity count every core as usable
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        path = micro_config(tmp_path)
+        assert main(["partition", "--config", str(path)]) == 0
+        assert main(["train", "--config", str(path)]) == 0
+
+    def test_workers_refused_where_processes_cannot_fork(self, tmp_path, monkeypatch,
+                                                          capsys):
+        monkeypatch.setattr(federation.multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        path = micro_config(tmp_path)
+        assert main(["partition", "--config", str(path)]) == 0
+        written = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert main(["train", "--config", str(path), "--workers", "2"]) == 2
+        assert "fork" in capsys.readouterr().err
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == written
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_worker_count_below_one_refused_before_any_work(self, tmp_path, capsys,

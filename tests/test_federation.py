@@ -524,7 +524,8 @@ class TestRunFederation:
 
         monkeypatch.setattr(federation, "local_train", train)
         run_federation(build_unet(TINY, seed=1), make_plan(dataset, 3),
-                       tiny_config(client_count=3, server_rounds=2), dataset, seed=2)
+                       tiny_config(client_count=3, server_rounds=2), dataset, seed=2,
+                       workers=1)
         assert len(replaced) == 3 and alive == []
 
     def test_wall_ms_includes_client_scoring(self, dataset, monkeypatch):
@@ -590,7 +591,9 @@ class TestRunFederation:
 
         monkeypatch.setattr(federation, "local_train", train)
         monkeypatch.setattr(federation, "adam_step", step)
-        _, runlog = run_federation(build_unet(TINY, seed=1), plan, cfg, dataset, seed=2)
+        # one worker: ``seen`` is filled in this process
+        _, runlog = run_federation(build_unet(TINY, seed=1), plan, cfg, dataset, seed=2,
+                                   workers=1)
 
         statuses = {(r.round, r.client_id): r.status for r in runlog.rows}
         assert statuses[(2, 1)] == "faulted"
@@ -740,3 +743,85 @@ class TestRunFederation:
         plan = make_plan(dataset, 2)
         with pytest.raises(ValueError):
             run_federation(build_unet(TINY, seed=1), plan, cfg, dataset, seed=2)
+
+
+class TestDefaultWorkers:
+    @pytest.mark.parametrize("environ, pinned", [
+        ({}, False),
+        ({"OPENBLAS_NUM_THREADS": "1"}, True),
+        ({"OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": " 1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, False),
+        ({"OPENBLAS_NUM_THREADS": ""}, False),
+    ], ids=["unset", "openblas", "omp-and-mkl", "one-says-two", "empty"])
+    def test_blas_pinned_only_when_every_set_variable_says_one(self, environ, pinned):
+        assert federation.blas_pinned(environ) is pinned
+
+    @pytest.fixture()
+    def pinned(self, monkeypatch):
+        for name in federation.BLAS_THREAD_VARIABLES:
+            monkeypatch.setenv(name, "1")
+
+    def test_pinned_small_model_uses_every_usable_core(self, pinned):
+        assert federation.default_workers(build_unet(TINY, seed=1)) == federation.usable_cores()
+
+    def test_unpinned_blas_keeps_one_worker(self, monkeypatch):
+        for name in federation.BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        assert federation.default_workers(build_unet(TINY, seed=1)) == 1
+
+    def test_model_over_the_pool_bound_keeps_one_worker(self, pinned, monkeypatch):
+        model = build_unet(TINY, seed=1)
+        size = federation._param_bytes(model.params)
+        monkeypatch.setattr(federation, "POOL_MAX_PARAM_BYTES", size)
+        assert federation.default_workers(model) == federation.usable_cores()
+        monkeypatch.setattr(federation, "POOL_MAX_PARAM_BYTES", size - 1)
+        assert federation.default_workers(model) == 1
+
+    def test_platform_without_fork_keeps_one_worker(self, pinned, dataset, monkeypatch):
+        monkeypatch.setattr(federation.multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        assert federation.default_workers(build_unet(TINY, seed=1)) == 1
+        with pytest.raises(ValueError, match="fork"):
+            run_federation(build_unet(TINY, seed=1), make_plan(dataset, 2),
+                           tiny_config(), dataset, seed=2, workers=2)
+
+    def test_cores_counted_without_affinity_support(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert federation.usable_cores() == (os.cpu_count() or 1)
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                        reason="threads are counted through /proc/self/task")
+    def test_pinned_blas_forks_the_pool_from_a_single_thread(self):
+        # CPython 3.12 and later warn when a process with threads forks; with
+        # BLAS pinned the process has none besides the main thread
+        script = textwrap.dedent("""
+            import os
+            from phoenix.datasets import make_toy_dataset
+            from phoenix.federation import FederationConfig, run_federation
+            from phoenix.partition import partition_label_skew
+            from phoenix.schedule import linear_schedule
+            from phoenix.unet import DenoiserConfig, build_unet
+
+            threads, fork = [], os.fork
+
+            def counting_fork():
+                threads.append(len(os.listdir("/proc/self/task")))
+                return fork()
+
+            os.fork = counting_fork
+            data = make_toy_dataset(4, 16, 8, seed=31)
+            cfg = FederationConfig(
+                client_count=2, server_rounds=2, local_epochs=1, batch_size=8,
+                learning_rate=1e-3, schedule=linear_schedule(10),
+            )
+            model = build_unet(DenoiserConfig(base_channels=4, time_embed_dim=8), seed=1)
+            run_federation(model, partition_label_skew(data, 2, 2, seed=5), cfg, data,
+                           seed=2, workers=2)
+            print(threads)
+        """)
+        src = str(Path(federation.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src,
+               **{name: "1" for name in federation.BLAS_THREAD_VARIABLES}}
+        done = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", "-c", script],
+                              env=env, check=True, timeout=120, capture_output=True, text=True)
+        assert done.stdout.split() == ["[1,", "1,", "1,", "1]"]
