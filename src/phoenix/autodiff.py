@@ -11,8 +11,8 @@ leaves, so a forward-only pass keeps an activation only while its caller does.
 
 Production code runs in float32. The ops are dtype-generic so the test
 suite can re-run the same graphs in float64, where central finite
-differences at h=1e-3 are meaningful; mixing dtypes inside one graph is
-rejected.
+differences at h=1e-5 resolve the gradients; mixing dtypes inside one
+graph is rejected.
 
 Reductions rely on numpy's pairwise summation, which is a fixed order for
 a given shape and dtype, so identical inputs give bitwise-identical
@@ -68,36 +68,8 @@ class Tensor:
         self._parents = parents
         self._backward = backward
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def item(self) -> float:
         return float(self.data)
-
-    def __repr__(self) -> str:
-        tag = self.name or self.op
-        return f"Tensor({tag}, shape={self.data.shape}, dtype={self.data.dtype})"
-
-    # Operator sugar over the module-level primitives.
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def reshape(self, shape: Sequence[int]) -> "Tensor":
-        return reshape(self, shape)
 
 
 def _label(t: Tensor) -> str:
@@ -208,40 +180,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(b, _unbroadcast(g, b.data.shape))
 
     return _make(out, "add", (a, b), bw)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _same_dtype("sub", a, b)
-    _broadcastable("sub", a, b)
-    out = a.data - b.data
-
-    def bw(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(-g, b.data.shape))
-
-    return _make(out, "sub", (a, b), bw)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _same_dtype("mul", a, b)
-    _broadcastable("mul", a, b)
-    out = a.data * b.data
-
-    def bw(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _make(out, "mul", (a, b), bw)
-
-
-def scale(a: Tensor, factor: float) -> Tensor:
-    s = a.data.dtype.type(factor)
-    out = a.data * s
-
-    def bw(g):
-        _accumulate(a, g * s)
-
-    return _make(out, "scale", (a,), bw)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -398,12 +336,11 @@ def _im2col(a: np.ndarray, ph: int, pw: int, kh: int, kw: int):
     return cols.reshape(n * ho * wo, c * kh * kw), ho, wo
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
-           padding: str = "same") -> Tensor:
-    """2-D cross-correlation, stride 1.
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """2-D cross-correlation, stride 1, zero-padded to keep the input's size.
 
-    Shapes: x (N,C,H,W), weight (O,C,kh,kw), bias (O,). Output spatial size
-    is H for 'same' (odd kernels only) and H-kh+1 for 'valid'.
+    Shapes: x (N,C,H,W), weight (O,C,kh,kw) with odd kh and kw, bias (O,);
+    the output is (N,O,H,W).
     """
     if x.data.ndim != 4 or weight.data.ndim != 4:
         raise ShapeMismatchError(
@@ -416,43 +353,32 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         raise ShapeMismatchError(
             f"'conv2d' channel mismatch: input C={c}, weight expects {ci}"
         )
-    if bias is not None and bias.data.shape != (o,):
+    if bias.data.shape != (o,):
         raise ShapeMismatchError(f"'conv2d' bias must have shape ({o},), got {bias.data.shape}")
-    inputs = (x, weight) if bias is None else (x, weight, bias)
-    _same_dtype("conv2d", *inputs)
-    if padding == "same":
-        if kh % 2 == 0 or kw % 2 == 0:
-            raise ShapeMismatchError("'conv2d' same padding requires odd kernels")
-        ph, pw = (kh - 1) // 2, (kw - 1) // 2
-    elif padding == "valid":
-        ph = pw = 0
-    else:
-        raise ShapeMismatchError(f"'conv2d' unknown padding '{padding}'")
-    if h + 2 * ph < kh or w + 2 * pw < kw:
-        raise ShapeMismatchError(
-            f"'conv2d' kernel ({kh},{kw}) larger than padded input ({h},{w})"
-        )
+    _same_dtype("conv2d", x, weight, bias)
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ShapeMismatchError("'conv2d' same padding requires odd kernels")
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
     # (N*Ho*Wo, C*kh*kw) @ (C*kh*kw, O): one BLAS call, fixed reduction order.
     cols, ho, wo = _im2col(x.data, ph, pw, kh, kw)
     wmat = weight.data.reshape(o, c * kh * kw)
     out = (cols @ wmat.T).reshape(n, ho, wo, o).transpose(0, 3, 1, 2)
-    if bias is not None:
-        out = out + bias.data[None, :, None, None]
+    out = out + bias.data[None, :, None, None]
 
     def bw(g):
-        if bias is not None:
-            _accumulate(bias, g.sum(axis=(0, 2, 3)))
+        _accumulate(bias, g.sum(axis=(0, 2, 3)))
         gm = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, o)
         if weight.requires_grad:
             _accumulate(weight, (gm.T @ cols).reshape(o, c, kh, kw))
         if x.requires_grad:
-            # dx: g padded back to (H,W), correlated with the kernel
-            # rotated 180 degrees with its in/out channels swapped
-            gcols, _, _ = _im2col(g, kh - 1 - ph, kw - 1 - pw, kh, kw)
+            # dx: g, same-padded as x was (an odd kernel's full padding
+            # kh-1-ph equals ph), correlated with the kernel rotated 180
+            # degrees with its in/out channels swapped
+            gcols, _, _ = _im2col(g, ph, pw, kh, kw)
             wrot = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * kh * kw)
             _accumulate(x, (gcols @ wrot.T).reshape(n, h, w, c).transpose(0, 3, 1, 2))
 
-    return _make(np.ascontiguousarray(out), "conv2d", inputs, bw)
+    return _make(np.ascontiguousarray(out), "conv2d", (x, weight, bias), bw)
 
 
 def upsample_nearest2x(x: Tensor) -> Tensor:

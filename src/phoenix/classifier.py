@@ -86,7 +86,7 @@ class EvalClassifier:
         h = ad.avg_pool2x(h)
         h = ad.silu(mods["norm2"].apply(p, mods["conv2"].apply(p, h)))
         h = ad.avg_pool2x(h)
-        h = h.reshape((h.shape[0], cfg.flat_dim))
+        h = ad.reshape(h, (h.data.shape[0], cfg.flat_dim))
         feats = ad.silu(mods["fc"].apply(p, h))
         logits = mods["head"].apply(p, feats)
         return feats, logits

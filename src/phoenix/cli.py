@@ -75,11 +75,6 @@ class InputError(ValueError):
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    if args.workers is not None:
-        try:
-            check_workers(args.workers)
-        except ValueError as exc:
-            raise ConfigError(f"--workers: {exc}") from None
     cfg = load_config(args.config)
     apply_env_overrides(cfg)
     if args.seed is not None:
@@ -190,6 +185,11 @@ def cmd_warmup(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
+    if args.workers is not None:
+        try:
+            check_workers(args.workers)
+        except ValueError as exc:
+            raise ConfigError(f"--workers: {exc}") from None
     train, test = load_datasets(cfg)
     plan = _load_required_plan(cfg, train)
     fed = cfg.federation_config()
@@ -312,10 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"preset name {preset_names()} or JSON config path")
     shared.add_argument("--seed", type=int, default=None, help="override the run seed")
     shared.add_argument("--out", default=None, help="override the output directory")
-    shared.add_argument("--workers", type=int, default=None,
-                        help="processes for each round's client training and scoring "
-                             "(default: the usable cores when BLAS is pinned to one "
-                             "thread and the model is small, else 1)")
 
     parser = argparse.ArgumentParser(
         prog="phoenix",
@@ -334,6 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", parents=[shared], help="run the federated rounds")
     p.add_argument("--classifier", default=None,
                    help="existing eval classifier checkpoint")
+    p.add_argument("--workers", type=int, default=None,
+                   help="processes for each round's client training and scoring "
+                        "(default: the usable cores when BLAS is pinned to one "
+                        "thread and the model is small, else 1)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("generate", parents=[shared],

@@ -85,14 +85,12 @@ class FederationSpec:
     threshold_filtering: bool = False
     drop_policy: str = "lowest_precision"
     drop_threshold: float = 0.7
-    drop_immediate: bool = False
     eval_sample_count: int = 128
     eval_start_round: int = 4
     min_active_clients: int = 2
 
     def build_policy(self) -> DropPolicy:
-        return DropPolicy(kind=self.drop_policy, threshold=self.drop_threshold,
-                          immediate=self.drop_immediate)
+        return DropPolicy(kind=self.drop_policy, threshold=self.drop_threshold)
 
 
 @dataclass

@@ -32,21 +32,13 @@ def q_sample_step(x_prev: np.ndarray, t: int, schedule: NoiseSchedule,
     return dt.type(math.sqrt(1.0 - beta)) * x_prev + dt.type(math.sqrt(beta)) * noise
 
 
-def q_sample_closed(x0: np.ndarray, t: int, schedule: NoiseSchedule,
+def q_sample_closed(x0: np.ndarray, t: np.ndarray, schedule: NoiseSchedule,
                     noise: np.ndarray) -> np.ndarray:
-    """Jump straight to step t: sqrt(abar_t)*x0 + sqrt(1-abar_t)*noise."""
-    schedule.check_step(t)
-    x0 = np.asarray(x0)
-    noise = np.asarray(noise)
-    _check_pair(x0, noise, "q_sample_closed")
-    abar = schedule.alpha_bar[t - 1]
-    dt = x0.dtype
-    return dt.type(math.sqrt(abar)) * x0 + dt.type(math.sqrt(1.0 - abar)) * noise
+    """Jump sample i straight to step t[i]: sqrt(abar)*x0 + sqrt(1-abar)*noise.
 
-
-def _noisy_batch(x0: np.ndarray, t: np.ndarray, schedule: NoiseSchedule,
-                 noise: np.ndarray) -> np.ndarray:
-    """Vectorized q_sample_closed over a batch with per-sample steps."""
+    ``t`` holds one 1-based step per sample along the first axis of ``x0``;
+    the coefficients are computed in ``x0``'s dtype.
+    """
     abar = schedule.alpha_bar[t - 1].astype(x0.dtype)
     shape = (-1,) + (1,) * (x0.ndim - 1)
     return (np.sqrt(abar).reshape(shape) * x0
@@ -76,7 +68,7 @@ def training_loss(
         )
     if len(t) and (t.min() < 1 or t.max() > schedule.steps):
         raise ValueError(f"step indices must lie in [1, {schedule.steps}]")
-    x_t = _noisy_batch(x0, t, schedule, noise)
+    x_t = q_sample_closed(x0, t, schedule, noise)
     leaves = as_leaves(model.params, requires_grad=True)
     predicted = apply_denoiser(model.config, leaves, ad.Tensor(x_t), t)
     loss = ad.mse_loss(predicted, ad.Tensor(noise))

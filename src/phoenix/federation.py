@@ -396,10 +396,24 @@ def _round_jobs(clients: list[ClientState], participating: list[int], inputs: tu
         for cid in participating:
             yield cid, *_client_job(clients[cid], *inputs)
         return
+    threads = _os_thread_count()
     with ProcessPoolExecutor(pool_size, mp_context=multiprocessing.get_context("fork"),
                              initializer=_set_round, initargs=(clients, *inputs)) as pool:
         for cid, (state, result) in zip(participating, pool.map(_pooled_job, participating)):
             yield cid, state, result
+    # the pool's helper threads still run for a moment after their join; let
+    # them exit, so that the next round forks from as many threads as this one
+    deadline = time.monotonic() + 1.0
+    while _os_thread_count() > threads and time.monotonic() < deadline:
+        time.sleep(0.001)
+
+
+def _os_thread_count() -> int:
+    """The threads the kernel runs for this process; 0 where /proc is absent."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return 0
 
 
 # The variables that set the thread count of OpenBLAS, MKL and OpenMP BLAS.

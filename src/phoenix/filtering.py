@@ -32,9 +32,6 @@ class ProtocolError(RuntimeError):
 class DropPolicy:
     kind: str = POLICY_LOWEST_PRECISION
     threshold: float = 0.7
-    # immediate=True skips the warning round and disconnects on first strike;
-    # kept as an explicit override of the default two-strike protocol.
-    immediate: bool = False
 
     def validate(self) -> None:
         if self.kind not in (POLICY_LOWEST_PRECISION, POLICY_THRESHOLD):
@@ -115,8 +112,7 @@ def filter_step(
     candidates = []
     for cid in tracked:
         if cid in poor:
-            # a second consecutive strike, or the first one under `immediate`
-            if state.policy.immediate or state.status[cid] == WARNED:
+            if state.status[cid] == WARNED:  # a second consecutive strike
                 candidates.append(cid)
             new.status[cid] = WARNED
         else:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -99,7 +100,13 @@ def read_tensor_from(f: BinaryIO) -> np.ndarray:
     dims = struct.unpack(f"<{rank}Q", _read_exact(f, 8 * rank, "tensor dims"))
     if any(d < 1 for d in dims):
         raise FormatError(f"tensor dims must be positive, got {dims}")
-    count = int(np.prod(dims))
+    count = math.prod(dims)  # Python ints: the product of u64 dims can overflow int64
+    start = f.tell()
+    remaining = f.seek(0, os.SEEK_END) - start
+    f.seek(start)
+    if 4 * count > remaining:  # checked before reading: the count may exceed memory
+        raise FormatError(f"truncated file: tensor dims {dims} need {4 * count} payload "
+                          f"bytes, {remaining} remain at offset {start}")
     payload = _read_exact(f, 4 * count, "tensor payload")
     arr = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float32)
     if not np.all(np.isfinite(arr)):

@@ -23,13 +23,11 @@ def norm_group_count(channels: int, requested: int) -> int:
 
 
 class Conv:
-    def __init__(self, name: str, cin: int, cout: int, kernel: int = 3,
-                 padding: str = "same"):
+    def __init__(self, name: str, cin: int, cout: int, kernel: int = 3):
         self.name = name
         self.cin = cin
         self.cout = cout
         self.kernel = kernel
-        self.padding = padding
 
     def init(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
         fan_in = self.cin * self.kernel * self.kernel
@@ -38,7 +36,7 @@ class Conv:
         return {f"{self.name}.w": w, f"{self.name}.b": np.zeros(self.cout, np.float32)}
 
     def apply(self, p: Mapping[str, ad.Tensor], x: ad.Tensor) -> ad.Tensor:
-        return ad.conv2d(x, p[f"{self.name}.w"], p[f"{self.name}.b"], self.padding)
+        return ad.conv2d(x, p[f"{self.name}.w"], p[f"{self.name}.b"])
 
 
 class GroupNorm2d:

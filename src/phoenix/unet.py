@@ -64,19 +64,17 @@ class DenoiserModel:
         return replace(self, params=dict(params))
 
 
-def time_embedding(t, dim: int) -> np.ndarray:
+def time_embedding(t: np.ndarray, dim: int) -> np.ndarray:
     """Sinusoidal step embedding: interleaved (sin, cos) pairs.
 
     Pair i oscillates at angular scale 1/omega_i with omega spanning 1 to
-    10^4 geometrically. Accepts a scalar step (returns shape (dim,)) or an
-    array of steps (returns (len(t), dim)). Not differentiable; the result
-    enters graphs as a constant input.
+    10^4 geometrically. Takes a 1-D array of steps and returns
+    (len(t), dim). Not differentiable; the result enters graphs as a
+    constant input.
     """
     if dim < 2 or dim % 2:
         raise ValueError(f"embedding dim must be even and >= 2, got {dim}")
     t_arr = np.asarray(t, dtype=np.float64)
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
     half = dim // 2
     if half == 1:
         omega = np.ones(1)
@@ -86,7 +84,7 @@ def time_embedding(t, dim: int) -> np.ndarray:
     emb = np.empty((len(t_arr), dim))
     emb[:, 0::2] = np.sin(angles)
     emb[:, 1::2] = np.cos(angles)
-    return emb[0] if scalar else emb
+    return emb
 
 
 class _ResBlock:
@@ -106,13 +104,13 @@ class _ResBlock:
             self.layers.append(self.skip)
 
     def apply(self, p: Mapping[str, ad.Tensor], x: ad.Tensor, emb: ad.Tensor) -> ad.Tensor:
-        n = x.shape[0]
+        n = x.data.shape[0]
         h = self.conv1.apply(p, ad.silu(self.norm1.apply(p, x)))
-        proj = self.time_proj.apply(p, emb).reshape((n, self.cout, 1, 1))
-        h = h + proj
+        proj = ad.reshape(self.time_proj.apply(p, emb), (n, self.cout, 1, 1))
+        h = ad.add(h, proj)
         h = self.conv2.apply(p, ad.silu(self.norm2.apply(p, h)))
         s = x if self.skip is None else self.skip.apply(p, x)
-        return h + s
+        return ad.add(h, s)
 
 
 class _Layout:

@@ -1,8 +1,12 @@
 """Finite-difference oracle and randomized graph templates for gradient checks.
 
-Checks run in float64 so central differences at h=1e-3 resolve the
+Checks run in float64 so central differences at h=1e-5 resolve the
 gradients; the engine's ops are dtype-generic, so the same code paths are
-exercised as in float32 production use.
+exercised as in float32 production use. The step is small enough for the
+three-conv chain, whose truncation error at h=1e-3 exceeds the tolerance
+(criterion 1's instance 19 misses by a factor of 1.2), and large enough
+that float64 rounding stays far below it: at h=1e-5 every template's worst
+gap is under 1% of the tolerance.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import numpy as np
 from phoenix import autodiff as ad
 from phoenix.unet import time_embedding
 
-FD_STEP = 1e-3
+FD_STEP = 1e-5
 REL_TOL = 1e-4
 ABS_TOL = 1e-6
 
@@ -71,17 +75,20 @@ def _const(rng, shape):
 
 def template_elementwise(rng):
     shape = tuple(rng.integers(2, 5, size=2))
-    params = {k: rng.standard_normal(shape) for k in ("a", "b", "c")}
+    params = {"a": rng.standard_normal(shape), "b": rng.standard_normal(shape),
+              "c": rng.standard_normal(shape[1])}
     target = rng.standard_normal(shape)
     gate = rng.standard_normal(shape)
 
     def build(p):
-        mixed = ad.add(ad.mul(p["a"], p["b"]), ad.scale(ad.sub(p["a"], p["c"]), 0.7))
+        # "a" is read twice and the row "c" broadcasts over the rows of "a"
+        mixed = ad.add(ad.silu(p["a"]), ad.add(p["a"], p["c"]))
         # a branch over constants only (so it records no graph) meets the grad branch
-        const_branch = ad.silu(ad.scale(ad.Tensor(gate), 0.5))
-        return ad.mse_loss(ad.silu(ad.mul(mixed, const_branch)), ad.Tensor(target))
+        const_branch = ad.silu(ad.Tensor(gate))
+        h = ad.add(ad.silu(ad.add(mixed, p["b"])), const_branch)
+        return ad.mse_loss(h, ad.Tensor(target))
 
-    return build, params, {"add", "sub", "mul", "scale", "silu", "mse_loss"}
+    return build, params, {"add", "silu", "mse_loss"}
 
 
 def template_matmul_classifier(rng):
@@ -102,7 +109,7 @@ KERNEL_PAIRS = (((3, 3), (3, 3)), ((3, 5), (1, 3)))
 
 def template_conv_stack(rng):
     # the non-square pair catches a kh/kw mix-up in the input gradient; at
-    # seed 123, instances 2 and 9 draw one pair each
+    # seed 123, instances 2 and 10 draw one pair each
     (k1h, k1w), (k2h, k2w) = KERNEL_PAIRS[int(rng.integers(len(KERNEL_PAIRS)))]
     n, c = int(rng.integers(1, 3)), int(rng.integers(1, 3))
     mid = int(rng.integers(2, 4))
@@ -114,11 +121,32 @@ def template_conv_stack(rng):
         "w2": rng.standard_normal((2, mid, k2h, k2w)),
         "b2": rng.standard_normal(2),
     }
-    target = rng.standard_normal((n, 2, side - k2h + 1, side - k2w + 1))
+    target = rng.standard_normal((n, 2, side, side))
 
     def build(p):
-        h = ad.silu(ad.conv2d(p["x"], p["w1"], p["b1"], "same"))
-        h = ad.conv2d(h, p["w2"], p["b2"], "valid")
+        h = ad.silu(ad.conv2d(p["x"], p["w1"], p["b1"]))
+        h = ad.conv2d(h, p["w2"], p["b2"])
+        return ad.mse_loss(h, ad.Tensor(target))
+
+    return build, params, {"conv2d", "silu", "mse_loss"}
+
+
+def template_conv_chain(rng):
+    # three convs deep, the depth of a U-Net residual block's path from its
+    # input through conv1 and conv2 to the next block's conv1
+    n, side = int(rng.integers(1, 3)), int(rng.integers(5, 8))
+    chans = [int(c) for c in rng.integers(1, 3, size=4)]
+    kernels = [(3, 5), (3, 3), (1, 3)]
+    params = {"x": rng.standard_normal((n, chans[0], side, side))}
+    for i, (kh, kw) in enumerate(kernels):
+        params[f"w{i}"] = rng.standard_normal((chans[i + 1], chans[i], kh, kw))
+        params[f"b{i}"] = rng.standard_normal(chans[i + 1])
+    target = rng.standard_normal((n, chans[3], side, side))
+
+    def build(p):
+        h = p["x"]
+        for i in range(len(kernels)):
+            h = ad.silu(ad.conv2d(h, p[f"w{i}"], p[f"b{i}"]))
         return ad.mse_loss(h, ad.Tensor(target))
 
     return build, params, {"conv2d", "silu", "mse_loss"}
@@ -134,7 +162,7 @@ def template_resample(rng):
     target = rng.standard_normal((n, c, side, side))
 
     def build(p):
-        h = ad.upsample_nearest2x(ad.conv2d(p["x"], p["w"], p["b"], "same"))
+        h = ad.upsample_nearest2x(ad.conv2d(p["x"], p["w"], p["b"]))
         return ad.mse_loss(ad.avg_pool2x(h), ad.Tensor(target))
 
     return build, params, {"upsample_nearest2x", "avg_pool2x", "conv2d", "mse_loss"}
@@ -153,7 +181,7 @@ def template_norm_concat(rng):
 
     def build(p):
         a = ad.group_norm(p["x"], p["gamma"], p["beta"], groups=2)
-        bpart = ad.conv2d(p["x"], p["w"], p["b"], "same")
+        bpart = ad.conv2d(p["x"], p["w"], p["b"])
         return ad.mse_loss(ad.concat([a, bpart], axis=1), ad.Tensor(target))
 
     return build, params, {"group_norm", "concat", "conv2d", "mse_loss"}
@@ -193,6 +221,7 @@ TEMPLATES = [
     template_elementwise,
     template_matmul_classifier,
     template_conv_stack,
+    template_conv_chain,
     template_resample,
     template_norm_concat,
     template_reshape_head,
@@ -200,9 +229,9 @@ TEMPLATES = [
 ]
 
 ALL_PRIMITIVES = {
-    "add", "sub", "mul", "scale", "matmul", "conv2d", "upsample_nearest2x",
-    "avg_pool2x", "silu", "group_norm", "concat", "mse_loss", "reshape",
-    "log_softmax", "nll_loss", "time_embedding",
+    "add", "matmul", "conv2d", "upsample_nearest2x", "avg_pool2x", "silu",
+    "group_norm", "concat", "mse_loss", "reshape", "log_softmax", "nll_loss",
+    "time_embedding",
 }
 
 

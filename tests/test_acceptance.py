@@ -357,10 +357,10 @@ def test_criterion_10_pipeline_reproducibility(tmp_path, verdict):
             "seed": 42,
             "out_dir": str(out),
         }))
-        args = ["--config", str(config), "--workers", str(workers)]
+        args = ["--config", str(config)]
         assert main(["partition", *args]) == 0
         assert main(["warmup", *args]) == 0
-        assert main(["train", *args]) == 0
+        assert main(["train", *args, "--workers", str(workers)]) == 0
         run_dir = next((out / "runs").iterdir())
         gen = out / "gen"
         assert main(["generate", *args, "--out", str(gen),

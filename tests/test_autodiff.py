@@ -1,9 +1,16 @@
+import inspect
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from phoenix import autodiff as ad
+from phoenix import diffusion
+from phoenix.classifier import train_eval_classifier
+from phoenix.config import load_config
+from phoenix.datasets import make_toy_dataset
+from phoenix.unet import build_unet
 from gradcheck import (
     ALL_PRIMITIVES,
     analytic_gradients,
@@ -48,29 +55,31 @@ class TestForward:
             ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3))))
 
     def test_nonfinite_result_names_op(self):
-        big = ad.Tensor(np.full(4, 1e30, dtype=np.float32))
+        big = ad.Tensor(np.full(4, 3e38, dtype=np.float32))
         with np.errstate(over="ignore"):
-            with pytest.raises(ad.NumericError, match="mul"):
-                ad.mul(big, big)
+            with pytest.raises(ad.NumericError, match="add"):
+                ad.add(big, big)
 
 
 class TestBackward:
     def test_square_gradient(self):
-        x = ad.Tensor(np.array(3.0), requires_grad=True)
-        loss = ad.mul(x, x)
+        x = ad.Tensor(np.array([[3.0]]), requires_grad=True)
+        loss = ad.matmul(x, x)  # a 1x1 product is x^2
         ad.backward(loss)
         assert x.grad == pytest.approx(6.0)
 
     def test_constant_gradient_is_zero(self):
-        x = ad.Tensor(np.array([2.0, -1.0]), requires_grad=True)
-        loss = ad.mse_loss(ad.scale(x, 0.0), ad.Tensor(np.zeros(2)))
+        # x feeds the loss only through a product with zeros
+        x = ad.Tensor(np.array([[2.0, -1.0]]), requires_grad=True)
+        loss = ad.mse_loss(ad.matmul(x, ad.Tensor(np.zeros((2, 1)))),
+                           ad.Tensor(np.ones((1, 1))))
         ad.backward(loss)
-        np.testing.assert_array_equal(x.grad, np.zeros(2))
+        np.testing.assert_array_equal(x.grad, np.zeros((1, 2)))
 
     def test_backward_rejects_non_scalar(self):
         x = ad.Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ad.GraphUsageError):
-            ad.backward(ad.scale(x, 2.0))
+            ad.backward(ad.silu(x))
 
     def test_backward_without_grad_leaves(self):
         out = ad.mse_loss(ad.Tensor(np.ones(2)), ad.Tensor(np.zeros(2)))
@@ -97,14 +106,14 @@ class TestBackward:
         assert_gradients_match(analytic, numeric)
 
     def test_gradient_accumulates_over_reuse(self):
-        x = ad.Tensor(np.array(2.0), requires_grad=True)
-        loss = ad.add(ad.mul(x, x), x)  # d/dx (x^2 + x) = 2x + 1
+        x = ad.Tensor(np.array([[2.0]]), requires_grad=True)
+        loss = ad.add(ad.matmul(x, x), x)  # d/dx (x^2 + x) = 2x + 1
         ad.backward(loss)
         assert x.grad == pytest.approx(5.0)
 
     def test_topo_order_puts_inputs_before_consumers(self):
         x = ad.Tensor(np.ones(3), requires_grad=True)
-        y = ad.mul(x, x)
+        y = ad.silu(x)
         z = ad.add(y, x)
         loss = ad.mse_loss(ad.silu(z), ad.Tensor(np.zeros(3)))
         order = ad.topo_order(loss)
@@ -122,9 +131,6 @@ def _const(*shape):
 # every primitive, applied to inputs that do not require grads
 NO_GRAD_CALLS = {
     "add": lambda: ad.add(_const(2, 3), _const(3)),
-    "sub": lambda: ad.sub(_const(2, 3), _const(2, 3)),
-    "mul": lambda: ad.mul(_const(2, 3), _const(2, 3)),
-    "scale": lambda: ad.scale(_const(2, 3), 0.5),
     "matmul": lambda: ad.matmul(_const(2, 3), _const(3, 4)),
     "reshape": lambda: ad.reshape(_const(2, 3), (3, 2)),
     "concat": lambda: ad.concat([_const(1, 2, 4, 4), _const(1, 3, 4, 4)], axis=1),
@@ -176,6 +182,35 @@ class TestRandomGraphs:
         assert seen == ALL_PRIMITIVES
 
 
+class TestEngineSurface:
+    def test_networks_call_every_public_function(self, monkeypatch):
+        # a primitive neither network calls fails here, so criterion 1's
+        # gradient sweep covers exactly what production runs
+        public = {name for name, fn in vars(ad).items()
+                  if inspect.isfunction(fn) and fn.__module__ == ad.__name__
+                  and not name.startswith("_")}
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in public:
+            monkeypatch.setattr(ad, name, counting(name, getattr(ad, name)))
+        cfg = load_config("desk")
+        model = build_unet(cfg.model_config(), seed=0)
+        schedule = cfg.diffusion.build()
+        x0 = np.zeros((2, 1, 8, 8), np.float32)
+        loss, _ = diffusion.training_loss(model, schedule, x0, np.array([1, 50]), x0)
+        ad.backward(loss)
+        diffusion.p_sample_step(model, x0, 2, schedule, x0)
+        train_eval_classifier(make_toy_dataset(4, 8, 8, seed=0), epochs=1, seed=0)
+        assert set(calls) == public
+        assert public - {"backward", "topo_order"} == ALL_PRIMITIVES - {"time_embedding"}
+
+
 class TestDeterminism:
     def test_forward_and_backward_bitwise_stable(self):
         def run():
@@ -188,7 +223,7 @@ class TestDeterminism:
                 "s": np.zeros(3, np.float32),
             }
             leaves = {k: ad.Tensor(v, requires_grad=True) for k, v in params.items()}
-            h = ad.conv2d(leaves["x"], leaves["w"], leaves["b"], "same")
+            h = ad.conv2d(leaves["x"], leaves["w"], leaves["b"])
             h = ad.group_norm(h, leaves["g"], leaves["s"], groups=3)
             loss = ad.mse_loss(ad.silu(h), ad.Tensor(np.zeros_like(h.data)))
             ad.backward(loss)
@@ -202,34 +237,30 @@ class TestDeterminism:
 
 
 class TestShapeAlgebra:
-    @pytest.mark.parametrize("side,k,padding,expected", [
-        (8, 3, "same", 8),
-        (8, 3, "valid", 6),
-        (5, 1, "same", 5),
-        (7, 5, "valid", 3),
-    ])
-    def test_conv_output_side(self, side, k, padding, expected):
+    @pytest.mark.parametrize("side,k", [(8, 3), (5, 1), (7, 5)],
+                             ids=["8-3-same-8", "5-1-same-5", "7-5-same-7"])
+    def test_conv_output_side(self, side, k):
         x = ad.Tensor(np.zeros((1, 2, side, side), np.float32))
         w = ad.Tensor(np.zeros((4, 2, k, k), np.float32))
-        out = ad.conv2d(x, w, None, padding)
-        assert out.shape == (1, 4, expected, expected)
+        out = ad.conv2d(x, w, ad.Tensor(np.zeros(4, np.float32)))
+        assert out.data.shape == (1, 4, side, side)
 
     @pytest.mark.parametrize("side", [2, 4, 8, 16])
     def test_pool_and_upsample_sides(self, side):
         x = ad.Tensor(np.zeros((1, 1, side, side), np.float32))
-        assert ad.avg_pool2x(x).shape == (1, 1, side // 2, side // 2)
-        assert ad.upsample_nearest2x(x).shape == (1, 1, side * 2, side * 2)
+        assert ad.avg_pool2x(x).data.shape == (1, 1, side // 2, side // 2)
+        assert ad.upsample_nearest2x(x).data.shape == (1, 1, side * 2, side * 2)
 
     def test_concat_channel_sum(self):
         a = ad.Tensor(np.zeros((2, 3, 4, 4), np.float32))
         b = ad.Tensor(np.zeros((2, 5, 4, 4), np.float32))
-        assert ad.concat([a, b], axis=1).shape == (2, 8, 4, 4)
+        assert ad.concat([a, b], axis=1).data.shape == (2, 8, 4, 4)
 
     def test_conv_even_kernel_same_rejected(self):
         x = ad.Tensor(np.zeros((1, 1, 4, 4), np.float32))
         w = ad.Tensor(np.zeros((1, 1, 2, 2), np.float32))
         with pytest.raises(ad.ShapeMismatchError):
-            ad.conv2d(x, w, None, "same")
+            ad.conv2d(x, w, ad.Tensor(np.zeros(1, np.float32)))
 
     def test_pool_odd_side_rejected(self):
         x = ad.Tensor(np.zeros((1, 1, 5, 5), np.float32))

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 from dataclasses import fields, replace
 
 import numpy as np
@@ -82,11 +83,12 @@ class TestConfigHandling:
         {"federation": {"learning_rate": "0.1"}},
         {"model": {"depth": True}},
         {"seed": "5"},
+        {"federation": {"drop_immediate": True}},
     ], ids=["metrics-samples-below-k", "filter-samples-below-k", "unknown-optimizer",
             "reference-below-k", "toy-channels-not-model", "is-splits-zero", "knn-k-zero",
             "model-by-name", "model-norm-groups", "diffusion-beta-end", "dataset-side",
             "depth-string", "per-class-string", "personalization-string",
-            "learning-rate-string", "depth-bool", "seed-string"])
+            "learning-rate-string", "depth-bool", "seed-string", "drop-immediate"])
     def test_unrunnable_config_refused_before_writing(self, tmp_path, override):
         # train would otherwise run its rounds before refusing these
         path = micro_config(tmp_path, **override)
@@ -98,7 +100,7 @@ class TestConfigHandling:
         {"optimizer": "rmsprop"},
         {"server_rounds": 0},
         {"threshold_filtering": True, "drop_policy": "threshold", "drop_threshold": 1.0,
-         "drop_immediate": True, "min_active_clients": 0},
+         "min_active_clients": 0},
     ], ids=["eval-start-after-last-round", "unknown-optimizer", "no-rounds",
             "no-participation-floor"])
     def test_config_document_refuses_federation_rules(self, federation):
@@ -110,11 +112,10 @@ class TestConfigHandling:
                   "batch_size": 4, "learning_rate": 5e-3, "warmup_epochs": 1,
                   "optimizer": "sgd", "personalization": True,
                   "threshold_filtering": True, "drop_policy": "threshold",
-                  "drop_threshold": 0.4, "drop_immediate": True,
+                  "drop_threshold": 0.4,
                   "eval_sample_count": 32, "eval_start_round": 6,
                   "min_active_clients": 3}
-        policy = {"drop_policy": "kind", "drop_threshold": "threshold",
-                  "drop_immediate": "immediate"}
+        policy = {"drop_policy": "kind", "drop_threshold": "threshold"}
         assert set(values) == {f.name for f in fields(FederationSpec)}
         assert all(getattr(FederationSpec(), key) != v for key, v in values.items())
         assert {f.name for f in fields(FederationConfig)} == (
@@ -359,6 +360,16 @@ class TestTrainCommand:
         assert "fork" in capsys.readouterr().err
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == written
 
+    @pytest.mark.parametrize("command", [
+        ["partition"], ["warmup"], ["generate", "--checkpoint", "c.phxc"],
+        ["evaluate", "--samples", "s.phxt"], ["report", "run"],
+    ], ids=lambda command: command[0])
+    def test_workers_is_a_train_flag(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*command, "--workers", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_worker_count_below_one_refused_before_any_work(self, tmp_path, capsys,
                                                             workers):
@@ -465,6 +476,16 @@ class TestEvaluateCommand:
         write_tensor(samples, np.zeros((4, 1, 16, 16), np.float32))
         assert main(["evaluate", "--config", str(path), "--samples",
                      str(samples)]) == 2
+
+    @pytest.mark.parametrize("dims", [(2**63 + 1,), (2**32, 2**32)],
+                             ids=["count-past-int64", "product-wraps-int64"])
+    def test_tensor_dims_beyond_the_payload_exit_2(self, tmp_path, capsys, dims):
+        path = micro_config(tmp_path)
+        samples = tmp_path / "s.phxt"
+        samples.write_bytes(b"PHXT" + struct.pack(f"<HBB{len(dims)}Q", 1, 0, len(dims), *dims)
+                            + bytes(16))
+        assert main(["evaluate", "--config", str(path), "--samples", str(samples)]) == 2
+        assert "truncated" in capsys.readouterr().err
 
     def test_missing_classifier_path_exits_2(self, tmp_path):
         path = micro_config(tmp_path)

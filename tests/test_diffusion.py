@@ -41,17 +41,20 @@ class TestForwardProcess:
         assert out[0] == pytest.approx(2.1595917, abs=1e-6)
 
     def test_closed_form_zero_signal(self, schedule):
-        noise = np.ones((4,), dtype=np.float32)
-        out = diffusion.q_sample_closed(np.zeros(4, np.float32), 20, schedule, noise)
-        np.testing.assert_allclose(
-            out, math.sqrt(1 - schedule.alpha_bar[19]) * noise, rtol=1e-6
-        )
+        # one step per sample: sample i of the batch sits at step t[i]. The
+        # coefficients start from alpha_bar rounded to float32; at t=1 that
+        # rounding alone moves sqrt(1 - alpha_bar) by 8e-5 of its value.
+        t = np.array([1, 20, 50])
+        noise = np.ones((3, 2), dtype=np.float32)
+        out = diffusion.q_sample_closed(np.zeros((3, 2), np.float32), t, schedule, noise)
+        abar = schedule.alpha_bar[t - 1].astype(np.float32).astype(np.float64)
+        np.testing.assert_allclose(out, np.sqrt(1 - abar)[:, None] * noise, rtol=1e-6)
 
     def test_closed_form_keeps_signal_at_tiny_noise_level(self):
         # alpha_bar -> 1 as beta -> 0: the sample stays essentially x0
         sch = linear_schedule(2, 1e-12, 2e-12)
-        x0 = np.array([0.25, -0.5], dtype=np.float32)
-        out = diffusion.q_sample_closed(x0, 1, sch, np.zeros(2, np.float32))
+        x0 = np.array([[0.25, -0.5]], dtype=np.float32)
+        out = diffusion.q_sample_closed(x0, np.array([1]), sch, np.zeros((1, 2), np.float32))
         np.testing.assert_allclose(out, x0, rtol=1e-6)
 
     def test_shape_mismatch_rejected(self, schedule):

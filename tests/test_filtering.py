@@ -14,11 +14,10 @@ from phoenix.filtering import (
 )
 
 LP = DropPolicy(kind="lowest_precision")
-LP_NOW = DropPolicy(kind="lowest_precision", immediate=True)
 
 
-def TH(theta, immediate=False):
-    return DropPolicy(kind="threshold", threshold=theta, immediate=immediate)
+def TH(theta):
+    return DropPolicy(kind="threshold", threshold=theta)
 
 
 def run_trace(policy, rounds, clients=4, min_active=2, exempt=()):
@@ -79,6 +78,13 @@ SCENARIOS = {
         [("awww", [], []), ("addw", [1, 2], [3])],
         None,
     ),
+    "threshold_suppressed_client_recovers": (
+        # a suppressed disconnect leaves the client warned; recovering clears it
+        TH(0.7), 2,
+        [{0: .5, 1: .5, 2: .9}, {0: .5, 1: .5, 2: .9}, {1: .9, 2: .9}],
+        [("wwa", [], []), ("dwa", [0], [1]), ("daa", [], [])],
+        None,
+    ),
     "threshold_06_strict_inequality": (
         TH(0.6), 2,
         [{0: .6, 1: .59, 2: .8, 3: .9}],
@@ -91,18 +97,6 @@ SCENARIOS = {
          {0: .5, 1: .9, 2: .9, 3: .9}, {0: .9, 1: .9, 2: .9, 3: .9}],
         [("waaa", [], []), ("aaaa", [], []),
          ("waaa", [], []), ("aaaa", [], [])],
-        None,
-    ),
-    "lp_immediate_override": (
-        LP_NOW, 2,
-        [{0: .9, 1: .8, 2: .7, 3: .5}],
-        [("aaad", [3], [])],
-        None,
-    ),
-    "threshold_immediate_with_floor": (
-        TH(0.7, immediate=True), 2,
-        [{0: .5, 1: .5, 2: .5}],
-        [("dww", [0], [1, 2])],
         None,
     ),
     "lp_keeps_running_on_survivors": (

@@ -51,6 +51,17 @@ def test_tensor_truncated_payload(tmp_path):
         read_tensor(path)
 
 
+@pytest.mark.parametrize("dims", [(2**63 + 1,), (2**32, 2**32)],
+                         ids=["count-past-int64", "product-wraps-int64"])
+def test_tensor_dims_beyond_the_payload_refused(tmp_path, dims):
+    # counted in int64, the first overflows and the second wraps to zero
+    path = tmp_path / "t.phxt"
+    path.write_bytes(b"PHXT" + struct.pack(f"<HBB{len(dims)}Q", 1, 0, len(dims), *dims)
+                     + bytes(16))
+    with pytest.raises(FormatError, match="truncated"):
+        read_tensor(path)
+
+
 def test_tensor_rejects_non_finite(tmp_path):
     with pytest.raises(FormatError):
         write_tensor(tmp_path / "nan.phxt", np.array([np.nan], np.float32))

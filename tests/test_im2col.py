@@ -39,7 +39,9 @@ def _transpose_copy_im2col(a, ph, pw, kh, kw):
 
 
 def _pads(kh, kw):
-    """Forward 'same', forward 'valid', and dx of a 'valid' conv."""
+    """The same pad, which conv2d's forward and dx both pass, then no pad and
+    the full pad: ``_im2col`` takes any pad, and its index arithmetic is
+    checked at both extremes."""
     return [((kh - 1) // 2, (kw - 1) // 2), (0, 0), (kh - 1, kw - 1)]
 
 
@@ -98,14 +100,14 @@ class TestIndexCache:
 
 
 def _conv_shapes(preset, batch):
-    """(x shape, weight shape, padding) of every conv in one denoiser pass."""
+    """(x shape, weight shape) of every conv in one denoiser pass."""
     config = load_config(preset).model_config()
     shapes = []
     original = ad.conv2d
 
-    def spy(x, weight, bias=None, padding="same"):
-        shapes.append((x.data.shape, weight.data.shape, padding))
-        return original(x, weight, bias, padding)
+    def spy(x, weight, bias):
+        shapes.append((x.data.shape, weight.data.shape))
+        return original(x, weight, bias)
 
     mp = pytest.MonkeyPatch()
     mp.setattr(ad, "conv2d", spy)
@@ -119,7 +121,7 @@ def _conv_shapes(preset, batch):
     return list(dict.fromkeys(shapes))
 
 
-def _conv_results(x_shape, w_shape, padding):
+def _conv_results(x_shape, w_shape):
     """conv2d's output and its three gradients. The upstream gradient
     arrives as a channel slice of a concat's gradient, a strided view as
     in the U-Net's decoder."""
@@ -127,7 +129,7 @@ def _conv_results(x_shape, w_shape, padding):
     x = ad.Tensor(rng.standard_normal(x_shape).astype(np.float32), requires_grad=True)
     w = ad.Tensor(0.1 * rng.standard_normal(w_shape).astype(np.float32), requires_grad=True)
     b = ad.Tensor(rng.standard_normal(w_shape[0]).astype(np.float32), requires_grad=True)
-    out = ad.conv2d(x, w, b, padding)
+    out = ad.conv2d(x, w, b)
     other = ad.Tensor(np.zeros_like(out.data))
     joined = ad.concat([out, other], axis=1)
     target = ad.Tensor(rng.standard_normal(joined.data.shape).astype(np.float32))
@@ -140,8 +142,8 @@ _PAPER = _conv_shapes("paper", 1)
 
 
 def _shape_id(shape):
-    (n, c, h, w), (o, _, kh, kw), padding = shape
-    return f"n{n}-c{c}-{h}x{w}-o{o}-k{kh}x{kw}-{padding}"
+    (n, c, h, w), (o, _, kh, kw) = shape
+    return f"n{n}-c{c}-{h}x{w}-o{o}-k{kh}x{kw}-same"
 
 
 @pytest.mark.parametrize("shape", _DESK + _PAPER, ids=_shape_id)

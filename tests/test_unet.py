@@ -165,12 +165,12 @@ class TestPredictNoise:
 
 class TestTimeEmbedding:
     def test_zero_step(self):
-        emb = time_embedding(0, 8)
+        (emb,) = time_embedding(np.array([0]), 8)
         np.testing.assert_array_equal(emb[0::2], np.zeros(4))
         np.testing.assert_array_equal(emb[1::2], np.ones(4))
 
     def test_pair_norms_are_one(self):
-        emb = time_embedding(123, 16)
+        emb = time_embedding(np.array([123]), 16)
         pairs = emb.reshape(-1, 2)
         np.testing.assert_allclose((pairs ** 2).sum(axis=1), 1.0, rtol=1e-12)
 
@@ -181,7 +181,7 @@ class TestTimeEmbedding:
 
     def test_odd_dim_rejected(self):
         with pytest.raises(ValueError):
-            time_embedding(1, 7)
+            time_embedding(np.array([1]), 7)
 
     def test_batch_shape(self):
         assert time_embedding(np.array([1, 2, 3]), 8).shape == (3, 8)
