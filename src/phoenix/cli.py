@@ -86,19 +86,14 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _load_required_plan(cfg: RunConfig, train: Dataset) -> PartitionPlan:
-    """The run's plan; ``InputError`` if it is missing, was cut for another
-    partition mode or client count than ``cfg`` asks for, or names a sample
-    that ``train`` does not hold."""
+    """The run's plan; ``InputError`` if it is missing, names a sample that
+    ``train`` does not hold, or was cut for another run than ``cfg``: another
+    partition mode, client count or seed, or in data-sharing mode another
+    ``beta_pct`` or ``alpha_pct``."""
     path = Path(cfg.out_dir) / PLAN_FILE
     if not path.exists():
         raise InputError(f"no partition plan at {path}; run 'phoenix partition' first")
     plan = load_plan(path)
-    if (plan.mode, plan.client_count) != (cfg.partition.mode, cfg.federation.client_count):
-        raise InputError(
-            f"plan {path} is {plan.mode} over {plan.client_count} clients, the config "
-            f"{cfg.partition.mode} over {cfg.federation.client_count}; "
-            f"rerun 'phoenix partition'"
-        )
     top = max((max(part, default=-1)
                for part in (*plan.assignments, *plan.client_part, plan.shared_pool)),
               default=-1)
@@ -107,6 +102,15 @@ def _load_required_plan(cfg: RunConfig, train: Dataset) -> PartitionPlan:
             f"plan {path} names sample {top}, the training set holds {len(train)}; "
             f"rerun 'phoenix partition'"
         )
+    p, sharing = cfg.partition, cfg.partition.mode == MODE_DATA_SHARING
+    for name, cut, run in (("mode", plan.mode, p.mode),
+                           ("client_count", plan.client_count, cfg.federation.client_count),
+                           ("seed", plan.seed, cfg.seed),
+                           ("beta_pct", plan.beta_pct, p.beta_pct if sharing else None),
+                           ("alpha_pct", plan.alpha_pct, p.alpha_pct if sharing else None)):
+        if cut != run:
+            raise InputError(f"plan {path} was cut with {name} {cut}, the run has {run}; "
+                             f"rerun 'phoenix partition'")
     return plan
 
 
@@ -331,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classifier", default=None,
                    help="existing eval classifier checkpoint")
     p.add_argument("--workers", type=int, default=None,
-                   help="processes for each round's client training and scoring "
+                   help="processes for the clients' training and scoring "
                         "(default: the usable cores when BLAS is pinned to one "
                         "thread and the model is small, else 1)")
     p.set_defaults(func=cmd_train)

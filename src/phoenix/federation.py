@@ -11,13 +11,15 @@ excluded from every update. A client's state, Adam moments included, is a
 value that training reads and never writes, so a faulted client keeps it
 as it was.
 
-With more than one worker, a round's client jobs run in a pool of forked
-processes that inherit the round's inputs; only a client id goes down and
-only the client's next state and result come back. All randomness is
-derived from (seed, domain, round, epoch, ...) keys, so results are bitwise
-the same for every worker count. Unless told otherwise, a run pools only
-when that can pay: BLAS pinned to one thread, a small model and a platform
-that forks (``default_workers``).
+With more than one worker, client jobs run in one pool of forked processes
+that lasts the whole run. The workers fork once, at round 1's first job,
+and inherit what stays the same for the run: the dataset, the config, the
+seed and the metrics context. Each job sends down the client's state, the global model,
+the round number and whether the round scores; only the client's next state
+and result come back. All randomness is derived from (seed, domain, round,
+epoch, ...) keys, so results are bitwise the same for every worker count.
+Unless told otherwise, a run pools only when that can pay: BLAS pinned to
+one thread, a small model and a platform that forks (``default_workers``).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping
@@ -345,10 +348,10 @@ def _param_bytes(params: Mapping[str, np.ndarray]) -> int:
     return 4 * sum(v.size for v in params.values())
 
 
-def _client_job(client: ClientState, global_model: DenoiserModel, dataset: Dataset,
-                config: FederationConfig, round_no: int, seed: int,
+def _client_job(client: ClientState, global_model: DenoiserModel, round_no: int,
+                scoring: bool, dataset: Dataset, config: FederationConfig, seed: int,
                 metrics_ctx: MetricsContext | None):
-    """Train one client and, given ``metrics_ctx``, score it; writes no shared state.
+    """Train one client and, in a scoring round, score it; writes no shared state.
 
     Returns (next state, (update, status, (precision, recall) or None, wall_ms)).
     A faulted client keeps its state and is not scored; a skipped client is
@@ -363,57 +366,27 @@ def _client_job(client: ClientState, global_model: DenoiserModel, dataset: Datas
     else:
         update, state = trained or (None, client)
         status = STATUS_SKIPPED if trained is None else ACTIVE
-        if metrics_ctx is not None:
+        if scoring:
             base = global_model.params if update is None else update.params
             model = global_model.with_params(_client_params(global_model, base, state))
             scores = evaluate_client(state, model, metrics_ctx, config, round_no, seed)
     return state, (update, status, scores, int((time.perf_counter() - start) * 1000))
 
 
-# A pool worker's round: the clients, then _client_job's remaining arguments.
-# Only ``_set_round`` in a worker sets it, never the caller. Fork hands its
-# initargs over unpickled, so the workers share the global model, the dataset
-# and the metrics context with the caller copy-on-write.
-_round: tuple = ()
+# A pool worker's share of the run: _client_job's last four arguments. Only
+# ``_set_run`` in a worker sets it, never the caller. Fork hands its initargs
+# over unpickled, so the workers share the dataset and the metrics context
+# with the caller copy-on-write.
+_run: tuple = ()
 
 
-def _set_round(*inputs) -> None:
-    global _round
-    _round = inputs
+def _set_run(*inputs) -> None:
+    global _run
+    _run = inputs
 
 
-def _pooled_job(cid: int):
-    clients, *inputs = _round
-    return _client_job(clients[cid], *inputs)
-
-
-def _round_jobs(clients: list[ClientState], participating: list[int], inputs: tuple,
-                pool_size: int):
-    """Run the participating clients' jobs; yield (id, next state, result) in id order."""
-    if pool_size == 1:
-        # serial jobs read each client only when they start, so its old state
-        # is freed as soon as its next state is committed
-        for cid in participating:
-            yield cid, *_client_job(clients[cid], *inputs)
-        return
-    threads = _os_thread_count()
-    with ProcessPoolExecutor(pool_size, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_set_round, initargs=(clients, *inputs)) as pool:
-        for cid, (state, result) in zip(participating, pool.map(_pooled_job, participating)):
-            yield cid, state, result
-    # the pool's helper threads still run for a moment after their join; let
-    # them exit, so that the next round forks from as many threads as this one
-    deadline = time.monotonic() + 1.0
-    while _os_thread_count() > threads and time.monotonic() < deadline:
-        time.sleep(0.001)
-
-
-def _os_thread_count() -> int:
-    """The threads the kernel runs for this process; 0 where /proc is absent."""
-    try:
-        return len(os.listdir("/proc/self/task"))
-    except OSError:
-        return 0
+def _pooled_job(job: tuple):
+    return _client_job(*job, *_run)
 
 
 # The variables that set the thread count of OpenBLAS, MKL and OpenMP BLAS.
@@ -482,8 +455,11 @@ def run_federation(
 ) -> tuple[DenoiserModel, RunLog]:
     """Execute the configured number of server rounds and return the result.
 
-    Each round runs its client jobs in up to ``workers`` processes, by
-    default ``default_workers(initial_model)``.
+    Client jobs run in up to ``workers`` processes, by default
+    ``default_workers(initial_model)``. Above one, a single pool of
+    ``min(workers, client_count)`` forked processes serves every round and
+    is closed when the run ends or raises; each round sends every
+    participating client its job and commits the results in id order.
 
     Under ``out_dir``, when given, each round ends by writing its global
     checkpoint, the per-client personal checkpoints and the run log CSV so
@@ -513,68 +489,77 @@ def run_federation(
     ) if config.threshold_filtering else None
     runlog = RunLog()
 
-    for round_no in range(1, config.server_rounds + 1):
-        participating = (filter_state.participating() if filter_state is not None
-                         else [c.id for c in clients])
-        if not participating:
-            raise FederationError(f"round {round_no}: no participating clients remain")
-        broadcast_bytes = _param_bytes(
-            split_parameters(global_model)[0] if config.personalization and round_no > 1
-            else global_model.params
-        )
-        scoring = config.threshold_filtering and round_no >= config.eval_start_round
-        inputs = (global_model, dataset, config, round_no, seed,
-                  metrics_ctx if scoring else None)
-        results = {}
-        for cid, state, result in _round_jobs(clients, participating, inputs,
-                                              min(workers, len(participating))):
-            clients[cid], results[cid] = state, result  # commit in id order
-
-        disconnected_now: list[int] = []
-        if scoring:
-            scored = {cid: scores for cid, (_, _, scores, _) in results.items()
-                      if scores is not None}
-            # only a faulted client goes unscored; its filter state carries over
-            filter_state, disconnected_now, _ = filter_step(
-                filter_state, scored, round_no, exempt=results.keys() - scored.keys()
+    run_inputs = (dataset, config, seed, metrics_ctx)
+    pool_size = min(workers, config.client_count)
+    # one pool for the whole run: its workers fork at round 1's first job,
+    # before the executor has started any thread
+    with (ProcessPoolExecutor(pool_size, mp_context=multiprocessing.get_context("fork"),
+                              initializer=_set_run, initargs=run_inputs)
+          if pool_size > 1 else nullcontext()) as pool:
+        for round_no in range(1, config.server_rounds + 1):
+            participating = (filter_state.participating() if filter_state is not None
+                             else [c.id for c in clients])
+            if not participating:
+                raise FederationError(f"round {round_no}: no participating clients remain")
+            broadcast_bytes = _param_bytes(
+                split_parameters(global_model)[0] if config.personalization and round_no > 1
+                else global_model.params
             )
+            scoring = config.threshold_filtering and round_no >= config.eval_start_round
+            jobs = ((clients[cid], global_model, round_no, scoring) for cid in participating)
+            # serial jobs read each client only when they start, so its old state
+            # is freed as soon as its next state is committed
+            done = (pool.map(_pooled_job, jobs) if pool is not None
+                    else (_client_job(*job, *run_inputs) for job in jobs))
+            results = {}
+            for state, result in done:
+                clients[state.id], results[state.id] = state, result  # commit in id order
 
-        updates = [
-            upd for cid, (upd, _, _, _) in sorted(results.items())
-            if upd is not None and cid not in disconnected_now
-        ]
-        if not updates:
-            raise FederationError(
-                f"round {round_no}: no usable client updates (all faulted, "
-                f"skipped, or disconnected)"
-            )
-        global_model = global_model.with_params({**global_model.params, **fedavg(updates)})
+            disconnected_now: list[int] = []
+            if scoring:
+                scored = {cid: scores for cid, (_, _, scores, _) in results.items()
+                          if scores is not None}
+                # only a faulted client goes unscored; its filter state carries over
+                filter_state, disconnected_now, _ = filter_step(
+                    filter_state, scored, round_no, exempt=results.keys() - scored.keys()
+                )
 
-        for cid in range(config.client_count):
-            update, status, scores, wall_ms = results.get(cid, (None, DISCONNECTED, None, 0))
-            if scores is not None:  # scored this round, so the filter decided
-                status = filter_state.status[cid]
-            precision, recall = scores or (None, None)
-            runlog.rows.append(RunRow(
-                round=round_no, client_id=cid, status=status,
-                samples=update.sample_count if update else 0,
-                train_loss=update.train_loss if update else None,
-                precision=precision, recall=recall,
-                bytes_up=_param_bytes(update.params) if update else 0,
-                bytes_down=broadcast_bytes if cid in results else 0,
-                wall_ms=wall_ms,
-            ))
+            updates = [
+                upd for cid, (upd, _, _, _) in sorted(results.items())
+                if upd is not None and cid not in disconnected_now
+            ]
+            if not updates:
+                raise FederationError(
+                    f"round {round_no}: no usable client updates (all faulted, "
+                    f"skipped, or disconnected)"
+                )
+            global_model = global_model.with_params({**global_model.params, **fedavg(updates)})
 
-        if out_path is not None:
-            write_checkpoint(
-                out_path / f"round_{round_no}.phxc",
-                global_model.params, set(global_model.personal_names),
-            )
-            for client in clients:
-                if client.personal_params:
-                    write_checkpoint(
-                        out_path / f"client_{client.id}_personal.phxc",
-                        client.personal_params, set(client.personal_params),
-                    )
-            runlog.write_csv(out_path / "runlog.csv")
+            for cid in range(config.client_count):
+                update, status, scores, wall_ms = results.get(cid, (None, DISCONNECTED, None, 0))
+                if scores is not None:  # scored this round, so the filter decided
+                    status = filter_state.status[cid]
+                precision, recall = scores or (None, None)
+                runlog.rows.append(RunRow(
+                    round=round_no, client_id=cid, status=status,
+                    samples=update.sample_count if update else 0,
+                    train_loss=update.train_loss if update else None,
+                    precision=precision, recall=recall,
+                    bytes_up=_param_bytes(update.params) if update else 0,
+                    bytes_down=broadcast_bytes if cid in results else 0,
+                    wall_ms=wall_ms,
+                ))
+
+            if out_path is not None:
+                write_checkpoint(
+                    out_path / f"round_{round_no}.phxc",
+                    global_model.params, set(global_model.personal_names),
+                )
+                for client in clients:
+                    if client.personal_params:
+                        write_checkpoint(
+                            out_path / f"client_{client.id}_personal.phxc",
+                            client.personal_params, set(client.personal_params),
+                        )
+                runlog.write_csv(out_path / "runlog.csv")
     return global_model, runlog

@@ -159,7 +159,7 @@ def read_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], set[str]]:
                 name = _read_exact(f, name_len, f"record {i} name").decode("utf-8")
                 (flags,) = struct.unpack("<B", _read_exact(f, 1, f"record {i} flags"))
                 arr = read_tensor_from(f)
-            except FormatError as exc:
+            except (FormatError, UnicodeDecodeError) as exc:
                 raise FormatError(f"checkpoint record {i}: {exc}") from None
             if name in params:
                 raise FormatError(f"checkpoint record {i}: duplicate parameter '{name}'")

@@ -298,6 +298,31 @@ class TestTrainCommand:
         assert not (tmp_path / "out" / "eval_classifier.phxc").exists()
         assert not (tmp_path / "out" / "runs").exists()
 
+    @pytest.mark.parametrize("partition, flags, field", [
+        ({}, ["--seed", "7"], "seed"),
+        ({"beta_pct": 10.0}, [], "beta_pct"),
+        ({"alpha_pct": 50.0}, [], "alpha_pct"),
+    ], ids=["seed", "beta", "alpha"])
+    @pytest.mark.parametrize("command", ["warmup", "train"])
+    def test_plan_cut_for_another_run_refused_before_any_work(self, tmp_path, capsys,
+                                                              command, partition, flags,
+                                                              field):
+        sharing = {"mode": "data_sharing", "beta_pct": 25.0, "alpha_pct": 100.0}
+        plan_config = str(micro_config(tmp_path, dataset={"per_class": 15},
+                                       partition=sharing))
+        assert main(["partition", "--config", plan_config]) == 0
+        if command == "train":  # the plan's own warmup model is on disk too
+            assert main(["warmup", "--config", plan_config]) == 0
+        out = tmp_path / "out"
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        run_config = micro_config(tmp_path, dataset={"per_class": 15},
+                                  partition={**sharing, **partition})
+        assert main([command, "--config", str(run_config), *flags]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "rerun 'phoenix partition'" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     @pytest.mark.parametrize("clients, message", [
         (5, "clients"),
         ([[0, 1], [2], [3], [99999]], "99999"),

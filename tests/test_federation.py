@@ -1,5 +1,6 @@
 import csv
 import gc
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -487,6 +488,31 @@ class TestRunFederation:
         assert len(pids) == 5 and {pid != os.getpid() for pid in pids} == {workers > 1}
         assert timeless_rows(runlog) == timeless_rows(run(1))
 
+    def test_one_pool_of_workers_serves_every_round(self, dataset, monkeypatch, tmp_path):
+        # a barrier makes each round's two jobs run at once, so every round
+        # shows both workers; the same two must serve all three rounds
+        barrier = multiprocessing.get_context("fork").Barrier(2)
+        job_pids = tmp_path / "job_pids"  # a worker's memory never comes back
+        original = federation.local_train
+
+        def train(client, model, data, config, round_no, seed):
+            with open(job_pids, "a") as fh:
+                fh.write(f"{round_no} {os.getpid()}\n")
+            barrier.wait(timeout=60)
+            return original(client, model, data, config, round_no, seed)
+
+        monkeypatch.setattr(federation, "local_train", train)
+        run_federation(build_unet(TINY, seed=1), make_plan(dataset, 2),
+                       tiny_config(client_count=2, server_rounds=3), dataset, seed=2,
+                       workers=2)
+        pids_by_round: dict[int, set[int]] = {}
+        for line in job_pids.read_text().splitlines():
+            round_no, pid = map(int, line.split())
+            pids_by_round.setdefault(round_no, set()).add(pid)
+        assert sorted(pids_by_round) == [1, 2, 3]
+        assert pids_by_round[1] == pids_by_round[2] == pids_by_round[3]
+        assert len(pids_by_round[1]) == 2 and os.getpid() not in pids_by_round[1]
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_worker_count_below_one_refused(self, dataset, workers):
         with pytest.raises(ValueError, match="workers"):
@@ -793,7 +819,8 @@ class TestDefaultWorkers:
                         reason="threads are counted through /proc/self/task")
     def test_pinned_blas_forks_the_pool_from_a_single_thread(self):
         # CPython 3.12 and later warn when a process with threads forks; with
-        # BLAS pinned the process has none besides the main thread
+        # BLAS pinned the process has none besides the main thread, and the
+        # run forks once per worker, before its pool starts any thread
         script = textwrap.dedent("""
             import os
             from phoenix.datasets import make_toy_dataset
@@ -811,7 +838,7 @@ class TestDefaultWorkers:
             os.fork = counting_fork
             data = make_toy_dataset(4, 16, 8, seed=31)
             cfg = FederationConfig(
-                client_count=2, server_rounds=2, local_epochs=1, batch_size=8,
+                client_count=2, server_rounds=3, local_epochs=1, batch_size=8,
                 learning_rate=1e-3, schedule=linear_schedule(10),
             )
             model = build_unet(DenoiserConfig(base_channels=4, time_embed_dim=8), seed=1)
@@ -824,4 +851,4 @@ class TestDefaultWorkers:
                **{name: "1" for name in federation.BLAS_THREAD_VARIABLES}}
         done = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", "-c", script],
                               env=env, check=True, timeout=120, capture_output=True, text=True)
-        assert done.stdout.split() == ["[1,", "1,", "1,", "1]"]
+        assert done.stdout.split() == ["[1,", "1]"]

@@ -138,6 +138,16 @@ def test_checkpoint_corrupt_record_names_index(tmp_path):
         read_checkpoint(path)
 
 
+def test_checkpoint_name_not_utf8_names_the_record(tmp_path):
+    path = tmp_path / "m.phxc"
+    write_checkpoint(path, {"first": np.ones(2, np.float32), "second": np.ones(2, np.float32)})
+    raw = path.read_bytes()
+    assert raw.count(b"second") == 1
+    path.write_bytes(raw.replace(b"second", b"\xffecond"))
+    with pytest.raises(FormatError, match="checkpoint record 1: .*utf-8"):
+        read_checkpoint(path)
+
+
 def test_checkpoint_trailing_bytes_rejected(tmp_path):
     path = tmp_path / "m.phxc"
     write_checkpoint(path, {"a": np.ones(1, np.float32)})
