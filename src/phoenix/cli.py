@@ -18,12 +18,7 @@ import numpy as np
 
 from . import diffusion
 from .autodiff import NumericError
-from .classifier import (
-    EvalClassifier,
-    load_classifier,
-    save_classifier,
-    train_eval_classifier,
-)
+from .classifier import load_classifier, save_classifier, train_eval_classifier
 from .config import (
     ConfigError,
     RunConfig,
@@ -48,6 +43,7 @@ from .formats import (
 from .metrics import MetricsContext, compute_report, sorted_histogram
 from .partition import (
     MODE_DATA_SHARING,
+    MODE_IID,
     PartitionPlan,
     data_sharing_split,
     load_plan,
@@ -88,8 +84,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 def _load_required_plan(cfg: RunConfig, train: Dataset) -> PartitionPlan:
     """The run's plan; ``InputError`` if it is missing, names a sample that
     ``train`` does not hold, or was cut for another run than ``cfg``: another
-    partition mode, client count or seed, or in data-sharing mode another
-    ``beta_pct`` or ``alpha_pct``."""
+    partition mode, client count or seed, in label-skew or data-sharing mode
+    another ``classes_per_client`` (a plan without one records none), or in
+    data-sharing mode another ``beta_pct`` or ``alpha_pct``."""
     path = Path(cfg.out_dir) / PLAN_FILE
     if not path.exists():
         raise InputError(f"no partition plan at {path}; run 'phoenix partition' first")
@@ -106,6 +103,8 @@ def _load_required_plan(cfg: RunConfig, train: Dataset) -> PartitionPlan:
     for name, cut, run in (("mode", plan.mode, p.mode),
                            ("client_count", plan.client_count, cfg.federation.client_count),
                            ("seed", plan.seed, cfg.seed),
+                           ("classes_per_client", plan.classes_per_client,
+                            None if p.mode == MODE_IID else p.classes_per_client),
                            ("beta_pct", plan.beta_pct, p.beta_pct if sharing else None),
                            ("alpha_pct", plan.alpha_pct, p.alpha_pct if sharing else None)):
         if cut != run:
@@ -121,18 +120,22 @@ def _model_from_checkpoint(cfg: RunConfig, path: Path) -> DenoiserModel:
     return scaffold.with_params(read_params(path, scaffold.params))
 
 
-def _obtain_classifier(cfg: RunConfig, train_dataset, explicit: str | None) -> EvalClassifier:
-    if explicit is not None:
-        return load_classifier(explicit, train_dataset)
+def _metrics_context(cfg: RunConfig, train: Dataset, test: Dataset,
+                     explicit: str | None) -> MetricsContext:
+    """The test images seen through the eval classifier: the one at
+    ``explicit``, else the run's saved one, else one trained and saved now."""
     default = Path(cfg.out_dir) / CLASSIFIER_FILE
-    if default.exists():
-        return load_classifier(default, train_dataset)
-    clf = train_eval_classifier(
-        train_dataset, cfg.metrics.classifier_epochs, cfg.seed
+    if explicit is not None:
+        classifier = load_classifier(explicit, train)
+    elif default.exists():
+        classifier = load_classifier(default, train)
+    else:
+        classifier = train_eval_classifier(train, cfg.metrics.classifier_epochs, cfg.seed)
+        default.parent.mkdir(parents=True, exist_ok=True)
+        save_classifier(default, classifier)
+    return MetricsContext.build(
+        test.images, classifier, cfg.metrics.feature_space, cfg.metrics.knn_k
     )
-    default.parent.mkdir(parents=True, exist_ok=True)
-    save_classifier(default, clf)
-    return clf
 
 
 def cmd_partition(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -202,10 +205,7 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
         initial = _model_from_checkpoint(cfg, out / WARMUP_CHECKPOINT)
     else:
         initial = build_unet(cfg.model_config(), cfg.seed)
-    classifier = _obtain_classifier(cfg, train, args.classifier)
-    metrics_ctx = MetricsContext.build(
-        test.images, classifier, cfg.metrics.feature_space, cfg.metrics.knn_k
-    )
+    metrics_ctx = _metrics_context(cfg, train, test, args.classifier)
     run_id = cfg.resolved_run_id()
     run_dir = out / "runs" / run_id
     final_model, runlog = run_federation(
@@ -269,10 +269,7 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
             f"sample shape {samples.shape} does not match reference images "
             f"{test.images.shape[1:]} per sample"
         )
-    classifier = _obtain_classifier(cfg, train, args.classifier)
-    metrics_ctx = MetricsContext.build(
-        test.images, classifier, cfg.metrics.feature_space, cfg.metrics.knn_k
-    )
+    metrics_ctx = _metrics_context(cfg, train, test, args.classifier)
     report = compute_report(samples, metrics_ctx, cfg.metrics.is_splits)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -367,8 +364,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        if not hasattr(args, "classifier"):
-            args.classifier = None
         return args.func(cfg, args)
     except (ConfigError, InputError, FormatError, DataFormatError, ValueError,
             OSError) as exc:

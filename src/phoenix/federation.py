@@ -1,11 +1,13 @@
 """Federated orchestration: warmup, local training, aggregation, filtering.
 
 A server round broadcasts the global base parameters and runs one job per
-participating client: local training and, in rounds where threshold
-filtering scores clients, k-NN precision/recall of the trained model. A job
-writes no shared state; ``run_federation`` commits each client's next state
-in id order, advances the filtering state machine and aggregates the
-surviving updates by sample-count-weighted averaging. Personal-flagged
+client that the run's filter state lists as participating: local training
+and, in rounds where threshold filtering scores clients, k-NN
+precision/recall of the trained model. A job writes no shared state and
+returns the client's next state, its update and its ``RunRow``;
+``run_federation`` commits the states in id order, advances the filter on
+the rows' scores and aggregates the updates of the clients it has not
+disconnected by sample-count-weighted averaging. Personal-flagged
 parameters never leave their client: they stay in the client state and are
 excluded from every update. A client's state, Adam moments included, is a
 value that training reads and never writes, so a faulted client keeps it
@@ -14,10 +16,11 @@ as it was.
 With more than one worker, client jobs run in one pool of forked processes
 that lasts the whole run. The workers fork once, at round 1's first job,
 and inherit what stays the same for the run: the dataset, the config, the
-seed and the metrics context. Each job sends down the client's state, the global model,
-the round number and whether the round scores; only the client's next state
-and result come back. All randomness is derived from (seed, domain, round,
-epoch, ...) keys, so results are bitwise the same for every worker count.
+seed and the metrics context. Each job sends down the client's state, the
+global model, the round number and whether the round scores; only the
+client's next state, update and row come back. All randomness is derived
+from (seed, domain, round, epoch, ...) keys, so results are bitwise the same
+for every worker count.
 Unless told otherwise, a run pools only when that can pay: BLAS pinned to
 one thread, a small model and a platform that forks (``default_workers``).
 """
@@ -353,12 +356,13 @@ def _client_job(client: ClientState, global_model: DenoiserModel, round_no: int,
                 metrics_ctx: MetricsContext | None):
     """Train one client and, in a scoring round, score it; writes no shared state.
 
-    Returns (next state, (update, status, (precision, recall) or None, wall_ms)).
-    A faulted client keeps its state and is not scored; a skipped client is
+    Returns (next state, update or None, ``RunRow``); the round fills in the
+    row's ``bytes_down`` and, for a scored client, the filter's status. A
+    faulted client keeps its state and is not scored; a skipped client is
     scored on the broadcast model plus its stored personal layers.
     """
     start = time.perf_counter()
-    update, state, status, scores = None, client, STATUS_FAULTED, None
+    update, state, status, scores = None, client, STATUS_FAULTED, (None, None)
     try:
         trained = local_train(client, global_model, dataset, config, round_no, seed)
     except ad.NumericError:
@@ -370,7 +374,11 @@ def _client_job(client: ClientState, global_model: DenoiserModel, round_no: int,
             base = global_model.params if update is None else update.params
             model = global_model.with_params(_client_params(global_model, base, state))
             scores = evaluate_client(state, model, metrics_ctx, config, round_no, seed)
-    return state, (update, status, scores, int((time.perf_counter() - start) * 1000))
+    row = RunRow(round_no, client.id, status, samples=update.sample_count if update else 0,
+                 train_loss=update.train_loss if update else None, precision=scores[0],
+                 recall=scores[1], bytes_up=_param_bytes(update.params) if update else 0,
+                 bytes_down=0, wall_ms=int((time.perf_counter() - start) * 1000))
+    return state, update, row
 
 
 # A pool worker's share of the run: _client_job's last four arguments. Only
@@ -396,8 +404,9 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THR
 # and both Adam moments, and every worker holds a whole training's memory.
 # On a 2-vCPU Xeon with BLAS pinned, 2 workers took a personalized, filtered
 # round of the 0.3 MB desk model from 20.7 to 12.2 s, but a round of the
-# 80 MB paper model from 19.5 to 22.2 s, each client sending back 252 MB.
-# Sizes in between are unmeasured.
+# 80 MB paper model only from a median of 21.5 to 20.5 s over 6 pairs,
+# inside the serial runs' spread, each client sending back 252 MB while the
+# workers' memory came on top. Sizes in between are unmeasured.
 POOL_MAX_PARAM_BYTES = 8 * 2**20
 
 
@@ -455,11 +464,14 @@ def run_federation(
 ) -> tuple[DenoiserModel, RunLog]:
     """Execute the configured number of server rounds and return the result.
 
-    Client jobs run in up to ``workers`` processes, by default
-    ``default_workers(initial_model)``. Above one, a single pool of
+    Every run holds a filter state, and each round trains the clients it
+    lists as participating: without filtering, nothing is scored and every
+    client takes part. Client jobs run in up to ``workers`` processes, by
+    default ``default_workers(initial_model)``. Above one, a single pool of
     ``min(workers, client_count)`` forked processes serves every round and
     is closed when the run ends or raises; each round sends every
-    participating client its job and commits the results in id order.
+    participating client its job and commits the results in id order. The
+    run log holds one row per client and round.
 
     Under ``out_dir``, when given, each round ends by writing its global
     checkpoint, the per-client personal checkpoints and the run log CSV so
@@ -484,9 +496,8 @@ def run_federation(
         for i in range(config.client_count)
     ]
     global_model = initial_model
-    filter_state = FilterState.fresh(
-        [c.id for c in clients], config.drop_policy, config.min_active_clients
-    ) if config.threshold_filtering else None
+    filter_state = FilterState.fresh(range(config.client_count), config.drop_policy,
+                                     config.min_active_clients)
     runlog = RunLog()
 
     run_inputs = (dataset, config, seed, metrics_ctx)
@@ -497,58 +508,44 @@ def run_federation(
                               initializer=_set_run, initargs=run_inputs)
           if pool_size > 1 else nullcontext()) as pool:
         for round_no in range(1, config.server_rounds + 1):
-            participating = (filter_state.participating() if filter_state is not None
-                             else [c.id for c in clients])
-            if not participating:
-                raise FederationError(f"round {round_no}: no participating clients remain")
             broadcast_bytes = _param_bytes(
                 split_parameters(global_model)[0] if config.personalization and round_no > 1
                 else global_model.params
             )
             scoring = config.threshold_filtering and round_no >= config.eval_start_round
-            jobs = ((clients[cid], global_model, round_no, scoring) for cid in participating)
+            jobs = ((clients[cid], global_model, round_no, scoring)
+                    for cid in filter_state.participating())
             # serial jobs read each client only when they start, so its old state
             # is freed as soon as its next state is committed
             done = (pool.map(_pooled_job, jobs) if pool is not None
                     else (_client_job(*job, *run_inputs) for job in jobs))
-            results = {}
-            for state, result in done:
-                clients[state.id], results[state.id] = state, result  # commit in id order
+            updates, rows = {}, {}
+            for state, update, row in done:  # commit in id order
+                clients[state.id], updates[state.id], rows[state.id] = state, update, row
+                row.bytes_down = broadcast_bytes
 
-            disconnected_now: list[int] = []
             if scoring:
-                scored = {cid: scores for cid, (_, _, scores, _) in results.items()
-                          if scores is not None}
+                scored = {cid: (row.precision, row.recall) for cid, row in rows.items()
+                          if row.precision is not None}
                 # only a faulted client goes unscored; its filter state carries over
-                filter_state, disconnected_now, _ = filter_step(
-                    filter_state, scored, round_no, exempt=results.keys() - scored.keys()
+                filter_state, _, _ = filter_step(
+                    filter_state, scored, round_no, exempt=rows.keys() - scored.keys()
                 )
+                for cid in scored:
+                    rows[cid].status = filter_state.status[cid]
 
-            updates = [
-                upd for cid, (upd, _, _, _) in sorted(results.items())
-                if upd is not None and cid not in disconnected_now
-            ]
-            if not updates:
+            kept = [update for cid, update in updates.items()
+                    if update is not None and filter_state.status[cid] != DISCONNECTED]
+            if not kept:
                 raise FederationError(
                     f"round {round_no}: no usable client updates (all faulted, "
                     f"skipped, or disconnected)"
                 )
-            global_model = global_model.with_params({**global_model.params, **fedavg(updates)})
-
-            for cid in range(config.client_count):
-                update, status, scores, wall_ms = results.get(cid, (None, DISCONNECTED, None, 0))
-                if scores is not None:  # scored this round, so the filter decided
-                    status = filter_state.status[cid]
-                precision, recall = scores or (None, None)
-                runlog.rows.append(RunRow(
-                    round=round_no, client_id=cid, status=status,
-                    samples=update.sample_count if update else 0,
-                    train_loss=update.train_loss if update else None,
-                    precision=precision, recall=recall,
-                    bytes_up=_param_bytes(update.params) if update else 0,
-                    bytes_down=broadcast_bytes if cid in results else 0,
-                    wall_ms=wall_ms,
-                ))
+            global_model = global_model.with_params({**global_model.params, **fedavg(kept)})
+            runlog.rows.extend(
+                rows.get(cid) or RunRow(round_no, cid, DISCONNECTED, 0, None, None, None, 0, 0, 0)
+                for cid in range(config.client_count)
+            )
 
             if out_path is not None:
                 write_checkpoint(

@@ -67,6 +67,16 @@ def write_csv(path: str | Path, header: list[str], rows: Iterable[Iterable]) -> 
         writer.writerows(rows)
 
 
+@contextmanager
+def _reading(path: str | Path):
+    """Open ``path`` for binary reading; a ``FormatError`` raised inside names it."""
+    with open(path, "rb") as f:
+        try:
+            yield f
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from None
+
+
 def _read_exact(f: BinaryIO, n: int, what: str) -> bytes:
     buf = f.read(n)
     if len(buf) != n:
@@ -120,7 +130,7 @@ def write_tensor(path: str | Path, array: np.ndarray) -> None:
 
 
 def read_tensor(path: str | Path) -> np.ndarray:
-    with open(path, "rb") as f:
+    with _reading(path) as f:
         return read_tensor_from(f)
 
 
@@ -146,7 +156,7 @@ def read_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], set[str]]:
     """Load a parameter table; returns (params, personal-flagged names)."""
     params: dict[str, np.ndarray] = {}
     personal: set[str] = set()
-    with open(path, "rb") as f:
+    with _reading(path) as f:
         magic = _read_exact(f, 4, "magic")
         if magic != PHXC_MAGIC:
             raise FormatError(f"bad checkpoint magic {magic!r}")

@@ -189,42 +189,33 @@ class MetricsContext:
     """One reference set, seen through one feature space.
 
     Holds the classifier together with the reference features and the
-    reference class histogram, both taken from one classifier pass over the
-    reference images. A pixel-space context built without a classifier can
-    still extract features for the filter, but cannot score a report.
+    reference class histogram; one classifier pass over the reference
+    images gives the histogram and, in classifier space, the features. Every
+    context can score a report. The filter needs only ``extract``, so a
+    pixel-space context may carry an untrained classifier.
     """
 
     reference_features: np.ndarray
     feature_space: str
-    knn_k: int = 3
-    classifier: EvalClassifier | None = None
-    reference_histogram: np.ndarray | None = None
+    knn_k: int
+    classifier: EvalClassifier
+    reference_histogram: np.ndarray
 
     @classmethod
     def build(
         cls,
         reference_images: np.ndarray,
-        classifier: EvalClassifier | None,
+        classifier: EvalClassifier,
         feature_space: str,
         knn_k: int = 3,
     ) -> "MetricsContext":
         if feature_space not in (FEATURE_SPACE_CLASSIFIER, FEATURE_SPACE_PIXELS):
             raise ValueError(f"unknown feature space '{feature_space}'")
-        if feature_space == FEATURE_SPACE_CLASSIFIER and classifier is None:
-            raise ValueError("classifier feature space needs a trained classifier")
-        features, histogram = None, None
-        if classifier is not None:
-            features, logits = classifier.embed(reference_images)
-            histogram = np.bincount(logits.argmax(axis=1), minlength=classifier.num_classes)
+        features, logits = classifier.embed(reference_images)
         if feature_space == FEATURE_SPACE_PIXELS:
             features = _pixels(reference_images)
-        return cls(
-            reference_features=features,
-            feature_space=feature_space,
-            knn_k=knn_k,
-            classifier=classifier,
-            reference_histogram=histogram,
-        )
+        histogram = np.bincount(logits.argmax(axis=1), minlength=classifier.num_classes)
+        return cls(features, feature_space, knn_k, classifier, histogram)
 
     def extract(self, images: np.ndarray) -> np.ndarray:
         """Features of ``images`` in this context's feature space."""
@@ -243,8 +234,6 @@ def compute_report(
     One classifier pass over ``generated`` yields its features (in
     classifier space), its class posteriors and its class histogram.
     """
-    if ctx.classifier is None:
-        raise ValueError("a report needs a metrics context built with a classifier")
     gen_features, logits = ctx.classifier.embed(generated)
     if ctx.feature_space == FEATURE_SPACE_PIXELS:
         gen_features = _pixels(generated)

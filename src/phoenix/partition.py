@@ -40,6 +40,7 @@ class PartitionPlan:
     ``shared_pool`` is the warmup set G drawn from the server pool S, and
     each assignment adds the same alpha-fraction of G to the client's part;
     in every other mode these fields stay empty (percentages ``None``).
+    ``classes_per_client`` is the label-skew bound, ``None`` for iid.
     """
 
     assignments: list[list[int]]
@@ -50,6 +51,7 @@ class PartitionPlan:
     shared_pool: list[int] = field(default_factory=list)
     beta_pct: float | None = None
     alpha_pct: float | None = None
+    classes_per_client: int | None = None
 
     def client_indices(self, client: int) -> list[int]:
         return self.assignments[client]
@@ -142,7 +144,8 @@ def partition_label_skew(
     assignments = _label_skew_assign(
         dataset.labels, np.arange(n), client_count, classes_per_client, rng
     )
-    return PartitionPlan(assignments, client_count, MODE_LABEL_SKEW, seed)
+    return PartitionPlan(assignments, client_count, MODE_LABEL_SKEW, seed,
+                         classes_per_client=classes_per_client)
 
 
 def _stratified_server_split(
@@ -204,6 +207,7 @@ def data_sharing_split(
         shared_pool=shared,
         beta_pct=beta_pct,
         alpha_pct=alpha_pct,
+        classes_per_client=classes_per_client,
     )
 
 
@@ -214,6 +218,7 @@ def plan_to_json(plan: PartitionPlan) -> dict:
         "shared_pool": plan.shared_pool,
         "beta_pct": plan.beta_pct,
         "alpha_pct": plan.alpha_pct,
+        "classes_per_client": plan.classes_per_client,
         "seed": plan.seed,
     }
     if plan.mode == MODE_DATA_SHARING:
@@ -252,6 +257,7 @@ def plan_from_json(doc: dict) -> PartitionPlan:
         shared_pool=_index_list(doc.get("shared_pool", []), "shared_pool"),
         beta_pct=beta,
         alpha_pct=alpha,
+        classes_per_client=doc.get("classes_per_client"),
     )
 
 

@@ -285,13 +285,15 @@ class TestTrainCommand:
     @pytest.mark.parametrize("plan_doc, train_doc", [
         ({"partition": {"mode": "data_sharing"}}, {"partition": {"mode": "label_skew"}}),
         ({}, {"federation": {"client_count": 3}}),
-    ], ids=["mode", "client-count"])
+        ({"partition": {"classes_per_client": 1}}, {"partition": {"classes_per_client": 3}}),
+    ], ids=["mode", "client-count", "classes-per-client"])
     def test_plan_of_another_config_refused_before_any_work(self, tmp_path, plan_doc,
                                                             train_doc):
         base = {"dataset": {"per_class": 15}}
         plan_config = str(micro_config(tmp_path, **base, **plan_doc))
         assert main(["partition", "--config", plan_config]) == 0
-        if "partition" in plan_doc:  # the sharing plan's warmup model is on disk too
+        if plan_doc.get("partition", {}).get("mode") == "data_sharing":
+            # the sharing plan's warmup model is on disk too
             assert main(["warmup", "--config", plan_config]) == 0
         assert main(["train", "--config", str(micro_config(tmp_path, **base,
                                                            **train_doc))]) == 2
@@ -302,7 +304,8 @@ class TestTrainCommand:
         ({}, ["--seed", "7"], "seed"),
         ({"beta_pct": 10.0}, [], "beta_pct"),
         ({"alpha_pct": 50.0}, [], "alpha_pct"),
-    ], ids=["seed", "beta", "alpha"])
+        ({"classes_per_client": 1}, [], "classes_per_client"),
+    ], ids=["seed", "beta", "alpha", "classes-per-client"])
     @pytest.mark.parametrize("command", ["warmup", "train"])
     def test_plan_cut_for_another_run_refused_before_any_work(self, tmp_path, capsys,
                                                               command, partition, flags,
@@ -326,7 +329,8 @@ class TestTrainCommand:
     @pytest.mark.parametrize("clients, message", [
         (5, "clients"),
         ([[0, 1], [2], [3], [99999]], "99999"),
-    ], ids=["not-a-list", "index-out-of-range"])
+        ([[0, 1], [2], [3], [4]], "classes_per_client"),
+    ], ids=["not-a-list", "index-out-of-range", "no-class-bound"])
     @pytest.mark.parametrize("command", ["train", "warmup"])
     def test_malformed_plan_refused_before_any_work(self, tmp_path, capsys, command,
                                                     clients, message):
@@ -465,12 +469,14 @@ class TestGenerateCommand:
         expected = diffusion.generate(model, cosine_schedule(6), 4, seed=5)
         np.testing.assert_array_equal(read_tensor(gen / "samples.phxt"), expected)
 
-    def test_corrupt_checkpoint_exits_2(self, trained, tmp_path):
+    def test_corrupt_checkpoint_exits_2(self, trained, tmp_path, capsys):
         path, ckpt = trained
         bad = tmp_path / "bad.phxc"
         bad.write_bytes(ckpt.read_bytes()[:40])
+        capsys.readouterr()
         assert main(["generate", "--config", str(path), "--out",
                      str(tmp_path / "g"), "--checkpoint", str(bad)]) == 2
+        assert capsys.readouterr().err.count(str(bad)) == 1
 
 
 class TestEvaluateCommand:
@@ -510,7 +516,8 @@ class TestEvaluateCommand:
         samples.write_bytes(b"PHXT" + struct.pack(f"<HBB{len(dims)}Q", 1, 0, len(dims), *dims)
                             + bytes(16))
         assert main(["evaluate", "--config", str(path), "--samples", str(samples)]) == 2
-        assert "truncated" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "truncated" in err and err.count(str(samples)) == 1
 
     def test_missing_classifier_path_exits_2(self, tmp_path):
         path = micro_config(tmp_path)

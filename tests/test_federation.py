@@ -17,6 +17,7 @@ import pytest
 import phoenix.federation as federation
 from phoenix import autodiff as ad
 from phoenix import diffusion
+from phoenix.classifier import ClassifierConfig, EvalClassifier
 from phoenix.datasets import Dataset, make_toy_dataset
 from phoenix.federation import (
     ClientState,
@@ -64,6 +65,12 @@ def dataset():
 @pytest.fixture()
 def model():
     return build_unet(TINY, seed=8)
+
+
+def pixel_ctx(reference):
+    """A cheap pixel-space context; its classifier is never trained."""
+    untrained = EvalClassifier.initialize(ClassifierConfig(1, 8, 4), seed=0)
+    return MetricsContext.build(reference, untrained, "pixels")
 
 
 def make_plan(dataset, client_count):
@@ -243,12 +250,9 @@ class TestFedavg:
 
 
 class TestEvaluateClient:
-    def make_ctx(self, reference):
-        return MetricsContext.build(reference, None, "pixels", knn_k=3)
-
     def test_reference_samples_score_perfect(self, dataset, model, monkeypatch):
         reference = dataset.images[:8]
-        ctx = self.make_ctx(reference)
+        ctx = pixel_ctx(reference)
         monkeypatch.setattr(federation.diffusion, "generate",
                             lambda m, s, c, seed: reference.copy())
         cfg = tiny_config()
@@ -258,7 +262,7 @@ class TestEvaluateClient:
 
     def test_distant_samples_score_zero(self, dataset, model, monkeypatch):
         reference = dataset.images[:8]
-        ctx = self.make_ctx(reference)
+        ctx = pixel_ctx(reference)
         monkeypatch.setattr(federation.diffusion, "generate",
                             lambda m, s, c, seed: reference + 100.0)
         cfg = tiny_config()
@@ -368,7 +372,7 @@ class TestRunFederation:
             drop_policy=DropPolicy(kind="lowest_precision"),
         )
         plan = PartitionPlan([[0, 1], [2, 3], [4, 5]], 3, "iid", 0)
-        ctx = MetricsContext.build(dataset.images[:8], None, "pixels")
+        ctx = pixel_ctx(dataset.images[:8])
         initial = build_unet(TINY, seed=1)
         final, runlog = run_federation(initial, plan, cfg, dataset, seed=3,
                                        metrics_ctx=ctx)
@@ -387,6 +391,49 @@ class TestRunFederation:
         assert by_round[4][2].status == "warned"
         assert by_round[4][1].status == "active"
 
+    def test_bytes_follow_what_each_client_sends_and_receives(self, dataset,
+                                                             monkeypatch):
+        # personalized and filtered: client 0 always scores lowest and is
+        # disconnected in round 2, client 1 faults in round 2
+        scripted = {0: 0.1, 1: 0.9, 2: 0.8}
+        monkeypatch.setattr(
+            federation, "evaluate_client",
+            lambda client, m, ctx, cfg, rnd, seed: (scripted[client.id], 0.5),
+        )
+        original = federation.local_train
+
+        def train(client, model, data, config, round_no, seed):
+            if (client.id, round_no) == (1, 2):
+                raise ad.NumericError("scripted fault")
+            return original(client, model, data, config, round_no, seed)
+
+        monkeypatch.setattr(federation, "local_train", train)
+        cfg = tiny_config(
+            client_count=3, server_rounds=3, personalization=True,
+            threshold_filtering=True, eval_start_round=1, min_active_clients=2,
+        )
+        plan = PartitionPlan([[0, 1], [2, 3], [4, 5]], 3, "iid", 0)
+        initial = build_unet(TINY, seed=1)
+        _, runlog = run_federation(initial, plan, cfg, dataset, seed=3,
+                                   metrics_ctx=pixel_ctx(dataset.images[:8]), workers=1)
+        full = 4 * sum(v.size for v in initial.params.values())
+        base = 4 * sum(v.size for name, v in initial.params.items()
+                       if name not in initial.personal_names)
+        assert 0 < base < full
+        rows = {(r.round, r.client_id): (r.status, r.bytes_up, r.bytes_down)
+                for r in runlog.rows}
+        assert rows == {
+            (1, 0): ("warned", base, full),
+            (1, 1): ("active", base, full),
+            (1, 2): ("active", base, full),
+            (2, 0): ("disconnected", base, base),
+            (2, 1): ("faulted", 0, base),
+            (2, 2): ("active", base, base),
+            (3, 0): ("disconnected", 0, 0),
+            (3, 1): ("active", base, base),
+            (3, 2): ("warned", base, base),
+        }
+
     def test_scored_client_without_data_logs_its_filter_status(self, dataset,
                                                                monkeypatch):
         # client 2 holds no data but is scored every round, so its rows must
@@ -402,7 +449,7 @@ class TestRunFederation:
             drop_policy=DropPolicy(kind="lowest_precision"),
         )
         plan = PartitionPlan([[0, 1], [2, 3], []], 3, "iid", 0)
-        ctx = MetricsContext.build(dataset.images[:8], None, "pixels")
+        ctx = pixel_ctx(dataset.images[:8])
         _, runlog = run_federation(build_unet(TINY, seed=1), plan, cfg, dataset,
                                    seed=3, metrics_ctx=ctx)
         assert [r.status for r in runlog.rows if r.client_id == 2] == [
@@ -430,7 +477,7 @@ class TestRunFederation:
                           threshold_filtering=True, eval_start_round=1,
                           min_active_clients=2)
         plan = make_plan(dataset, 3)
-        ctx = MetricsContext.build(dataset.images[:8], None, "pixels")
+        ctx = pixel_ctx(dataset.images[:8])
         initial = build_unet(TINY, seed=21)
         runs = {}
         for workers in (1, 4):
@@ -454,7 +501,7 @@ class TestRunFederation:
         cfg = tiny_config(client_count=3, server_rounds=2, threshold_filtering=True,
                           eval_start_round=1, min_active_clients=2)
         plan = PartitionPlan([[0, 1, 2, 3], [4, 5, 6, 7], []], 3, "iid", 0)
-        ctx = MetricsContext.build(dataset.images[:8], None, "pixels")
+        ctx = pixel_ctx(dataset.images[:8])
         original_train = federation.local_train
         original_score = federation.evaluate_client
         scorer_pids = tmp_path / "scorer_pids"  # a worker's memory never comes back
@@ -562,7 +609,7 @@ class TestRunFederation:
         monkeypatch.setattr(federation, "evaluate_client", slow_score)
         cfg = tiny_config(client_count=2, server_rounds=2, threshold_filtering=True,
                           eval_start_round=2)
-        ctx = MetricsContext.build(dataset.images[:8], None, "pixels")
+        ctx = pixel_ctx(dataset.images[:8])
         _, runlog = run_federation(build_unet(TINY, seed=1), make_plan(dataset, 2), cfg,
                                    dataset, seed=2, metrics_ctx=ctx)
         scored = [r.wall_ms for r in runlog.rows if r.precision is not None]
@@ -659,7 +706,7 @@ class TestRunFederation:
         def run(images, params):
             data = Dataset(images, dataset.labels, dataset.num_classes)
             initial = build_unet(TINY, seed=21).with_params(params)
-            ctx = MetricsContext.build(images[:8], None, "pixels")
+            ctx = pixel_ctx(images[:8])
             final, runlog = run_federation(initial, plan, cfg, data, seed=5, metrics_ctx=ctx)
             return final, timeless_rows(runlog)
 

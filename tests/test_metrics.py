@@ -362,15 +362,6 @@ class TestReport:
         np.testing.assert_array_equal(loaded.extract(toy_test.images[:8]),
                                       ctx.extract(toy_test.images[:8]))
 
-    def test_context_requires_classifier_for_classifier_space(self, toy_test):
-        with pytest.raises(ValueError):
-            MetricsContext.build(toy_test.images, None, "classifier")
-
-    def test_report_refuses_context_without_classifier(self, toy_test):
-        ctx = MetricsContext.build(toy_test.images, None, "pixels")
-        with pytest.raises(ValueError, match="classifier"):
-            compute_report(toy_test.images, ctx)
-
     @pytest.mark.parametrize("feature_space", ["classifier", "pixels"])
     def test_report_classifies_each_image_once(self, toy_classifier, toy_test,
                                                feature_space, monkeypatch):

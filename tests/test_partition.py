@@ -187,6 +187,7 @@ class TestPlanJson:
         assert loaded.assignments == plan.assignments
         assert loaded.mode == plan.mode
         assert loaded.seed == plan.seed
+        assert loaded.classes_per_client == plan.classes_per_client == 2
 
     def test_sharing_round_trip(self, tmp_path):
         ds = make_toy_dataset(4, 50, 8, seed=1)
@@ -200,6 +201,7 @@ class TestPlanJson:
         assert loaded.shared_pool == plan.shared_pool
         assert loaded.beta_pct == plan.beta_pct
         assert loaded.alpha_pct == plan.alpha_pct
+        assert loaded.classes_per_client == plan.classes_per_client == 2
 
     def test_failed_save_keeps_previous_plan(self, tmp_path):
         ds = make_toy_dataset(4, 20, 8, seed=1)
@@ -216,7 +218,8 @@ class TestPlanJson:
 
     def test_json_schema_keys(self):
         ds = make_toy_dataset(4, 20, 8, seed=1)
-        common = {"mode", "clients", "shared_pool", "beta_pct", "alpha_pct", "seed"}
+        common = {"mode", "clients", "shared_pool", "beta_pct", "alpha_pct",
+                  "classes_per_client", "seed"}
         plans = [partition_iid(ds, 4, seed=5), partition_label_skew(ds, 4, 2, seed=5),
                  data_sharing_split(ds, 4, 25, 50, 2, seed=5)]
         assert [set(plan_to_json(plan)) for plan in plans] == [
