@@ -332,9 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classifier", default=None,
                    help="existing eval classifier checkpoint")
     p.add_argument("--workers", type=int, default=None,
-                   help="processes for the clients' training and scoring "
+                   help="processes for the clients' training and scoring, each "
+                        "keeping its own clients' state for the whole run "
                         "(default: the usable cores when BLAS is pinned to one "
-                        "thread and the model is small, else 1)")
+                        "thread, else 1)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("generate", parents=[shared],

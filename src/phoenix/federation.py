@@ -4,25 +4,27 @@ A server round broadcasts the global base parameters and runs one job per
 client that the run's filter state lists as participating: local training
 and, in rounds where threshold filtering scores clients, k-NN
 precision/recall of the trained model. A job writes no shared state and
-returns the client's next state, its update and its ``RunRow``;
-``run_federation`` commits the states in id order, advances the filter on
-the rows' scores and aggregates the updates of the clients it has not
-disconnected by sample-count-weighted averaging. Personal-flagged
-parameters never leave their client: they stay in the client state and are
-excluded from every update. A client's state, Adam moments included, is a
-value that training reads and never writes, so a faulted client keeps it
-as it was.
+returns the client's next state, its update and its ``RunRow``; the process
+that holds the client commits the state, and ``run_federation`` takes the
+rows and updates in id order, advances the filter on the rows' scores and
+aggregates the updates of the clients it has not disconnected by
+sample-count-weighted averaging. Personal-flagged parameters stay in the
+client state and are excluded from every update; the server receives them
+only to write each client's personal checkpoint. A client's state, Adam
+moments included, is a value that training reads and never writes, so a
+faulted client keeps it as it was.
 
-With more than one worker, client jobs run in one pool of forked processes
-that lasts the whole run. The workers fork once, at round 1's first job,
-and inherit what stays the same for the run: the dataset, the config, the
-seed and the metrics context. Each job sends down the client's state, the
-global model, the round number and whether the round scores; only the
-client's next state, update and row come back. All randomness is derived
-from (seed, domain, round, epoch, ...) keys, so results are bitwise the same
-for every worker count.
+With more than one worker, client jobs run in ``min(workers, client_count)``
+processes forked once, before round 1, that last the whole run. Worker k
+holds the states of the clients with ``id % workers == k`` and inherits what
+stays the same for the run: the dataset, the config, the seed and the
+metrics context. Each round sends every worker the global model, the round
+number, whether the round scores and who participates; only each client's
+update, row and personal layers come back. All randomness is derived from
+(seed, domain, round, epoch, ...) keys, so results are bitwise the same for
+every worker count.
 Unless told otherwise, a run pools only when that can pay: BLAS pinned to
-one thread, a small model and a platform that forks (``default_workers``).
+one thread and a platform that forks (``default_workers``).
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import os
+import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping
@@ -381,33 +383,119 @@ def _client_job(client: ClientState, global_model: DenoiserModel, round_no: int,
     return state, update, row
 
 
-# A pool worker's share of the run: _client_job's last four arguments. Only
-# ``_set_run`` in a worker sets it, never the caller. Fork hands its initargs
-# over unpickled, so the workers share the dataset and the metrics context
-# with the caller copy-on-write.
-_run: tuple = ()
+def _train_share(clients: dict[int, ClientState], global_model: DenoiserModel,
+                 round_no: int, scoring: bool, participating: list[int],
+                 dataset: Dataset, config: FederationConfig, seed: int,
+                 metrics_ctx: MetricsContext | None):
+    """Run the jobs of the participating clients held in ``clients``, in id order.
+
+    Commits each client's next state into ``clients`` and yields the job's
+    (update or None, ``RunRow``, personal layers). A job reads its client's
+    state only when it starts, so the state it replaces is freed at once.
+    """
+    for cid in participating:
+        if cid in clients:
+            clients[cid], update, row = _client_job(clients[cid], global_model, round_no,
+                                                    scoring, dataset, config, seed,
+                                                    metrics_ctx)
+            yield update, row, clients[cid].personal_params
+            del update  # the caller keeps or sends it; here it would outlive the next job
 
 
-def _set_run(*inputs) -> None:
-    global _run
-    _run = inputs
+def _send(conn, value) -> None:
+    conn.send_bytes(pickle.dumps(value, pickle.HIGHEST_PROTOCOL))
 
 
-def _pooled_job(job: tuple):
-    return _client_job(*job, *_run)
+def _serve_round(conn, clients: dict[int, ClientState], message: tuple,
+                 run_inputs: tuple) -> None:
+    try:
+        for reply in _train_share(clients, *message, *run_inputs):
+            _send(conn, reply)
+            del reply  # sent; not to be held through the next job
+    except Exception as exc:
+        _send(conn, exc)
+
+
+def _serve(conn, clients: dict[int, ClientState], run_inputs: tuple, inherited) -> None:
+    """A worker's life: it holds a share of the clients and serves one round
+    per message, (global model, round number, scoring, participating ids).
+
+    It answers with one reply per participating client of its share or, when
+    a job raises, with the exception. The run is over when the parent closes
+    its end, which only the parent holds: the worker closes the copies it
+    inherited.
+    """
+    for parent_end in inherited:
+        parent_end.close()
+    try:
+        while True:
+            _serve_round(conn, clients, conn.recv(), run_inputs)
+    except EOFError:
+        pass
+
+
+def _worker_ended(round_no: int) -> FederationError:
+    return FederationError(f"round {round_no}: a worker process ended mid-round")
+
+
+@contextmanager
+def _client_rounds(clients: list[ClientState], worker_count: int, run_inputs: tuple):
+    """Yield ``train(global_model, round_no, scoring, participating)``, which runs
+    a round's client jobs and yields their replies in id order.
+
+    With one worker the jobs run here, over every client. Above one,
+    ``worker_count`` processes fork now, and worker k keeps the states of the
+    clients with ``id % worker_count == k`` for the whole run; a round
+    pickles its message once and sends it to every worker. On leaving, the
+    workers are ended and reaped, those of a failed run terminated first.
+    """
+    if worker_count == 1:
+        share = {client.id: client for client in clients}
+        yield lambda *message: _train_share(share, *message, *run_inputs)
+        return
+    fork = multiprocessing.get_context("fork")
+    conns, procs, finished = [], [], False
+
+    def train(global_model, round_no, scoring, participating):
+        message = pickle.dumps((global_model, round_no, scoring, participating),
+                               pickle.HIGHEST_PROTOCOL)
+        try:
+            for conn in conns:
+                conn.send_bytes(message)
+        except OSError:
+            raise _worker_ended(round_no) from None
+        del message
+        for cid in participating:
+            try:
+                reply = conns[cid % worker_count].recv()
+            except (EOFError, OSError):
+                raise _worker_ended(round_no) from None
+            if isinstance(reply, Exception):
+                raise reply
+            yield reply
+
+    try:
+        for k in range(worker_count):
+            parent_end, child_end = fork.Pipe()
+            share = {client.id: client for client in clients if client.id % worker_count == k}
+            procs.append(fork.Process(target=_serve, daemon=True,
+                                      args=(child_end, share, run_inputs, [*conns, parent_end])))
+            procs[-1].start()
+            child_end.close()
+            conns.append(parent_end)
+        yield train
+        finished = True
+    finally:
+        for conn in conns:
+            conn.close()
+        for proc in procs:
+            if not finished:
+                proc.terminate()
+            proc.join()
 
 
 # The variables that set the thread count of OpenBLAS, MKL and OpenMP BLAS.
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
-
-# The largest model the default pools: a pooled client pipes back its update
-# and both Adam moments, and every worker holds a whole training's memory.
-# On a 2-vCPU Xeon with BLAS pinned, 2 workers took a personalized, filtered
-# round of the 0.3 MB desk model from 20.7 to 12.2 s, but a round of the
-# 80 MB paper model only from a median of 21.5 to 20.5 s over 6 pairs,
-# inside the serial runs' spread, each client sending back 252 MB while the
-# workers' memory came on top. Sizes in between are unmeasured.
-POOL_MAX_PARAM_BYTES = 8 * 2**20
 
 
 def blas_pinned(environ: Mapping[str, str] = os.environ) -> bool:
@@ -437,19 +525,58 @@ def check_workers(workers: int) -> None:
                          f"which this platform lacks; use 1 worker")
 
 
-def default_workers(model: DenoiserModel) -> int:
+def default_workers() -> int:
     """The worker count of a run that names none: every usable core when BLAS
-    is pinned to one thread, the model's parameters take at most
-    ``POOL_MAX_PARAM_BYTES`` and the platform forks; else 1.
+    is pinned to one thread and the platform forks; else 1.
 
     A forked worker inherits its parent's BLAS threads, so with BLAS
     unpinned the workers fight over the cores: two desk workers took 68-88 s
     where one took 31-32 s.
     """
-    if (blas_pinned() and can_fork()
-            and _param_bytes(model.params) <= POOL_MAX_PARAM_BYTES):
-        return usable_cores()
-    return 1
+    return usable_cores() if blas_pinned() and can_fork() else 1
+
+
+def _commit_round(replies, global_model: DenoiserModel, filter_state: FilterState,
+                  round_no: int, scoring: bool, personal: dict[int, dict[str, np.ndarray]],
+                  config: FederationConfig) -> tuple[DenoiserModel, FilterState, list[RunRow]]:
+    """Take a round's replies in id order, advance the filter and aggregate.
+
+    Stores each client's personal layers in ``personal`` and returns the
+    next global model, the next filter state and one row per client. The
+    updates end with the call, so none outlives its round.
+    """
+    broadcast_bytes = _param_bytes(
+        split_parameters(global_model)[0] if config.personalization and round_no > 1
+        else global_model.params
+    )
+    updates, rows = {}, {}
+    for update, row, personal_params in replies:
+        updates[row.client_id], rows[row.client_id] = update, row
+        personal[row.client_id] = personal_params
+        row.bytes_down = broadcast_bytes
+
+    if scoring:
+        scored = {cid: (row.precision, row.recall) for cid, row in rows.items()
+                  if row.precision is not None}
+        # only a faulted client goes unscored; its filter state carries over
+        filter_state, _, _ = filter_step(
+            filter_state, scored, round_no, exempt=rows.keys() - scored.keys()
+        )
+        for cid in scored:
+            rows[cid].status = filter_state.status[cid]
+
+    kept = [update for cid, update in updates.items()
+            if update is not None and filter_state.status[cid] != DISCONNECTED]
+    if not kept:
+        raise FederationError(
+            f"round {round_no}: no usable client updates (all faulted, "
+            f"skipped, or disconnected)"
+        )
+    global_model = global_model.with_params({**global_model.params, **fedavg(kept)})
+    return global_model, filter_state, [
+        rows.get(cid) or RunRow(round_no, cid, DISCONNECTED, 0, None, None, None, 0, 0, 0)
+        for cid in range(config.client_count)
+    ]
 
 
 def run_federation(
@@ -467,11 +594,13 @@ def run_federation(
     Every run holds a filter state, and each round trains the clients it
     lists as participating: without filtering, nothing is scored and every
     client takes part. Client jobs run in up to ``workers`` processes, by
-    default ``default_workers(initial_model)``. Above one, a single pool of
-    ``min(workers, client_count)`` forked processes serves every round and
-    is closed when the run ends or raises; each round sends every
-    participating client its job and commits the results in id order. The
-    run log holds one row per client and round.
+    default ``default_workers()``. Above one, ``min(workers, client_count)``
+    processes fork before round 1, each keeping its own clients' states
+    until the run ends or raises; a round sends each worker the global
+    model and gets back each client's update, row and personal layers. A
+    worker that ends mid-round raises ``FederationError``; any other error
+    in a job reaches the caller as it was raised. The run log holds one row
+    per client and round.
 
     Under ``out_dir``, when given, each round ends by writing its global
     checkpoint, the per-client personal checkpoints and the run log CSV so
@@ -479,7 +608,7 @@ def run_federation(
     """
     config.validate()
     if workers is None:
-        workers = default_workers(initial_model)
+        workers = default_workers()
     check_workers(workers)
     if plan.client_count != config.client_count:
         raise ValueError(
@@ -498,65 +627,27 @@ def run_federation(
     global_model = initial_model
     filter_state = FilterState.fresh(range(config.client_count), config.drop_policy,
                                      config.min_active_clients)
+    personal: dict[int, dict[str, np.ndarray]] = {}
     runlog = RunLog()
 
-    run_inputs = (dataset, config, seed, metrics_ctx)
-    pool_size = min(workers, config.client_count)
-    # one pool for the whole run: its workers fork at round 1's first job,
-    # before the executor has started any thread
-    with (ProcessPoolExecutor(pool_size, mp_context=multiprocessing.get_context("fork"),
-                              initializer=_set_run, initargs=run_inputs)
-          if pool_size > 1 else nullcontext()) as pool:
+    with _client_rounds(clients, min(workers, config.client_count),
+                        (dataset, config, seed, metrics_ctx)) as train:
         for round_no in range(1, config.server_rounds + 1):
-            broadcast_bytes = _param_bytes(
-                split_parameters(global_model)[0] if config.personalization and round_no > 1
-                else global_model.params
-            )
             scoring = config.threshold_filtering and round_no >= config.eval_start_round
-            jobs = ((clients[cid], global_model, round_no, scoring)
-                    for cid in filter_state.participating())
-            # serial jobs read each client only when they start, so its old state
-            # is freed as soon as its next state is committed
-            done = (pool.map(_pooled_job, jobs) if pool is not None
-                    else (_client_job(*job, *run_inputs) for job in jobs))
-            updates, rows = {}, {}
-            for state, update, row in done:  # commit in id order
-                clients[state.id], updates[state.id], rows[state.id] = state, update, row
-                row.bytes_down = broadcast_bytes
-
-            if scoring:
-                scored = {cid: (row.precision, row.recall) for cid, row in rows.items()
-                          if row.precision is not None}
-                # only a faulted client goes unscored; its filter state carries over
-                filter_state, _, _ = filter_step(
-                    filter_state, scored, round_no, exempt=rows.keys() - scored.keys()
-                )
-                for cid in scored:
-                    rows[cid].status = filter_state.status[cid]
-
-            kept = [update for cid, update in updates.items()
-                    if update is not None and filter_state.status[cid] != DISCONNECTED]
-            if not kept:
-                raise FederationError(
-                    f"round {round_no}: no usable client updates (all faulted, "
-                    f"skipped, or disconnected)"
-                )
-            global_model = global_model.with_params({**global_model.params, **fedavg(kept)})
-            runlog.rows.extend(
-                rows.get(cid) or RunRow(round_no, cid, DISCONNECTED, 0, None, None, None, 0, 0, 0)
-                for cid in range(config.client_count)
+            global_model, filter_state, rows = _commit_round(
+                train(global_model, round_no, scoring, filter_state.participating()),
+                global_model, filter_state, round_no, scoring, personal, config,
             )
+            runlog.rows.extend(rows)
 
             if out_path is not None:
                 write_checkpoint(
                     out_path / f"round_{round_no}.phxc",
                     global_model.params, set(global_model.personal_names),
                 )
-                for client in clients:
-                    if client.personal_params:
-                        write_checkpoint(
-                            out_path / f"client_{client.id}_personal.phxc",
-                            client.personal_params, set(client.personal_params),
-                        )
+                for cid, params in sorted(personal.items()):
+                    if params:
+                        write_checkpoint(out_path / f"client_{cid}_personal.phxc",
+                                         params, set(params))
                 runlog.write_csv(out_path / "runlog.csv")
     return global_model, runlog

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import struct
 from dataclasses import fields, replace
@@ -423,6 +424,7 @@ class TestTrainCommand:
         assert main(["partition", "--config", str(path)]) == 0
         assert main(["train", "--config", str(path), "--workers", "2"]) == 3
         assert "runtime failure" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
 
     def test_sharing_requires_warmup_checkpoint(self, tmp_path):
         path = micro_config(tmp_path, dataset={"per_class": 15},

@@ -7,7 +7,6 @@ import sys
 import textwrap
 import time
 import weakref
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
 from pathlib import Path
 
@@ -473,7 +472,7 @@ class TestRunFederation:
 
     def test_worker_independence_with_personalization_and_filtering(self, dataset,
                                                                     tmp_path):
-        cfg = tiny_config(client_count=3, server_rounds=2, personalization=True,
+        cfg = tiny_config(client_count=3, server_rounds=3, personalization=True,
                           threshold_filtering=True, eval_start_round=1,
                           min_active_clients=2)
         plan = make_plan(dataset, 3)
@@ -577,10 +576,87 @@ class TestRunFederation:
         original = federation.local_train
         monkeypatch.setattr(federation, "local_train", die)
         start = time.perf_counter()
-        with pytest.raises(BrokenProcessPool):
+        with pytest.raises(FederationError, match="round 1"):
             run_federation(build_unet(TINY, seed=1), make_plan(dataset, 2),
                            tiny_config(), dataset, seed=2, workers=2)
         assert time.perf_counter() - start < 30
+        assert multiprocessing.active_children() == []
+
+    def test_worker_gone_between_rounds_breaks_the_next_round(self, dataset,
+                                                              monkeypatch):
+        # the worker holding client 1 ends after answering round 1, so round 2
+        # finds its pipe broken, whether at the broadcast or at the reply
+        original = federation._serve_round
+
+        def serve_then_exit(conn, clients, message, run_inputs):
+            original(conn, clients, message, run_inputs)
+            if 1 in clients:
+                os._exit(1)
+
+        monkeypatch.setattr(federation, "_serve_round", serve_then_exit)
+        with pytest.raises(FederationError, match="round 2"):
+            run_federation(build_unet(TINY, seed=1), make_plan(dataset, 2),
+                           tiny_config(server_rounds=2), dataset, seed=2, workers=2)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_error_in_a_job_reaches_the_caller_as_raised(self, dataset, monkeypatch,
+                                                         workers):
+        def fail(client, *args):
+            if client.id == 1:
+                raise ValueError("scripted")
+            return original(client, *args)
+
+        original = federation.local_train
+        monkeypatch.setattr(federation, "local_train", fail)
+        with pytest.raises(ValueError, match="^scripted$"):
+            run_federation(build_unet(TINY, seed=1), make_plan(dataset, 2),
+                           tiny_config(), dataset, seed=2, workers=workers)
+        assert multiprocessing.active_children() == []
+
+    def test_each_client_stays_in_one_worker(self, dataset, monkeypatch, tmp_path):
+        job_pids = tmp_path / "job_pids"  # a worker's memory never comes back
+        original = federation.local_train
+
+        def train(client, model, data, config, round_no, seed):
+            with open(job_pids, "a") as fh:
+                fh.write(f"{round_no} {client.id} {os.getpid()}\n")
+            return original(client, model, data, config, round_no, seed)
+
+        monkeypatch.setattr(federation, "local_train", train)
+        run_federation(build_unet(TINY, seed=1), make_plan(dataset, 4),
+                       tiny_config(client_count=4, server_rounds=3), dataset, seed=2,
+                       workers=2)
+        jobs = [tuple(map(int, line.split())) for line in job_pids.read_text().splitlines()]
+        assert sorted((round_no, cid) for round_no, cid, _ in jobs) == [
+            (round_no, cid) for round_no in (1, 2, 3) for cid in range(4)]
+        pids_by_client: dict[int, set[int]] = {}
+        for _, cid, pid in jobs:
+            pids_by_client.setdefault(cid, set()).add(pid)
+        assert all(len(pids) == 1 for pids in pids_by_client.values())
+        pids = set().union(*pids_by_client.values())
+        assert len(pids) == 2 and os.getpid() not in pids
+        assert multiprocessing.active_children() == []
+
+    def test_round_updates_are_freed_before_the_next_round_trains(self, dataset,
+                                                                  monkeypatch):
+        original = federation.local_train
+        round_one, alive = [], []
+
+        def train(client, model, data, config, round_no, seed):
+            if round_no == 2:
+                gc.collect()
+                alive.append(sum(ref() is not None for ref in round_one))
+            update, state = original(client, model, data, config, round_no, seed)
+            if round_no == 1:
+                round_one.append(weakref.ref(update))
+            return update, state
+
+        monkeypatch.setattr(federation, "local_train", train)
+        run_federation(build_unet(TINY, seed=1), make_plan(dataset, 2),
+                       tiny_config(client_count=2, server_rounds=2), dataset, seed=2,
+                       workers=1)
+        assert len(round_one) == 2 and alive == [0, 0]
 
     def test_serial_round_frees_each_replaced_optimizer_state(self, dataset, monkeypatch):
         # when a client's job starts, the states that earlier jobs of the
@@ -835,25 +911,17 @@ class TestDefaultWorkers:
             monkeypatch.setenv(name, "1")
 
     def test_pinned_small_model_uses_every_usable_core(self, pinned):
-        assert federation.default_workers(build_unet(TINY, seed=1)) == federation.usable_cores()
+        assert federation.default_workers() == federation.usable_cores()
 
     def test_unpinned_blas_keeps_one_worker(self, monkeypatch):
         for name in federation.BLAS_THREAD_VARIABLES:
             monkeypatch.delenv(name, raising=False)
-        assert federation.default_workers(build_unet(TINY, seed=1)) == 1
-
-    def test_model_over_the_pool_bound_keeps_one_worker(self, pinned, monkeypatch):
-        model = build_unet(TINY, seed=1)
-        size = federation._param_bytes(model.params)
-        monkeypatch.setattr(federation, "POOL_MAX_PARAM_BYTES", size)
-        assert federation.default_workers(model) == federation.usable_cores()
-        monkeypatch.setattr(federation, "POOL_MAX_PARAM_BYTES", size - 1)
-        assert federation.default_workers(model) == 1
+        assert federation.default_workers() == 1
 
     def test_platform_without_fork_keeps_one_worker(self, pinned, dataset, monkeypatch):
         monkeypatch.setattr(federation.multiprocessing, "get_all_start_methods",
                             lambda: ["spawn"])
-        assert federation.default_workers(build_unet(TINY, seed=1)) == 1
+        assert federation.default_workers() == 1
         with pytest.raises(ValueError, match="fork"):
             run_federation(build_unet(TINY, seed=1), make_plan(dataset, 2),
                            tiny_config(), dataset, seed=2, workers=2)
