@@ -2,7 +2,9 @@
 
 Every command is driven by one RunConfig (a preset name or a JSON file) and
 writes only under the configured output directory. Exit codes: 0 success,
-2 configuration or input error, 3 runtime failure.
+2 configuration or input error, 3 runtime failure. Each command that needs the
+client split cuts it from the config; ``warmup`` and ``train`` refuse to start
+unless ``plan.json`` holds the very plan they cut.
 """
 
 from __future__ import annotations
@@ -44,11 +46,12 @@ from .metrics import MetricsContext, compute_report, sorted_histogram
 from .partition import (
     MODE_DATA_SHARING,
     MODE_IID,
+    MODE_LABEL_SKEW,
     PartitionPlan,
     data_sharing_split,
-    load_plan,
     partition_iid,
     partition_label_skew,
+    plan_to_json,
     save_plan,
 )
 from .seeding import DOMAIN_SAMPLE, derive_seed
@@ -81,35 +84,44 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _load_required_plan(cfg: RunConfig, train: Dataset) -> PartitionPlan:
-    """The run's plan; ``InputError`` if it is missing, names a sample that
-    ``train`` does not hold, or was cut for another run than ``cfg``: another
-    partition mode, client count or seed, in label-skew or data-sharing mode
-    another ``classes_per_client`` (a plan without one records none), or in
-    data-sharing mode another ``beta_pct`` or ``alpha_pct``."""
+def _read_json_object(path: Path) -> dict:
+    """The JSON object ``path`` holds; ``InputError`` naming the file if it
+    is not JSON or not a JSON object."""
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as exc:
+        raise InputError(f"{path} is not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InputError(f"{path} must hold a JSON object")
+    return doc
+
+
+def _cut_plan(cfg: RunConfig, train: Dataset) -> PartitionPlan:
+    """The plan ``cfg``'s partition mode cuts from ``train``."""
+    p, clients = cfg.partition, cfg.federation.client_count
+    if p.mode == MODE_IID:
+        return partition_iid(train, clients, cfg.seed)
+    if p.mode == MODE_LABEL_SKEW:
+        return partition_label_skew(train, clients, p.classes_per_client, cfg.seed)
+    return data_sharing_split(train, clients, p.beta_pct, p.alpha_pct,
+                              p.classes_per_client, cfg.seed)
+
+
+def _required_plan(cfg: RunConfig, train: Dataset) -> PartitionPlan:
+    """The plan ``cfg`` cuts from ``train``; ``InputError`` unless the run's
+    ``plan.json`` holds exactly that plan, so a run never trains on a split
+    its partition step did not write."""
     path = Path(cfg.out_dir) / PLAN_FILE
     if not path.exists():
         raise InputError(f"no partition plan at {path}; run 'phoenix partition' first")
-    plan = load_plan(path)
-    top = max((max(part, default=-1)
-               for part in (*plan.assignments, *plan.client_part, plan.shared_pool)),
-              default=-1)
-    if top >= len(train):
-        raise InputError(
-            f"plan {path} names sample {top}, the training set holds {len(train)}; "
-            f"rerun 'phoenix partition'"
-        )
-    p, sharing = cfg.partition, cfg.partition.mode == MODE_DATA_SHARING
-    for name, cut, run in (("mode", plan.mode, p.mode),
-                           ("client_count", plan.client_count, cfg.federation.client_count),
-                           ("seed", plan.seed, cfg.seed),
-                           ("classes_per_client", plan.classes_per_client,
-                            None if p.mode == MODE_IID else p.classes_per_client),
-                           ("beta_pct", plan.beta_pct, p.beta_pct if sharing else None),
-                           ("alpha_pct", plan.alpha_pct, p.alpha_pct if sharing else None)):
-        if cut != run:
-            raise InputError(f"plan {path} was cut with {name} {cut}, the run has {run}; "
-                             f"rerun 'phoenix partition'")
+    doc = _read_json_object(path)
+    plan = _cut_plan(cfg, train)
+    cut = plan_to_json(plan)
+    differ = sorted(key for key in cut.keys() | doc.keys()
+                    if key not in cut or key not in doc or cut[key] != doc[key])
+    if differ:
+        raise InputError(f"plan {path} differs from the plan this config cuts in "
+                         f"{differ}; rerun 'phoenix partition'")
     return plan
 
 
@@ -140,31 +152,20 @@ def _metrics_context(cfg: RunConfig, train: Dataset, test: Dataset,
 
 def cmd_partition(cfg: RunConfig, args: argparse.Namespace) -> int:
     train, _ = load_datasets(cfg)
-    p = cfg.partition
-    if p.mode == "iid":
-        plan = partition_iid(train, cfg.federation.client_count, cfg.seed)
-    elif p.mode == "label_skew":
-        plan = partition_label_skew(
-            train, cfg.federation.client_count, p.classes_per_client, cfg.seed
-        )
-    else:
-        plan = data_sharing_split(
-            train, cfg.federation.client_count, p.beta_pct, p.alpha_pct,
-            p.classes_per_client, cfg.seed,
-        )
+    plan = _cut_plan(cfg, train)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_plan(out / PLAN_FILE, plan)
     counts = [
-        np.bincount(train.labels[np.asarray(plan.client_indices(cid), dtype=np.int64)],
+        np.bincount(train.labels[np.asarray(part, dtype=np.int64)],
                     minlength=train.num_classes)
-        for cid in range(plan.client_count)
+        for part in plan.assignments
     ]
     write_csv(out / "class_counts.csv",
               ["client"] + [f"class_{c}" for c in range(train.num_classes)],
               ([cid] + [int(c) for c in row] for cid, row in enumerate(counts)))
-    sizes = [len(plan.client_indices(i)) for i in range(plan.client_count)]
-    print(f"wrote {out / PLAN_FILE}: mode={p.mode} clients={sizes}")
+    sizes = [len(part) for part in plan.assignments]
+    print(f"wrote {out / PLAN_FILE}: mode={plan.mode} clients={sizes}")
     if plan.mode == MODE_DATA_SHARING:
         print(f"shared pool |G|={len(plan.shared_pool)} "
               f"(beta={plan.beta_pct:g}%, alpha={plan.alpha_pct:g}%)")
@@ -173,7 +174,7 @@ def cmd_partition(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_warmup(cfg: RunConfig, args: argparse.Namespace) -> int:
     train, _ = load_datasets(cfg)
-    plan = _load_required_plan(cfg, train)
+    plan = _required_plan(cfg, train)
     if plan.mode != MODE_DATA_SHARING:
         raise InputError(
             f"warmup needs a data-sharing plan, found mode '{plan.mode}'"
@@ -198,7 +199,7 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise ConfigError(f"--workers: {exc}") from None
     train, test = load_datasets(cfg)
-    plan = _load_required_plan(cfg, train)
+    plan = _required_plan(cfg, train)
     fed = cfg.federation_config()
     out = Path(cfg.out_dir)
     if plan.mode == MODE_DATA_SHARING:
@@ -220,9 +221,9 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     summary = {
         "run_id": run_id,
         "strategy": cfg.strategy_label(),
-        "mode": cfg.partition.mode,
-        "beta_pct": cfg.partition.beta_pct if cfg.partition.mode == MODE_DATA_SHARING else None,
-        "alpha_pct": cfg.partition.alpha_pct if cfg.partition.mode == MODE_DATA_SHARING else None,
+        "mode": plan.mode,
+        "beta_pct": plan.beta_pct,
+        "alpha_pct": plan.alpha_pct,
         "drop_policy": fed.drop_policy.label() if fed.threshold_filtering else None,
         "seed": cfg.seed,
         "server_rounds": fed.server_rounds,
@@ -293,9 +294,7 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
         if not summary_path.exists():
             log.warning("skipping %s: no summary.json", run_dir)
             continue
-        doc = json.loads(summary_path.read_text())
-        if not isinstance(doc, dict):
-            raise InputError(f"{summary_path} must hold a JSON object")
+        doc = _read_json_object(summary_path)
         rows.append([doc.get(col) for col in REPORT_COLUMNS])
     rows.sort(key=lambda r: str(r[0]))
     out = Path(cfg.out_dir)

@@ -621,8 +621,8 @@ def run_federation(
         out_path.mkdir(parents=True, exist_ok=True)
 
     clients = [
-        ClientState(id=i, data_indices=list(plan.client_indices(i)))
-        for i in range(config.client_count)
+        ClientState(id=i, data_indices=list(part))
+        for i, part in enumerate(plan.assignments)
     ]
     global_model = initial_model
     filter_state = FilterState.fresh(range(config.client_count), config.drop_policy,

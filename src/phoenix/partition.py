@@ -2,12 +2,13 @@
 
 Every mode yields one ``PartitionPlan``; its sharing fields (the label-skew
 client parts, the shared pool G and the beta/alpha percentages) are filled
-only by the data-sharing split and stay empty in every other mode.
+only by the data-sharing split and stay empty in every other mode. Cutting is
+deterministic, so a plan is written (``save_plan``) but never read back: a
+later step cuts it again and compares.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -52,9 +53,6 @@ class PartitionPlan:
     beta_pct: float | None = None
     alpha_pct: float | None = None
     classes_per_client: int | None = None
-
-    def client_indices(self, client: int) -> list[int]:
-        return self.assignments[client]
 
 
 def partition_iid(dataset: Dataset, client_count: int, seed: int) -> PartitionPlan:
@@ -226,44 +224,6 @@ def plan_to_json(plan: PartitionPlan) -> dict:
     return doc
 
 
-def _index_list(value, what: str) -> list[int]:
-    if not isinstance(value, list) or not all(
-            isinstance(i, int) and not isinstance(i, bool) and i >= 0 for i in value):
-        raise ValueError(f"partition plan '{what}' must be a list of non-negative integers")
-    return value
-
-
-def _index_lists(value, what: str) -> list[list[int]]:
-    if not isinstance(value, list):
-        raise ValueError(f"partition plan '{what}' must be a list of integer lists")
-    return [_index_list(part, f"{what}[{k}]") for k, part in enumerate(value)]
-
-
-def plan_from_json(doc: dict) -> PartitionPlan:
-    """The plan a JSON document holds; ``ValueError`` if a key is missing,
-    the mode is unknown or an index list holds anything but integers >= 0."""
-    missing = [key for key in ("mode", "clients", "seed") if key not in doc]
-    if missing:
-        raise ValueError(f"partition plan lacks {missing}")
-    mode = doc["mode"]
-    if mode not in (MODE_IID, MODE_LABEL_SKEW, MODE_DATA_SHARING):
-        raise ValueError(f"unknown partition mode '{mode}'")
-    clients = _index_lists(doc["clients"], "clients")
-    beta, alpha = (None if doc.get(key) is None else float(doc[key])
-                   for key in ("beta_pct", "alpha_pct"))
-    return PartitionPlan(
-        clients, len(clients), mode, int(doc["seed"]),
-        client_part=_index_lists(doc.get("client_part", []), "client_part"),
-        shared_pool=_index_list(doc.get("shared_pool", []), "shared_pool"),
-        beta_pct=beta,
-        alpha_pct=alpha,
-        classes_per_client=doc.get("classes_per_client"),
-    )
-
-
 def save_plan(path: str | Path, plan: PartitionPlan) -> None:
     write_json(path, plan_to_json(plan))
 
-
-def load_plan(path: str | Path) -> PartitionPlan:
-    return plan_from_json(json.loads(Path(path).read_text()))

@@ -327,24 +327,55 @@ class TestTrainCommand:
         assert field in err and "rerun 'phoenix partition'" in err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
-    @pytest.mark.parametrize("clients, message", [
-        (5, "clients"),
-        ([[0, 1], [2], [3], [99999]], "99999"),
-        ([[0, 1], [2], [3], [4]], "classes_per_client"),
-    ], ids=["not-a-list", "index-out-of-range", "no-class-bound"])
+    @pytest.mark.parametrize("plan, message", [
+        ({"clients": 5}, "clients"),
+        ({"clients": [[0, 1], [2], [3], [99999]]}, "clients"),
+        ({"clients": [[0, 1], [2], [3], [4]]}, "classes_per_client"),
+        ('{"mode": ', "is not JSON"),
+        ("[1, 2]", "must hold a JSON object"),
+    ], ids=["not-a-list", "index-out-of-range", "no-class-bound", "not-json",
+            "not-an-object"])
     @pytest.mark.parametrize("command", ["train", "warmup"])
     def test_malformed_plan_refused_before_any_work(self, tmp_path, capsys, command,
-                                                    clients, message):
+                                                    plan, message):
+        # the warmup cases need a data-sharing config the dataset can cut
         mode = "data_sharing" if command == "warmup" else "label_skew"
-        path = micro_config(tmp_path, partition={"mode": mode})
+        path = micro_config(tmp_path, dataset={"per_class": 15}, partition={"mode": mode})
         out = tmp_path / "out"
         out.mkdir()
-        (out / "plan.json").write_text(json.dumps(
-            {"mode": mode, "clients": clients, "client_part": [], "shared_pool": [0],
-             "seed": 5}))
+        (out / "plan.json").write_text(plan if isinstance(plan, str) else json.dumps(
+            {"mode": mode, "client_part": [], "shared_pool": [0], "seed": 5, **plan}))
         assert main([command, "--config", str(path)]) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and str(out / "plan.json") in err
         assert sorted(p.name for p in out.iterdir()) == ["plan.json"]
+
+    @pytest.mark.parametrize("move_index, per_class", [(True, 15), (False, 20)],
+                             ids=["moved-index", "other-dataset-size"])
+    @pytest.mark.parametrize("command", ["warmup", "train"])
+    def test_plan_of_other_samples_refused_before_any_work(self, tmp_path, capsys, command,
+                                                           move_index, per_class):
+        # every key the old field checks compared still matches: only the
+        # assignments, or the dataset they index, differ
+        sharing = {"mode": "data_sharing", "beta_pct": 25.0, "alpha_pct": 100.0}
+        plan_config = str(micro_config(tmp_path, dataset={"per_class": 15},
+                                       partition=sharing))
+        assert main(["partition", "--config", plan_config]) == 0
+        assert main(["warmup", "--config", plan_config]) == 0
+        out = tmp_path / "out"
+        if move_index:
+            doc = json.loads((out / "plan.json").read_text())
+            doc["clients"][1] = sorted(doc["clients"][1] + [doc["clients"][0].pop()])
+            (out / "plan.json").write_text(json.dumps(doc))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        run_config = micro_config(tmp_path, dataset={"per_class": per_class},
+                                  partition=sharing)
+        assert main([command, "--config", str(run_config)]) == 2
+        err = capsys.readouterr().err
+        assert "'clients'" in err and str(out / "plan.json") in err
+        assert "rerun 'phoenix partition'" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     @pytest.mark.parametrize("pinned", [False, True], ids=["blas-unset", "blas-pinned"])
     def test_default_workers_follow_the_blas_pin(self, tmp_path, monkeypatch, pinned):
@@ -616,6 +647,15 @@ class TestReportCommand:
         lines = (out / "report.csv").read_text().splitlines()
         assert len(lines) == 2
         assert lines[1].startswith("ok,")
+
+    def test_truncated_summary_named_and_exits_2(self, tmp_path, capsys):
+        run = self.make_summary(tmp_path, "run_a")
+        text = (run / "summary.json").read_text()
+        (run / "summary.json").write_text(text[:len(text) // 2])
+        out = tmp_path / "out"
+        assert main(["report", "--config", "desk", "--out", str(out), str(run)]) == 2
+        assert str(run / "summary.json") in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
 
     def test_non_object_summary_exits_2(self, tmp_path):
         run = tmp_path / "run"

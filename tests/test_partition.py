@@ -1,13 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
+from phoenix.cli import main
 from phoenix.datasets import Dataset, make_toy_dataset
 from phoenix.partition import (
     data_sharing_split,
-    load_plan,
     partition_iid,
     partition_label_skew,
-    plan_from_json,
     plan_to_json,
     round_half_up,
     save_plan,
@@ -179,29 +180,20 @@ class TestDataSharing:
 
 class TestPlanJson:
     def test_partition_round_trip(self, tmp_path):
+        # the CLI refuses any plan.json but the document plan_to_json makes,
+        # so save_plan must write exactly that document
         ds = make_toy_dataset(4, 20, 8, seed=1)
-        plan = partition_label_skew(ds, 4, 2, seed=5)
         path = tmp_path / "plan.json"
-        save_plan(path, plan)
-        loaded = load_plan(path)
-        assert loaded.assignments == plan.assignments
-        assert loaded.mode == plan.mode
-        assert loaded.seed == plan.seed
-        assert loaded.classes_per_client == plan.classes_per_client == 2
+        for plan in (partition_iid(ds, 4, seed=5), partition_label_skew(ds, 4, 2, seed=5)):
+            save_plan(path, plan)
+            assert json.loads(path.read_text()) == plan_to_json(plan)
 
     def test_sharing_round_trip(self, tmp_path):
         ds = make_toy_dataset(4, 50, 8, seed=1)
         plan = data_sharing_split(ds, 4, 25, 50, 2, seed=5)
         path = tmp_path / "plan.json"
         save_plan(path, plan)
-        loaded = load_plan(path)
-        assert loaded.mode == "data_sharing"
-        assert loaded.assignments == plan.assignments
-        assert loaded.client_part == plan.client_part
-        assert loaded.shared_pool == plan.shared_pool
-        assert loaded.beta_pct == plan.beta_pct
-        assert loaded.alpha_pct == plan.alpha_pct
-        assert loaded.classes_per_client == plan.classes_per_client == 2
+        assert json.loads(path.read_text()) == plan_to_json(plan)
 
     def test_failed_save_keeps_previous_plan(self, tmp_path):
         ds = make_toy_dataset(4, 20, 8, seed=1)
@@ -225,16 +217,34 @@ class TestPlanJson:
         assert [set(plan_to_json(plan)) for plan in plans] == [
             common, common, common | {"client_part"}]
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            plan_from_json({"mode": "bogus", "clients": [[0]], "seed": 1})
+    @staticmethod
+    def refused(tmp_path, capsys, edit) -> str:
+        """The error ``phoenix warmup`` prints for the data-sharing plan
+        ``phoenix partition`` wrote, after ``edit`` changed its document;
+        asserts exit 2 and that the refusal wrote nothing."""
+        out = tmp_path / "out"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "preset": "desk", "dataset": {"per_class": 15, "test_per_class": 12},
+            "partition": {"mode": "data_sharing"}, "out_dir": str(out)}))
+        assert main(["partition", "--config", str(config)]) == 0
+        doc = json.loads((out / "plan.json").read_text())
+        edit(doc)
+        (out / "plan.json").write_text(json.dumps(doc))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main(["warmup", "--config", str(config)]) == 2
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        return capsys.readouterr().err
+
+    def test_unknown_mode_rejected(self, tmp_path, capsys):
+        err = self.refused(tmp_path, capsys, lambda doc: doc.update(mode="bogus"))
+        assert "['mode']" in err
 
     @pytest.mark.parametrize("key", ["mode", "clients", "seed"])
-    def test_missing_key_rejected(self, key):
-        doc = {"mode": "iid", "clients": [[0]], "seed": 1}
-        del doc[key]
-        with pytest.raises(ValueError, match=key):
-            plan_from_json(doc)
+    def test_missing_key_rejected(self, tmp_path, capsys, key):
+        err = self.refused(tmp_path, capsys, lambda doc: doc.pop(key))
+        assert f"['{key}']" in err
 
     @pytest.mark.parametrize("key, value", [
         ("clients", 5),
@@ -248,9 +258,6 @@ class TestPlanJson:
         ("shared_pool", "0,1"),
     ], ids=["int", "flat-list", "string", "float", "bool", "negative", "part-int",
             "pool-nested", "pool-string"])
-    def test_malformed_index_lists_rejected(self, key, value):
-        doc = {"mode": "data_sharing", "clients": [[0, 1], [2]], "client_part": [[0], [2]],
-               "shared_pool": [1], "seed": 1}
-        doc[key] = value
-        with pytest.raises(ValueError, match=key):
-            plan_from_json(doc)
+    def test_malformed_index_lists_rejected(self, tmp_path, capsys, key, value):
+        err = self.refused(tmp_path, capsys, lambda doc: doc.update({key: value}))
+        assert f"['{key}']" in err
