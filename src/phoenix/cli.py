@@ -4,7 +4,9 @@ Every command is driven by one RunConfig (a preset name or a JSON file) and
 writes only under the configured output directory. Exit codes: 0 success,
 2 configuration or input error, 3 runtime failure. Each command that needs the
 client split cuts it from the config; ``warmup`` and ``train`` refuse to start
-unless ``plan.json`` holds the very plan they cut.
+unless ``plan.json`` holds the very plan they cut, and ``train`` refuses a
+warmup model unless ``warmup.json`` records the plan and settings its own
+config would warm up from.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .config import (
     preset_names,
 )
 from .datasets import DataFormatError, Dataset
-from .federation import FederationError, check_workers, run_federation, warmup_train
+from .federation import FederationError, run_federation, warmup_train
 from .formats import (
     FormatError,
     image_extension,
@@ -43,6 +45,7 @@ from .formats import (
     write_tensor,
 )
 from .metrics import MetricsContext, compute_report, sorted_histogram
+from .parallel import check_workers
 from .partition import (
     MODE_DATA_SHARING,
     MODE_IID,
@@ -66,6 +69,7 @@ EXIT_RUNTIME = 3
 PLAN_FILE = "plan.json"
 WARMUP_CHECKPOINT = "round_0.phxc"
 WARMUP_LOSS_FILE = "warmup_loss.csv"
+WARMUP_RECORD = "warmup.json"
 CLASSIFIER_FILE = "eval_classifier.phxc"
 
 
@@ -107,22 +111,37 @@ def _cut_plan(cfg: RunConfig, train: Dataset) -> PartitionPlan:
                               p.classes_per_client, cfg.seed)
 
 
+def _require_same(path: Path, expected: dict, label: str, command: str) -> None:
+    """``InputError`` unless ``path`` holds the JSON object ``expected``; the
+    message names the file and the sorted top-level keys that differ."""
+    if not path.exists():
+        raise InputError(f"no {label} at {path}; run 'phoenix {command}' first")
+    doc = _read_json_object(path)
+    differ = sorted(key for key in expected.keys() | doc.keys()
+                    if key not in expected or key not in doc or expected[key] != doc[key])
+    if differ:
+        raise InputError(f"{label} {path} differs from the one this config makes in "
+                         f"{differ}; rerun 'phoenix {command}'")
+
+
 def _required_plan(cfg: RunConfig, train: Dataset) -> PartitionPlan:
     """The plan ``cfg`` cuts from ``train``; ``InputError`` unless the run's
     ``plan.json`` holds exactly that plan, so a run never trains on a split
     its partition step did not write."""
-    path = Path(cfg.out_dir) / PLAN_FILE
-    if not path.exists():
-        raise InputError(f"no partition plan at {path}; run 'phoenix partition' first")
-    doc = _read_json_object(path)
     plan = _cut_plan(cfg, train)
-    cut = plan_to_json(plan)
-    differ = sorted(key for key in cut.keys() | doc.keys()
-                    if key not in cut or key not in doc or cut[key] != doc[key])
-    if differ:
-        raise InputError(f"plan {path} differs from the plan this config cuts in "
-                         f"{differ}; rerun 'phoenix partition'")
+    _require_same(Path(cfg.out_dir) / PLAN_FILE, plan_to_json(plan), "partition plan",
+                  "partition")
     return plan
+
+
+def _warmup_record(cfg: RunConfig, plan: PartitionPlan) -> dict:
+    """What ``warmup`` trains from: the plan and every config value that
+    ``warmup_train`` reads."""
+    f = cfg.federation
+    return {"plan": plan_to_json(plan), "seed": cfg.seed, "model": asdict(cfg.model),
+            "diffusion": asdict(cfg.diffusion), "warmup_epochs": f.warmup_epochs,
+            "optimizer": f.optimizer, "learning_rate": f.learning_rate,
+            "batch_size": f.batch_size}
 
 
 def _model_from_checkpoint(cfg: RunConfig, path: Path) -> DenoiserModel:
@@ -185,6 +204,7 @@ def cmd_warmup(cfg: RunConfig, args: argparse.Namespace) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_checkpoint(out / WARMUP_CHECKPOINT, model.params, set(model.personal_names))
+    write_json(out / WARMUP_RECORD, _warmup_record(cfg, plan))
     write_csv(out / WARMUP_LOSS_FILE, ["epoch", "loss"],
               ([epoch, f"{loss:.6f}"] for epoch, loss in enumerate(curve, start=1)))
     print(f"wrote {out / WARMUP_CHECKPOINT} after {len(curve)} warmup epochs "
@@ -203,6 +223,8 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     fed = cfg.federation_config()
     out = Path(cfg.out_dir)
     if plan.mode == MODE_DATA_SHARING:
+        _require_same(out / WARMUP_RECORD, _warmup_record(cfg, plan), "warmup record",
+                      "warmup")
         initial = _model_from_checkpoint(cfg, out / WARMUP_CHECKPOINT)
     else:
         initial = build_unet(cfg.model_config(), cfg.seed)
@@ -334,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="processes for the clients' training and scoring, each "
                         "keeping its own clients' state for the whole run "
                         "(default: the usable cores when BLAS is pinned to one "
-                        "thread, else 1)")
+                        "thread, else 1); the final report's sampling always "
+                        "uses that default")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("generate", parents=[shared],

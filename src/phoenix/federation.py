@@ -24,14 +24,13 @@ update, row and personal layers come back. All randomness is derived from
 (seed, domain, round, epoch, ...) keys, so results are bitwise the same for
 every worker count.
 Unless told otherwise, a run pools only when that can pay: BLAS pinned to
-one thread and a platform that forks (``default_workers``).
+one thread and a platform that forks (``parallel.default_workers``).
 """
 
 from __future__ import annotations
 
 import logging
 import multiprocessing
-import os
 import pickle
 import time
 from contextlib import contextmanager
@@ -42,7 +41,7 @@ from typing import Mapping
 import numpy as np
 
 from . import autodiff as ad
-from . import diffusion
+from . import diffusion, parallel
 from .datasets import Dataset
 from .filtering import ACTIVE, DISCONNECTED, DropPolicy, FilterState, filter_step
 from .formats import write_checkpoint, write_csv
@@ -339,9 +338,10 @@ def evaluate_client(
     """Generate from the client's assembled model and score it by k-NN P/R."""
     if metrics_ctx is None:
         raise ValueError("client evaluation needs a metrics context")
+    # serial: a job already runs in a pool worker or in the one-process loop
     gen_seed = derive_seed(seed, DOMAIN_EVAL, round_no, client.id)
-    samples = diffusion.generate(
-        model, config.schedule, config.eval_sample_count, gen_seed
+    samples = diffusion.sample_chain(
+        model, config.schedule, 0, config.eval_sample_count, gen_seed
     )
     features = metrics_ctx.extract(samples)
     return knn_precision_recall(
@@ -494,48 +494,6 @@ def _client_rounds(clients: list[ClientState], worker_count: int, run_inputs: tu
             proc.join()
 
 
-# The variables that set the thread count of OpenBLAS, MKL and OpenMP BLAS.
-BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def blas_pinned(environ: Mapping[str, str] = os.environ) -> bool:
-    """Whether ``environ`` pins BLAS to one thread: at least one of
-    ``BLAS_THREAD_VARIABLES`` is set, and every one that is set says 1."""
-    values = [environ[name].strip() for name in BLAS_THREAD_VARIABLES if name in environ]
-    return bool(values) and all(value == "1" for value in values)
-
-
-def usable_cores() -> int:
-    """The cores this process may run on (all of them where affinity is unknown)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def can_fork() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-def check_workers(workers: int) -> None:
-    """Refuse a worker count ``run_federation`` cannot run with."""
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    if workers > 1 and not can_fork():
-        raise ValueError(f"{workers} workers need processes started by fork, "
-                         f"which this platform lacks; use 1 worker")
-
-
-def default_workers() -> int:
-    """The worker count of a run that names none: every usable core when BLAS
-    is pinned to one thread and the platform forks; else 1.
-
-    A forked worker inherits its parent's BLAS threads, so with BLAS
-    unpinned the workers fight over the cores: two desk workers took 68-88 s
-    where one took 31-32 s.
-    """
-    return usable_cores() if blas_pinned() and can_fork() else 1
-
-
 def _commit_round(replies, global_model: DenoiserModel, filter_state: FilterState,
                   round_no: int, scoring: bool, personal: dict[int, dict[str, np.ndarray]],
                   config: FederationConfig) -> tuple[DenoiserModel, FilterState, list[RunRow]]:
@@ -594,13 +552,13 @@ def run_federation(
     Every run holds a filter state, and each round trains the clients it
     lists as participating: without filtering, nothing is scored and every
     client takes part. Client jobs run in up to ``workers`` processes, by
-    default ``default_workers()``. Above one, ``min(workers, client_count)``
-    processes fork before round 1, each keeping its own clients' states
-    until the run ends or raises; a round sends each worker the global
-    model and gets back each client's update, row and personal layers. A
-    worker that ends mid-round raises ``FederationError``; any other error
-    in a job reaches the caller as it was raised. The run log holds one row
-    per client and round.
+    default ``parallel.default_workers()``. Above one,
+    ``min(workers, client_count)`` processes fork before round 1, each
+    keeping its own clients' states until the run ends or raises; a round
+    sends each worker the global model and gets back each client's update,
+    row and personal layers. A worker that ends mid-round raises
+    ``FederationError``; any other error in a job reaches the caller as it
+    was raised. The run log holds one row per client and round.
 
     Under ``out_dir``, when given, each round ends by writing its global
     checkpoint, the per-client personal checkpoints and the run log CSV so
@@ -608,8 +566,8 @@ def run_federation(
     """
     config.validate()
     if workers is None:
-        workers = default_workers()
-    check_workers(workers)
+        workers = parallel.default_workers()
+    parallel.check_workers(workers)
     if plan.client_count != config.client_count:
         raise ValueError(
             f"plan has {plan.client_count} clients, config expects {config.client_count}"

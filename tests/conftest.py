@@ -20,3 +20,16 @@ def cifar_dir(tmp_path_factory):
         records[0, 2] = 0
         (root / name).write_bytes(records.tobytes())
     return root
+
+
+@pytest.fixture()
+def two_workers(monkeypatch):
+    """``default_workers()`` forced to 2: BLAS pinned and two usable cores."""
+    from phoenix import parallel
+
+    if not parallel.can_fork():
+        pytest.skip("needs processes started by fork")
+    for name in parallel.BLAS_THREAD_VARIABLES:
+        monkeypatch.setenv(name, "1")
+    monkeypatch.setattr(parallel, "usable_cores", lambda: 2)
+    assert parallel.default_workers() == 2

@@ -1,13 +1,14 @@
 import json
 import multiprocessing
 import os
+import signal
 import struct
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from phoenix import diffusion, federation
+from phoenix import diffusion, federation, parallel
 from phoenix.classifier import ClassifierConfig, EvalClassifier, save_classifier
 from phoenix.cli import build_parser, main
 from phoenix.config import FederationSpec, config_from_dict, load_config, load_datasets
@@ -247,6 +248,7 @@ class TestWarmupCommand:
         assert main(["warmup", "--config", str(path)]) == 0
         out = tmp_path / "out"
         assert (out / "round_0.phxc").exists()
+        assert json.loads((out / "warmup.json").read_text())["warmup_epochs"] == 3
         lines = (out / "warmup_loss.csv").read_text().splitlines()
         assert lines[0] == "epoch,loss"
         assert len(lines) == 4  # header + one row per warmup epoch
@@ -381,7 +383,7 @@ class TestTrainCommand:
     def test_default_workers_follow_the_blas_pin(self, tmp_path, monkeypatch, pinned):
         # forked workers inherit the parent's BLAS threads, so only a pinned
         # BLAS lets the default train clients outside this process
-        for name in federation.BLAS_THREAD_VARIABLES:
+        for name in parallel.BLAS_THREAD_VARIABLES:
             monkeypatch.delenv(name, raising=False)
         if pinned:
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -400,7 +402,7 @@ class TestTrainCommand:
         assert main(["train", "--config", str(path)]) == 0
         pids = [int(line) for line in trainer_pids.read_text().split()]
         assert len(pids) == 4
-        assert {pid != os.getpid() for pid in pids} == {pinned and federation.usable_cores() > 1}
+        assert {pid != os.getpid() for pid in pids} == {pinned and parallel.usable_cores() > 1}
 
     def test_commands_run_without_affinity_support(self, tmp_path, monkeypatch):
         # platforms without os.sched_getaffinity count every core as usable
@@ -412,7 +414,7 @@ class TestTrainCommand:
 
     def test_workers_refused_where_processes_cannot_fork(self, tmp_path, monkeypatch,
                                                           capsys):
-        monkeypatch.setattr(federation.multiprocessing, "get_all_start_methods",
+        monkeypatch.setattr(parallel.multiprocessing, "get_all_start_methods",
                             lambda: ["spawn"])
         path = micro_config(tmp_path)
         assert main(["partition", "--config", str(path)]) == 0
@@ -456,6 +458,31 @@ class TestTrainCommand:
         assert main(["train", "--config", str(path), "--workers", "2"]) == 3
         assert "runtime failure" in capsys.readouterr().err
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("repartition, changed, differ", [
+        (False, {"federation": {"warmup_epochs": 3}}, "['warmup_epochs']"),
+        (True, {"partition": {"beta_pct": 10.0}}, "['plan']"),
+    ], ids=["warmup-epochs", "repartitioned-beta"])
+    def test_warmup_of_another_config_refused_before_any_work(self, tmp_path, capsys,
+                                                              repartition, changed, differ):
+        sharing = {"mode": "data_sharing", "beta_pct": 25.0, "alpha_pct": 100.0}
+        warmup_config = str(micro_config(tmp_path, dataset={"per_class": 15},
+                                         partition=sharing))
+        assert main(["partition", "--config", warmup_config]) == 0
+        assert main(["warmup", "--config", warmup_config]) == 0
+        run_config = str(micro_config(tmp_path, dataset={"per_class": 15},
+                                      partition={**sharing, **changed.get("partition", {})},
+                                      federation=changed.get("federation", {})))
+        if repartition:  # plan.json matches the run; the warmup model does not
+            assert main(["partition", "--config", run_config]) == 0
+        out = tmp_path / "out"
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main(["train", "--config", run_config]) == 2
+        err = capsys.readouterr().err
+        assert str(out / "warmup.json") in err and differ in err
+        assert "rerun 'phoenix warmup'" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_sharing_requires_warmup_checkpoint(self, tmp_path):
         path = micro_config(tmp_path, dataset={"per_class": 15},
@@ -501,6 +528,26 @@ class TestGenerateCommand:
         model = build_unet(cfg.model_config(), cfg.seed).with_params(params)
         expected = diffusion.generate(model, cosine_schedule(6), 4, seed=5)
         np.testing.assert_array_equal(read_tensor(gen / "samples.phxt"), expected)
+
+    def test_killed_sampling_process_exits_3(self, trained, tmp_path, monkeypatch, capsys,
+                                             two_workers):
+        path, ckpt = trained
+        monkeypatch.setattr(diffusion, "SAMPLE_BATCH", 2)  # 4 samples make two shares
+        original, home = diffusion.sample_chain, os.getpid()
+
+        def chain(*args):
+            if os.getpid() != home:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return original(*args)
+
+        monkeypatch.setattr(diffusion, "sample_chain", chain)
+        capsys.readouterr()
+        gen = tmp_path / "gen"
+        assert main(["generate", "--config", str(path), "--out", str(gen),
+                     "--checkpoint", str(ckpt), "--count", "4"]) == 3
+        assert "runtime failure: sampling" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+        assert not gen.exists()
 
     def test_corrupt_checkpoint_exits_2(self, trained, tmp_path, capsys):
         path, ckpt = trained

@@ -1,10 +1,14 @@
 import math
+import multiprocessing
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
 
 from phoenix import autodiff as ad
-from phoenix import diffusion
+from phoenix import diffusion, parallel
 from phoenix.schedule import linear_schedule
 from phoenix.unet import DenoiserConfig, build_unet, predict_noise
 
@@ -190,3 +194,102 @@ class TestGenerate:
     def test_count_validated(self, schedule, tiny_model):
         with pytest.raises(ValueError):
             diffusion.generate(tiny_model, schedule, 0, seed=1)
+
+
+class TestSplitSampling:
+    """``generate`` with two workers: this process runs the first share of
+    batches and a forked process the rest."""
+
+    @pytest.fixture()
+    def batch_of_two(self, monkeypatch):
+        # a forked sampling process inherits the patched batch size
+        monkeypatch.setattr(diffusion, "SAMPLE_BATCH", 2)
+
+    @pytest.fixture()
+    def ranges(self, monkeypatch, tmp_path):
+        """The (pid, start, stop) of every ``sample_chain`` call, in any process."""
+        log, original = tmp_path / "ranges", diffusion.sample_chain
+
+        def spy(model, schedule, start, stop, seed):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {start} {stop}\n")
+            return original(model, schedule, start, stop, seed)
+
+        monkeypatch.setattr(diffusion, "sample_chain", spy)
+        return lambda: [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+
+    @pytest.mark.parametrize("count, shares", [
+        (1, [(0, 1)]), (2, [(0, 2)]), (3, [(0, 2), (2, 3)]), (5, [(0, 2), (2, 5)]),
+    ])
+    def test_split_equals_the_serial_chain(self, schedule, tiny_model, two_workers,
+                                           batch_of_two, ranges, count, shares):
+        split = diffusion.generate(tiny_model, schedule, count, seed=11)
+        assert sorted((start, stop) for _, start, stop in ranges()) == shares
+        assert {pid != os.getpid() for pid, _, _ in ranges()} == (
+            {False, True} if len(shares) > 1 else {False})
+        assert multiprocessing.active_children() == []
+        serial = diffusion.sample_chain(tiny_model, schedule, 0, count, seed=11)
+        np.testing.assert_array_equal(split, serial)
+
+    def test_split_at_the_shipped_batch_equals_one_process(self, tiny_model, two_workers,
+                                                           monkeypatch):
+        count, steps = diffusion.SAMPLE_BATCH + 3, linear_schedule(4)
+        split = diffusion.generate(tiny_model, steps, count, seed=4)
+        monkeypatch.setattr(parallel, "usable_cores", lambda: 1)
+        np.testing.assert_array_equal(split, diffusion.generate(tiny_model, steps, count, 4))
+
+    def test_sample_is_the_same_whatever_the_count(self, schedule, tiny_model, two_workers,
+                                                   batch_of_two):
+        # every batch but the last is full, and a full batch is computed the
+        # same whatever the count or the process
+        seven = diffusion.generate(tiny_model, schedule, 7, seed=2)
+        for count in (2, 4, 6):
+            np.testing.assert_array_equal(
+                diffusion.generate(tiny_model, schedule, count, seed=2), seven[:count])
+
+    @pytest.fixture()
+    def scripted(self, monkeypatch):
+        """Make ``sample_chain`` run ``parent`` in this process and ``child``
+        in the sampling process before sampling."""
+        original, home = diffusion.sample_chain, os.getpid()
+
+        def script(parent=lambda: None, child=lambda: None):
+            def chain(*args):
+                (parent if os.getpid() == home else child)()
+                return original(*args)
+
+            monkeypatch.setattr(diffusion, "sample_chain", chain)
+
+        return script
+
+    def test_error_in_a_sampling_process_is_raised_as_it_was(self, schedule, tiny_model,
+                                                             two_workers, batch_of_two,
+                                                             scripted):
+        def fail():
+            raise ValueError("scripted")
+
+        scripted(child=fail)
+        with pytest.raises(ValueError, match="^scripted$"):
+            diffusion.generate(tiny_model, schedule, 4, seed=1)
+        assert multiprocessing.active_children() == []
+
+    def test_killed_sampling_process_raises_runtime_error(self, schedule, tiny_model,
+                                                          two_workers, batch_of_two,
+                                                          scripted):
+        scripted(child=lambda: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(RuntimeError, match="sampling"):
+            diffusion.generate(tiny_model, schedule, 4, seed=1)
+        assert multiprocessing.active_children() == []
+
+    def test_error_in_this_process_terminates_the_others(self, schedule, tiny_model,
+                                                         two_workers, batch_of_two,
+                                                         scripted):
+        def fail():
+            raise ValueError("here")
+
+        scripted(parent=fail, child=lambda: time.sleep(60))
+        began = time.monotonic()
+        with pytest.raises(ValueError, match="^here$"):
+            diffusion.generate(tiny_model, schedule, 4, seed=1)
+        assert multiprocessing.active_children() == []
+        assert time.monotonic() - began < 30  # not joined after its sleep

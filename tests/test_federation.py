@@ -15,7 +15,7 @@ import pytest
 
 import phoenix.federation as federation
 from phoenix import autodiff as ad
-from phoenix import diffusion
+from phoenix import diffusion, parallel
 from phoenix.classifier import ClassifierConfig, EvalClassifier
 from phoenix.datasets import Dataset, make_toy_dataset
 from phoenix.federation import (
@@ -252,8 +252,8 @@ class TestEvaluateClient:
     def test_reference_samples_score_perfect(self, dataset, model, monkeypatch):
         reference = dataset.images[:8]
         ctx = pixel_ctx(reference)
-        monkeypatch.setattr(federation.diffusion, "generate",
-                            lambda m, s, c, seed: reference.copy())
+        monkeypatch.setattr(federation.diffusion, "sample_chain",
+                            lambda m, s, start, stop, seed: reference.copy())
         cfg = tiny_config()
         client = ClientState(id=0, data_indices=[0])
         precision, recall = evaluate_client(client, model, ctx, cfg, 1, seed=0)
@@ -262,8 +262,8 @@ class TestEvaluateClient:
     def test_distant_samples_score_zero(self, dataset, model, monkeypatch):
         reference = dataset.images[:8]
         ctx = pixel_ctx(reference)
-        monkeypatch.setattr(federation.diffusion, "generate",
-                            lambda m, s, c, seed: reference + 100.0)
+        monkeypatch.setattr(federation.diffusion, "sample_chain",
+                            lambda m, s, start, stop, seed: reference + 100.0)
         cfg = tiny_config()
         client = ClientState(id=0, data_indices=[0])
         assert evaluate_client(client, model, ctx, cfg, 1, seed=0) == (0.0, 0.0)
@@ -903,51 +903,60 @@ class TestDefaultWorkers:
         ({"OPENBLAS_NUM_THREADS": ""}, False),
     ], ids=["unset", "openblas", "omp-and-mkl", "one-says-two", "empty"])
     def test_blas_pinned_only_when_every_set_variable_says_one(self, environ, pinned):
-        assert federation.blas_pinned(environ) is pinned
+        assert parallel.blas_pinned(environ) is pinned
 
     @pytest.fixture()
     def pinned(self, monkeypatch):
-        for name in federation.BLAS_THREAD_VARIABLES:
+        for name in parallel.BLAS_THREAD_VARIABLES:
             monkeypatch.setenv(name, "1")
 
     def test_pinned_small_model_uses_every_usable_core(self, pinned):
-        assert federation.default_workers() == federation.usable_cores()
+        assert parallel.default_workers() == parallel.usable_cores()
 
     def test_unpinned_blas_keeps_one_worker(self, monkeypatch):
-        for name in federation.BLAS_THREAD_VARIABLES:
+        for name in parallel.BLAS_THREAD_VARIABLES:
             monkeypatch.delenv(name, raising=False)
-        assert federation.default_workers() == 1
+        assert parallel.default_workers() == 1
 
     def test_platform_without_fork_keeps_one_worker(self, pinned, dataset, monkeypatch):
-        monkeypatch.setattr(federation.multiprocessing, "get_all_start_methods",
+        monkeypatch.setattr(parallel.multiprocessing, "get_all_start_methods",
                             lambda: ["spawn"])
-        assert federation.default_workers() == 1
+        assert parallel.default_workers() == 1
         with pytest.raises(ValueError, match="fork"):
             run_federation(build_unet(TINY, seed=1), make_plan(dataset, 2),
                            tiny_config(), dataset, seed=2, workers=2)
 
     def test_cores_counted_without_affinity_support(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert federation.usable_cores() == (os.cpu_count() or 1)
+        assert parallel.usable_cores() == (os.cpu_count() or 1)
 
     @pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
                         reason="threads are counted through /proc/self/task")
-    def test_pinned_blas_forks_the_pool_from_a_single_thread(self):
+    def test_pinned_blas_forks_the_pool_from_a_single_thread(self, tmp_path):
         # CPython 3.12 and later warn when a process with threads forks; with
-        # BLAS pinned the process has none besides the main thread, and the
-        # run forks once per worker, before its pool starts any thread
+        # BLAS pinned the process has none besides the main thread. A filtered
+        # run forks once per worker, before its pool starts any thread. Its
+        # scoring rounds draw more than one batch each and fork nothing (a
+        # pool worker is a daemon and could not); generate then forks one
+        # sampling process for its second share. Every fork is logged to a
+        # file, so a fork inside a worker would show up too
         script = textwrap.dedent("""
-            import os
+            import os, sys
+            from phoenix import diffusion
+            from phoenix.classifier import ClassifierConfig, EvalClassifier
             from phoenix.datasets import make_toy_dataset
             from phoenix.federation import FederationConfig, run_federation
+            from phoenix.metrics import MetricsContext
             from phoenix.partition import partition_label_skew
             from phoenix.schedule import linear_schedule
             from phoenix.unet import DenoiserConfig, build_unet
 
-            threads, fork = [], os.fork
+            log, fork, phase = sys.argv[1], os.fork, "run"
 
             def counting_fork():
-                threads.append(len(os.listdir("/proc/self/task")))
+                with open(log, "a") as fh:
+                    threads = len(os.listdir("/proc/self/task"))
+                    fh.write(f"{os.getpid()} {threads} {phase}\\n")
                 return fork()
 
             os.fork = counting_fork
@@ -955,15 +964,26 @@ class TestDefaultWorkers:
             cfg = FederationConfig(
                 client_count=2, server_rounds=3, local_epochs=1, batch_size=8,
                 learning_rate=1e-3, schedule=linear_schedule(10),
+                threshold_filtering=True, eval_start_round=1,
+                eval_sample_count=diffusion.SAMPLE_BATCH + 1,  # two shares, were it split
             )
+            untrained = EvalClassifier.initialize(ClassifierConfig(1, 8, 4), seed=0)
+            ctx = MetricsContext.build(data.images[:8], untrained, "pixels")
             model = build_unet(DenoiserConfig(base_channels=4, time_embed_dim=8), seed=1)
-            run_federation(model, partition_label_skew(data, 2, 2, seed=5), cfg, data,
-                           seed=2, workers=2)
-            print(threads)
+            final, runlog = run_federation(model, partition_label_skew(data, 2, 2, seed=5),
+                                           cfg, data, seed=2, metrics_ctx=ctx, workers=2)
+            assert all(row.precision is not None for row in runlog.rows)
+            phase = "generate"
+            diffusion.generate(final, cfg.schedule, diffusion.SAMPLE_BATCH + 1, seed=3)
+            print(os.getpid())
         """)
         src = str(Path(federation.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src,
-               **{name: "1" for name in federation.BLAS_THREAD_VARIABLES}}
-        done = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", "-c", script],
+               **{name: "1" for name in parallel.BLAS_THREAD_VARIABLES}}
+        log = tmp_path / "forks"
+        done = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", "-c", script,
+                               str(log)],
                               env=env, check=True, timeout=120, capture_output=True, text=True)
-        assert done.stdout.split() == ["[1,", "1]"]
+        main = done.stdout.strip()
+        assert log.read_text().splitlines() == [
+            f"{main} 1 run", f"{main} 1 run", f"{main} 1 generate"]
