@@ -150,7 +150,7 @@ def _sample_share(conn, model: DenoiserModel, schedule: NoiseSchedule, start: in
         reply = sample_chain(model, schedule, start, stop, seed)
     except Exception as exc:
         reply = exc
-    conn.send(reply)
+    parallel.send(conn, reply)
 
 
 def generate(model: DenoiserModel, schedule: NoiseSchedule, count: int,
@@ -190,7 +190,7 @@ def generate(model: DenoiserModel, schedule: NoiseSchedule, count: int,
         samples = [sample_chain(model, schedule, 0, cuts[1], seed)]
         for conn in conns:
             try:
-                reply = conn.recv()
+                reply = parallel.recv(conn)
             except (EOFError, OSError):
                 raise RuntimeError("sampling: a sampling process ended before "
                                    "sending its samples") from None

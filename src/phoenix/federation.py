@@ -20,9 +20,11 @@ holds the states of the clients with ``id % workers == k`` and inherits what
 stays the same for the run: the dataset, the config, the seed and the
 metrics context. Each round sends every worker the global model, the round
 number, whether the round scores and who participates; only each client's
-update, row and personal layers come back. All randomness is derived from
-(seed, domain, round, epoch, ...) keys, so results are bitwise the same for
-every worker count.
+update, row and personal layers come back. Both cross through
+``parallel.send`` and ``recv``, which copy no parameter table; a reply's
+arrays are views of one arena, which ends with the round. All randomness is
+derived from (seed, domain, round, epoch, ...) keys, so results are bitwise
+the same for every worker count.
 Unless told otherwise, a run pools only when that can pay: BLAS pinned to
 one thread and a platform that forks (``parallel.default_workers``).
 """
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
-import pickle
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
@@ -46,7 +47,7 @@ from .datasets import Dataset
 from .filtering import ACTIVE, DISCONNECTED, DropPolicy, FilterState, filter_step
 from .formats import write_checkpoint, write_csv
 from .metrics import MetricsContext, knn_precision_recall
-from .optim import AdamState, adam_step, sgd_step
+from .optim import AdamState, adam_step, blocks, sgd_step
 from .partition import PartitionPlan
 from .schedule import NoiseSchedule
 from .seeding import (
@@ -171,8 +172,10 @@ def _draw_batch_noise(
     """Per-sample step indices and noise, keyed by the global sample index.
 
     Keying on the sample rather than client or batch position makes the
-    draws identical however samples are grouped, which is what lets
-    federated full-batch SGD match a centralized step exactly.
+    draws identical however samples are grouped. The step computed from
+    them need not be: BLAS may give a row other bits in a batch of another
+    row count, so federated full-batch SGD matches a centralized step to
+    rounding, not bit for bit.
     """
     t = np.empty(len(indices), dtype=np.int64)
     noise = np.empty((len(indices),) + image_shape, dtype=np.float32)
@@ -303,7 +306,12 @@ def local_train(
 
 
 def fedavg(updates: list[ClientUpdate]) -> dict[str, np.ndarray]:
-    """Sample-count-weighted average of the updates' parameter tables."""
+    """Sample-count-weighted average of the updates' parameter tables.
+
+    Each parameter is summed in float64, in client-id order from zero, and
+    rounded to float32; it is walked in ``optim.blocks``, so every element
+    takes the same arithmetic as the whole-array sum.
+    """
     if not updates:
         raise ValueError("fedavg needs at least one update")
     names = list(updates[0].params)
@@ -318,12 +326,17 @@ def fedavg(updates: list[ClientUpdate]) -> dict[str, np.ndarray]:
     if total <= 0:
         raise ValueError("total sample count is zero")
     ordered = sorted(updates, key=lambda u: u.client_id)
+    weights = [u.sample_count / total for u in ordered]
     out: dict[str, np.ndarray] = {}
     for name in names:
-        acc = np.zeros(updates[0].params[name].shape, dtype=np.float64)
-        for u in ordered:
-            acc += (u.sample_count / total) * u.params[name].astype(np.float64)
-        out[name] = acc.astype(np.float32)
+        out[name] = mean = np.empty(updates[0].params[name].shape, np.float32)
+        for mean_, *tables in blocks(mean.size, mean, *(u.params[name] for u in ordered)):
+            acc = np.zeros(mean_.shape)
+            scratch = np.empty(mean_.shape)
+            for p, weight in zip(tables, weights):
+                np.multiply(p, weight, dtype=np.float64, out=scratch)
+                acc += scratch
+            mean_[...] = acc
     return out
 
 
@@ -402,18 +415,14 @@ def _train_share(clients: dict[int, ClientState], global_model: DenoiserModel,
             del update  # the caller keeps or sends it; here it would outlive the next job
 
 
-def _send(conn, value) -> None:
-    conn.send_bytes(pickle.dumps(value, pickle.HIGHEST_PROTOCOL))
-
-
 def _serve_round(conn, clients: dict[int, ClientState], message: tuple,
                  run_inputs: tuple) -> None:
     try:
         for reply in _train_share(clients, *message, *run_inputs):
-            _send(conn, reply)
+            parallel.send(conn, reply)
             del reply  # sent; not to be held through the next job
     except Exception as exc:
-        _send(conn, exc)
+        parallel.send(conn, exc)
 
 
 def _serve(conn, clients: dict[int, ClientState], run_inputs: tuple, inherited) -> None:
@@ -429,7 +438,7 @@ def _serve(conn, clients: dict[int, ClientState], run_inputs: tuple, inherited) 
         parent_end.close()
     try:
         while True:
-            _serve_round(conn, clients, conn.recv(), run_inputs)
+            _serve_round(conn, clients, parallel.recv(conn), run_inputs)
     except EOFError:
         pass
 
@@ -445,8 +454,8 @@ def _client_rounds(clients: list[ClientState], worker_count: int, run_inputs: tu
 
     With one worker the jobs run here, over every client. Above one,
     ``worker_count`` processes fork now, and worker k keeps the states of the
-    clients with ``id % worker_count == k`` for the whole run; a round
-    pickles its message once and sends it to every worker. On leaving, the
+    clients with ``id % worker_count == k`` for the whole run; a round sends
+    its message to every worker through ``parallel.send``. On leaving, the
     workers are ended and reaped, those of a failed run terminated first.
     """
     if worker_count == 1:
@@ -457,17 +466,14 @@ def _client_rounds(clients: list[ClientState], worker_count: int, run_inputs: tu
     conns, procs, finished = [], [], False
 
     def train(global_model, round_no, scoring, participating):
-        message = pickle.dumps((global_model, round_no, scoring, participating),
-                               pickle.HIGHEST_PROTOCOL)
         try:
             for conn in conns:
-                conn.send_bytes(message)
+                parallel.send(conn, (global_model, round_no, scoring, participating))
         except OSError:
             raise _worker_ended(round_no) from None
-        del message
         for cid in participating:
             try:
-                reply = conns[cid % worker_count].recv()
+                reply = parallel.recv(conns[cid % worker_count])
             except (EOFError, OSError):
                 raise _worker_ended(round_no) from None
             if isinstance(reply, Exception):
@@ -499,9 +505,11 @@ def _commit_round(replies, global_model: DenoiserModel, filter_state: FilterStat
                   config: FederationConfig) -> tuple[DenoiserModel, FilterState, list[RunRow]]:
     """Take a round's replies in id order, advance the filter and aggregate.
 
-    Stores each client's personal layers in ``personal`` and returns the
-    next global model, the next filter state and one row per client. The
-    updates end with the call, so none outlives its round.
+    Stores a copy of each client's personal layers in ``personal`` and
+    returns the next global model, the next filter state and one row per
+    client. The updates end with the call, so none outlives its round: a
+    reply's arrays may be views of one arena that ``parallel.recv`` filled,
+    and a kept view would hold the whole reply.
     """
     broadcast_bytes = _param_bytes(
         split_parameters(global_model)[0] if config.personalization and round_no > 1
@@ -510,7 +518,7 @@ def _commit_round(replies, global_model: DenoiserModel, filter_state: FilterStat
     updates, rows = {}, {}
     for update, row, personal_params in replies:
         updates[row.client_id], rows[row.client_id] = update, row
-        personal[row.client_id] = personal_params
+        personal[row.client_id] = {name: p.copy() for name, p in personal_params.items()}
         row.bytes_down = broadcast_bytes
 
     if scoring:

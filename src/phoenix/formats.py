@@ -93,7 +93,7 @@ def write_tensor_to(f: BinaryIO, array: np.ndarray) -> None:
     f.write(PHXT_MAGIC)
     f.write(struct.pack("<HBB", FORMAT_VERSION, DTYPE_F32, arr.ndim))
     f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-    f.write(arr.astype("<f4").tobytes())
+    f.write(arr.astype("<f4", copy=False).data)
 
 
 def read_tensor_from(f: BinaryIO) -> np.ndarray:

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -33,3 +35,18 @@ def two_workers(monkeypatch):
         monkeypatch.setenv(name, "1")
     monkeypatch.setattr(parallel, "usable_cores", lambda: 2)
     assert parallel.default_workers() == 2
+
+
+@pytest.fixture()
+def dies_mid_payload(monkeypatch):
+    """A forked process that sends arrays through ``parallel.send`` writes its
+    head and half of its first array's bytes, then ends."""
+    home, writev = os.getpid(), os.writev
+
+    def half_then_exit(fd, buffers):
+        if os.getpid() == home:
+            return writev(fd, buffers)
+        os.write(fd, buffers[0][:len(buffers[0]) // 2])
+        os._exit(1)
+
+    monkeypatch.setattr(os, "writev", half_then_exit)

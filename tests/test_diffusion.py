@@ -281,6 +281,13 @@ class TestSplitSampling:
             diffusion.generate(tiny_model, schedule, 4, seed=1)
         assert multiprocessing.active_children() == []
 
+    def test_sampling_process_ending_mid_payload_raises_runtime_error(
+            self, schedule, tiny_model, two_workers, batch_of_two, dies_mid_payload):
+        # the process sends its samples' head and half of their bytes, then ends
+        with pytest.raises(RuntimeError, match="^sampling: a sampling process ended"):
+            diffusion.generate(tiny_model, schedule, 4, seed=1)
+        assert multiprocessing.active_children() == []
+
     def test_error_in_this_process_terminates_the_others(self, schedule, tiny_model,
                                                          two_workers, batch_of_two,
                                                          scripted):

@@ -31,7 +31,7 @@ from phoenix.federation import (
 )
 from phoenix.filtering import DropPolicy
 from phoenix.metrics import MetricsContext
-from phoenix.optim import AdamState, adam_step
+from phoenix.optim import BLOCK, AdamState, adam_step
 from phoenix.partition import PartitionPlan, partition_label_skew
 from phoenix.schedule import linear_schedule
 from phoenix.seeding import DOMAIN_SHUFFLE, DOMAIN_TRAIN_NOISE, derive_rng
@@ -236,6 +236,25 @@ class TestFedavg:
         ups = [self.scalar_update(0, 1.0, 2), self.scalar_update(1, 5.0, 6)]
         scaled = [self.scalar_update(0, 1.0, 20), self.scalar_update(1, 5.0, 60)]
         np.testing.assert_array_equal(fedavg(ups)["w"], fedavg(scaled)["w"])
+
+    def test_blocked_sum_bitwise_equal_to_textbook_formula(self):
+        # three clients with unequal counts; one parameter three elements
+        # past a block, with -0.0 and subnormal entries at the boundary
+        rng = np.random.default_rng(4)
+        shapes = {"big": (BLOCK + 3,), "conv.w": (4, 3, 3, 3)}
+        updates = []
+        for cid, count in ((2, 7), (0, 3), (1, 12)):
+            table = {k: rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()}
+            table["big"][BLOCK - 2:BLOCK + 2] = [-0.0, 1e-40, -1e-40, -0.0]
+            updates.append(ClientUpdate(cid, table, count, 0.0))
+        total = 22
+        out = fedavg(updates)
+        for name in shapes:
+            acc = np.zeros(shapes[name], dtype=np.float64)
+            for u in sorted(updates, key=lambda u: u.client_id):
+                acc += (u.sample_count / total) * u.params[name].astype(np.float64)
+            np.testing.assert_array_equal(out[name].view(np.uint32),
+                                          acc.astype(np.float32).view(np.uint32))
 
     def test_name_mismatch_names_client(self):
         good = self.scalar_update(0, 1.0, 1)
@@ -598,6 +617,46 @@ class TestRunFederation:
             run_federation(build_unet(TINY, seed=1), make_plan(dataset, 2),
                            tiny_config(server_rounds=2), dataset, seed=2, workers=2)
         assert multiprocessing.active_children() == []
+
+    def test_worker_ending_mid_reply_breaks_the_round(self, dataset, dies_mid_payload):
+        # the worker sends a reply's head and half of its first array, then ends
+        with pytest.raises(FederationError,
+                           match="^round 1: a worker process ended mid-round$"):
+            run_federation(build_unet(TINY, seed=1), make_plan(dataset, 2),
+                           tiny_config(), dataset, seed=2, workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_kept_personal_layers_own_their_memory(self, dataset, monkeypatch, tmp_path):
+        # a reply's arrays are views of one arena; the personal layers the run
+        # keeps across rounds must not hold it
+        kept, original = [], federation.write_checkpoint
+
+        def spy(path, params, personal_names=frozenset()):
+            if Path(path).name.startswith("client_"):
+                kept.extend(params.values())
+            original(path, params, personal_names)
+
+        monkeypatch.setattr(federation, "write_checkpoint", spy)
+        run_federation(build_unet(TINY, seed=1), make_plan(dataset, 2),
+                       tiny_config(server_rounds=2, personalization=True), dataset,
+                       seed=2, workers=2, out_dir=tmp_path)
+        assert kept and all(p.flags.owndata for p in kept)
+
+    def test_worker_independence_across_a_block(self, dataset, tmp_path):
+        # a shared 64x128x3x3 conv weight spans two blocks of Adam and fedavg
+        wide = build_unet(DenoiserConfig(base_channels=32, time_embed_dim=8), seed=1)
+        assert max(p.size for name, p in wide.params.items()
+                   if name not in wide.personal_names) > BLOCK
+        checkpoints = {}
+        for workers in (1, 2):
+            out = tmp_path / str(workers)
+            run_federation(wide, make_plan(dataset, 2),
+                           tiny_config(server_rounds=2, personalization=True), dataset,
+                           seed=2, workers=workers, out_dir=out)
+            checkpoints[workers] = {p.name: p.read_bytes() for p in out.glob("*.phxc")}
+        assert sorted(checkpoints[1]) == ["client_0_personal.phxc", "client_1_personal.phxc",
+                                          "round_1.phxc", "round_2.phxc"]
+        assert checkpoints[1] == checkpoints[2]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_error_in_a_job_reaches_the_caller_as_raised(self, dataset, monkeypatch,

@@ -127,6 +127,29 @@ def test_checkpoint_round_trip(tmp_path):
     assert personal == {"head.w"}
 
 
+def test_checkpoint_bytes_equal_the_copying_writer(tmp_path):
+    # the writer as it was: every tensor copied into a bytes object
+    def copying_writer(params, personal_names):
+        out = [b"PHXC", struct.pack("<HI", 1, len(params))]
+        for name, arr in params.items():
+            arr = np.ascontiguousarray(arr, dtype=np.float32)
+            arr = arr.reshape(1) if arr.ndim < 1 else arr
+            out += [struct.pack("<H", len(name.encode())), name.encode(),
+                    struct.pack("<B", name in personal_names), b"PHXT",
+                    struct.pack("<HBB", 1, 0, arr.ndim),
+                    struct.pack(f"<{arr.ndim}Q", *arr.shape), arr.astype("<f4").tobytes()]
+        return b"".join(out)
+
+    rng = np.random.default_rng(2)
+    params = {"big.w": rng.standard_normal((512, 64, 3, 3)).astype(np.float32),  # 4.5 MiB
+              "strided": np.arange(24, dtype=np.float32).reshape(4, 6)[:, ::2],
+              "as-float64": np.linspace(-1, 1, 5),
+              "scalar": np.float32(0.25)}
+    path = tmp_path / "m.phxc"
+    write_checkpoint(path, params, personal_names={"scalar"})
+    assert path.read_bytes() == copying_writer(params, {"scalar"})
+
+
 def test_checkpoint_corrupt_record_names_index(tmp_path):
     params = {"a": np.ones(2, np.float32), "b": np.ones(2, np.float32)}
     path = tmp_path / "m.phxc"

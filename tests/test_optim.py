@@ -4,7 +4,19 @@ import numpy as np
 import pytest
 
 from phoenix.autodiff import NumericError
-from phoenix.optim import AdamState, adam_step, sgd_step
+from phoenix.optim import BLOCK, AdamState, adam_step, sgd_step
+
+SUBNORMAL = np.float32(1e-40)
+
+
+def table(rng, shapes, scale=1.0):
+    """Random float32 arrays of ``shapes``; one larger than a block holds -0.0
+    and subnormal entries on both sides of its first block boundary."""
+    out = {k: scale * rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()}
+    for array in out.values():
+        if array.size > BLOCK:
+            array.reshape(-1)[BLOCK - 2:BLOCK + 2] = [-0.0, SUBNORMAL, -SUBNORMAL, -0.0]
+    return out
 
 
 def test_zero_gradient_leaves_params_and_moments_unchanged():
@@ -92,11 +104,10 @@ def test_sgd_step_is_plain_descent():
     np.testing.assert_allclose(out["w"], [0.95, 2.1], rtol=1e-6)
 
 
-def test_three_steps_bitwise_equal_to_textbook_formula():
+def assert_three_steps_match_textbook(shapes):
     # the textbook expressions, each evaluated into fresh arrays
     rng = np.random.default_rng(7)
-    shapes = {"conv.w": (4, 3, 3, 3), "conv.b": (4,), "lin.w": (5, 2), "emb": (1, 6, 1, 2)}
-    params = {k: 0.01 * rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()}
+    params = table(rng, shapes, 0.01)
     # a step as large as the parameters, so its last bits reach the result
     lr, b1, b2, eps = 0.03, 0.9, 0.999, 1e-8
     state = AdamState(learning_rate=lr, beta1=b1, beta2=b2, epsilon=eps)
@@ -104,7 +115,7 @@ def test_three_steps_bitwise_equal_to_textbook_formula():
     m = {k: np.zeros_like(p) for k, p in params.items()}
     v = {k: np.zeros_like(p) for k, p in params.items()}
     for t in (1, 2, 3):
-        grads = {k: rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()}
+        grads = table(rng, shapes)
         for k, g in grads.items():
             m[k] = b1 * m[k] + (1.0 - b1) * g
             v[k] = b2 * v[k] + (1.0 - b2) * (g * g)
@@ -114,9 +125,36 @@ def test_three_steps_bitwise_equal_to_textbook_formula():
         params, state = adam_step(params, grads, state)
         for k in shapes:
             assert params[k].dtype == np.float32
-            np.testing.assert_array_equal(params[k], expected[k])
-            np.testing.assert_array_equal(state.first_moment[k], m[k])
-            np.testing.assert_array_equal(state.second_moment[k], v[k])
+            # bit patterns, so that -0.0 and 0.0 differ
+            for got, want in ((params[k], expected[k]), (state.first_moment[k], m[k]),
+                              (state.second_moment[k], v[k])):
+                np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+def test_three_steps_bitwise_equal_to_textbook_formula():
+    assert_three_steps_match_textbook(
+        {"conv.w": (4, 3, 3, 3), "conv.b": (4,), "lin.w": (5, 2), "emb": (1, 6, 1, 2)})
+
+
+def test_three_steps_across_blocks_bitwise_equal_to_textbook_formula():
+    # one parameter three elements past a block, one within a block
+    assert_three_steps_match_textbook({"big": (BLOCK + 3,), "conv.w": (4, 3, 3, 3)})
+
+
+def test_non_finite_gradient_in_a_later_block_leaves_everything_untouched():
+    rng = np.random.default_rng(3)
+    shapes = {"big": (BLOCK + 3,), "conv.w": (4, 3, 3, 3)}
+    params, grads = table(rng, shapes, 0.01), table(rng, shapes)
+    params, state = adam_step(params, grads, AdamState(learning_rate=1e-2))
+    grads["big"][BLOCK + 1] = np.inf
+    inputs = (params, grads, state.first_moment, state.second_moment)
+    kept = [{k: v.copy() for k, v in tables.items()} for tables in inputs]
+    with pytest.raises(NumericError, match="non-finite gradient for 'big'"):
+        adam_step(params, grads, state)
+    assert state.step_count == 1
+    for tables, copies in zip(inputs, kept):
+        for k in shapes:
+            np.testing.assert_array_equal(tables[k], copies[k])
 
 
 def test_step_leaves_inputs_and_earlier_state_untouched():
