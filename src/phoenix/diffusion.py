@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import multiprocessing
 
 import numpy as np
 
@@ -142,15 +141,9 @@ def sample_chain(model: DenoiserModel, schedule: NoiseSchedule, start: int,
 
 
 def _sample_share(conn, model: DenoiserModel, schedule: NoiseSchedule, start: int,
-                  stop: int, seed: int, inherited) -> None:
-    """A sampling process: send ``sample_chain``'s samples, or its exception."""
-    for parent_end in inherited:
-        parent_end.close()
-    try:
-        reply = sample_chain(model, schedule, start, stop, seed)
-    except Exception as exc:
-        reply = exc
-    parallel.send(conn, reply)
+                  stop: int, seed: int) -> None:
+    """A sampling process: send ``sample_chain``'s samples."""
+    parallel.send(conn, sample_chain(model, schedule, start, stop, seed))
 
 
 def generate(model: DenoiserModel, schedule: NoiseSchedule, count: int,
@@ -159,50 +152,23 @@ def generate(model: DenoiserModel, schedule: NoiseSchedule, count: int,
 
     The ``ceil(count / SAMPLE_BATCH)`` batches of ``sample_chain`` are cut
     into ``min(parallel.default_workers(), batches)`` contiguous shares:
-    this process runs the first, and one forked process per other share
-    runs it and pipes its samples back, joined in index order. Every sample
-    is computed in the same batch whatever the share count, so the result is
-    bitwise the same for every worker count.
+    this process runs the first, and one process per other share, forked by
+    ``parallel.forked``, runs it and pipes its samples back, joined in index
+    order. Every sample is computed in the same batch whatever the share
+    count, so the result is bitwise the same for every worker count.
 
     A sampling process's exception is raised here as it was raised; one that
-    ends without its samples raises ``RuntimeError``. Every sampling process
-    is joined before the call returns or raises, terminated first if the
-    call fails.
+    ends without its samples raises ``RuntimeError``. No sampling process
+    outlives the call.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     batches = -(-count // SAMPLE_BATCH)
     shares = min(parallel.default_workers(), batches)
     cuts = [min(count, SAMPLE_BATCH * (batches * k // shares)) for k in range(shares + 1)]
-    conns, procs, finished = [], [], False
-    try:
-        for start, stop in zip(cuts[1:-1], cuts[2:]):
-            # only above one share, where default_workers has seen fork
-            fork = multiprocessing.get_context("fork")
-            parent_end, child_end = fork.Pipe(duplex=False)
-            conns.append(parent_end)
-            with child_end:
-                proc = fork.Process(target=_sample_share, daemon=True,
-                                    args=(child_end, model, schedule, start, stop, seed,
-                                          list(conns)))
-                proc.start()
-            procs.append(proc)
+    lost = RuntimeError("sampling: a sampling process ended before sending its samples")
+    others = [(model, schedule, start, stop, seed) for start, stop in zip(cuts[1:-1], cuts[2:])]
+    with parallel.forked(_sample_share, others) as conns:
         samples = [sample_chain(model, schedule, 0, cuts[1], seed)]
-        for conn in conns:
-            try:
-                reply = parallel.recv(conn)
-            except (EOFError, OSError):
-                raise RuntimeError("sampling: a sampling process ended before "
-                                   "sending its samples") from None
-            if isinstance(reply, Exception):
-                raise reply
-            samples.append(reply)
-        finished = True
-    finally:
-        for conn in conns:
-            conn.close()
-        for proc in procs:
-            if not finished:
-                proc.terminate()
-            proc.join()
+        samples += [parallel.reply(conn, lost) for conn in conns]
     return np.concatenate(samples)

@@ -32,7 +32,6 @@ one thread and a platform that forks (``parallel.default_workers``).
 from __future__ import annotations
 
 import logging
-import multiprocessing
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
@@ -415,36 +414,20 @@ def _train_share(clients: dict[int, ClientState], global_model: DenoiserModel,
             del update  # the caller keeps or sends it; here it would outlive the next job
 
 
-def _serve_round(conn, clients: dict[int, ClientState], message: tuple,
-                 run_inputs: tuple) -> None:
-    try:
+def _serve(conn, clients: dict[int, ClientState], run_inputs: tuple) -> None:
+    """A worker's life: it holds a share of the clients and serves one round
+    per message, (global model, round number, scoring, participating ids),
+    with one reply per participating client of its share. The run is over
+    when the parent closes its end.
+    """
+    while True:
+        try:
+            message = parallel.recv(conn)
+        except EOFError:
+            return
         for reply in _train_share(clients, *message, *run_inputs):
             parallel.send(conn, reply)
             del reply  # sent; not to be held through the next job
-    except Exception as exc:
-        parallel.send(conn, exc)
-
-
-def _serve(conn, clients: dict[int, ClientState], run_inputs: tuple, inherited) -> None:
-    """A worker's life: it holds a share of the clients and serves one round
-    per message, (global model, round number, scoring, participating ids).
-
-    It answers with one reply per participating client of its share or, when
-    a job raises, with the exception. The run is over when the parent closes
-    its end, which only the parent holds: the worker closes the copies it
-    inherited.
-    """
-    for parent_end in inherited:
-        parent_end.close()
-    try:
-        while True:
-            _serve_round(conn, clients, parallel.recv(conn), run_inputs)
-    except EOFError:
-        pass
-
-
-def _worker_ended(round_no: int) -> FederationError:
-    return FederationError(f"round {round_no}: a worker process ended mid-round")
 
 
 @contextmanager
@@ -453,51 +436,31 @@ def _client_rounds(clients: list[ClientState], worker_count: int, run_inputs: tu
     a round's client jobs and yields their replies in id order.
 
     With one worker the jobs run here, over every client. Above one,
-    ``worker_count`` processes fork now, and worker k keeps the states of the
-    clients with ``id % worker_count == k`` for the whole run; a round sends
-    its message to every worker through ``parallel.send``. On leaving, the
-    workers are ended and reaped, those of a failed run terminated first.
+    ``worker_count`` workers fork now through ``parallel.forked``, and worker
+    k keeps the states of the clients with ``id % worker_count == k`` for the
+    whole run; a round sends its message to every worker. A worker that ends
+    mid-round raises ``FederationError``; a job's exception is raised as it
+    was raised.
     """
     if worker_count == 1:
         share = {client.id: client for client in clients}
         yield lambda *message: _train_share(share, *message, *run_inputs)
         return
-    fork = multiprocessing.get_context("fork")
-    conns, procs, finished = [], [], False
 
     def train(global_model, round_no, scoring, participating):
+        lost = FederationError(f"round {round_no}: a worker process ended mid-round")
         try:
             for conn in conns:
                 parallel.send(conn, (global_model, round_no, scoring, participating))
         except OSError:
-            raise _worker_ended(round_no) from None
+            raise lost from None
         for cid in participating:
-            try:
-                reply = parallel.recv(conns[cid % worker_count])
-            except (EOFError, OSError):
-                raise _worker_ended(round_no) from None
-            if isinstance(reply, Exception):
-                raise reply
-            yield reply
+            yield parallel.reply(conns[cid % worker_count], lost)
 
-    try:
-        for k in range(worker_count):
-            parent_end, child_end = fork.Pipe()
-            share = {client.id: client for client in clients if client.id % worker_count == k}
-            procs.append(fork.Process(target=_serve, daemon=True,
-                                      args=(child_end, share, run_inputs, [*conns, parent_end])))
-            procs[-1].start()
-            child_end.close()
-            conns.append(parent_end)
+    shares = [({client.id: client for client in clients if client.id % worker_count == k},
+               run_inputs) for k in range(worker_count)]
+    with parallel.forked(_serve, shares) as conns:
         yield train
-        finished = True
-    finally:
-        for conn in conns:
-            conn.close()
-        for proc in procs:
-            if not finished:
-                proc.terminate()
-            proc.join()
 
 
 def _commit_round(replies, global_model: DenoiserModel, filter_state: FilterState,
@@ -565,8 +528,9 @@ def run_federation(
     keeping its own clients' states until the run ends or raises; a round
     sends each worker the global model and gets back each client's update,
     row and personal layers. A worker that ends mid-round raises
-    ``FederationError``; any other error in a job reaches the caller as it
-    was raised. The run log holds one row per client and round.
+    ``FederationError``; any other error in a job, or a fork's ``OSError``,
+    reaches the caller as it was raised. The run log holds one row per
+    client and round.
 
     Under ``out_dir``, when given, each round ends by writing its global
     checkpoint, the per-client personal checkpoints and the run log CSV so

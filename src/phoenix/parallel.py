@@ -1,11 +1,13 @@
-"""How many processes a run may fork, and how values cross their pipes.
+"""How many processes a run may fork, how they live, and how values cross their pipes.
 
 ``federation`` forks its client workers and ``diffusion`` its sampling
-processes by these rules, so both import them from here. Both also send
-every value with ``send`` and take it with ``recv``: a protocol-5 pickle
-that leaves the arrays out (PEP 574), then the arrays' bytes, written from
-and read into array memory, so a parameter table crosses without a copy in
-either process.
+processes by these rules, so both import them from here. Both fork through
+``forked``, which ends and reaps every child before the caller goes on,
+and take each child's value with ``reply``, which raises a child's
+exception as it was raised. Every value goes with ``send`` and comes with
+``recv``: a protocol-5 pickle that leaves the arrays out (PEP 574), then
+the arrays' bytes, written from and read into array memory, so a
+parameter table crosses without a copy in either process.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import multiprocessing
 import os
 import pickle
 import struct
-from typing import Mapping
+from contextlib import contextmanager
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -139,3 +142,66 @@ def recv(conn):
     buffers = [arena[lo:lo + size] for lo, size in zip(offsets, sizes)]
     _transfer(os.readv, conn.fileno(), buffers)
     return pickle.loads(memoryview(message)[8 * (count + 1):], buffers=buffers)
+
+
+def _child(target: Callable, conn, args: tuple, inherited) -> None:
+    """A forked child's life: close the parent's pipe ends it inherited, so
+    that a child sees its pipe end when the parent closes it, then run
+    ``target(conn, *args)`` and send back an exception it raises."""
+    for parent_end in inherited:
+        parent_end.close()
+    try:
+        target(conn, *args)
+    except Exception as exc:
+        send(conn, exc)
+
+
+@contextmanager
+def forked(target: Callable, shares: Sequence[tuple]):
+    """Fork one child per entry of ``shares`` and yield the parent's ends of
+    their pipes, in order.
+
+    Child k inherits ``target`` and ``shares[k]`` at fork, so nothing is
+    pickled, and runs ``target(conn, *shares[k])`` on its end of a duplex
+    pipe. On leaving, the parent closes its ends and joins every child,
+    terminated first if the block or a fork raised; a fork's own error is
+    raised as it was raised. With no shares nothing forks, so a platform
+    without ``fork`` runs the block too.
+    """
+    fork = multiprocessing.get_context("fork") if shares else None
+    conns, procs, failed = [], [], True
+    try:
+        for args in shares:
+            parent_end, child_end = fork.Pipe()
+            conns.append(parent_end)
+            with child_end:
+                proc = fork.Process(target=_child, daemon=True,
+                                    args=(target, child_end, args, list(conns)))
+                proc.start()
+            procs.append(proc)
+        yield conns
+        failed = False
+    finally:
+        for conn in conns:
+            conn.close()
+        for proc in procs:
+            if failed:
+                proc.terminate()
+            proc.join()
+            proc.close()  # its sentinel pipe, which a traceback would keep open
+
+
+def reply(conn, lost: Exception):
+    """Take one value from the child at the other end of ``conn``.
+
+    An exception the child sent is raised as it was raised; a pipe that
+    ends or breaks before the value is whole raises ``lost``, the caller's
+    error for a child that is gone.
+    """
+    try:
+        value = recv(conn)
+    except (EOFError, OSError):
+        raise lost from None
+    if isinstance(value, Exception):
+        raise value
+    return value

@@ -1,3 +1,5 @@
+import errno
+import multiprocessing.process
 import os
 
 import numpy as np
@@ -50,3 +52,26 @@ def dies_mid_payload(monkeypatch):
         os._exit(1)
 
     monkeypatch.setattr(os, "writev", half_then_exit)
+
+
+@pytest.fixture()
+def second_start_fails(monkeypatch):
+    """The second ``Process.start`` in this process raises ``OSError(EAGAIN)``,
+    as a fork does when the system has no process to spare."""
+    started, start = [], multiprocessing.process.BaseProcess.start
+
+    def start_or_fail(self):
+        started.append(self)
+        if len(started) == 2:
+            raise OSError(errno.EAGAIN, "scripted: no process to spare")
+        start(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start_or_fail)
+
+
+@pytest.fixture()
+def open_fds():
+    """A function that lists the file descriptors open in this process."""
+    if not os.path.isdir("/dev/fd"):
+        pytest.skip("open descriptors are listed through /dev/fd")
+    return lambda: sorted(os.listdir("/dev/fd"), key=int)

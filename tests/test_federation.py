@@ -1,4 +1,5 @@
 import csv
+import errno
 import gc
 import multiprocessing
 import os
@@ -605,14 +606,14 @@ class TestRunFederation:
                                                               monkeypatch):
         # the worker holding client 1 ends after answering round 1, so round 2
         # finds its pipe broken, whether at the broadcast or at the reply
-        original = federation._serve_round
+        original = federation._train_share
 
-        def serve_then_exit(conn, clients, message, run_inputs):
-            original(conn, clients, message, run_inputs)
+        def serve_then_exit(clients, *args):
+            yield from original(clients, *args)
             if 1 in clients:
                 os._exit(1)
 
-        monkeypatch.setattr(federation, "_serve_round", serve_then_exit)
+        monkeypatch.setattr(federation, "_train_share", serve_then_exit)
         with pytest.raises(FederationError, match="round 2"):
             run_federation(build_unet(TINY, seed=1), make_plan(dataset, 2),
                            tiny_config(server_rounds=2), dataset, seed=2, workers=2)
@@ -625,6 +626,17 @@ class TestRunFederation:
             run_federation(build_unet(TINY, seed=1), make_plan(dataset, 2),
                            tiny_config(), dataset, seed=2, workers=2)
         assert multiprocessing.active_children() == []
+
+    def test_failed_fork_reaches_the_caller_as_raised(self, dataset, second_start_fails,
+                                                       open_fds):
+        # the first worker has forked when the second cannot
+        before = open_fds()
+        with pytest.raises(OSError) as caught:
+            run_federation(build_unet(TINY, seed=1), make_plan(dataset, 2),
+                           tiny_config(), dataset, seed=2, workers=2)
+        assert type(caught.value) is BlockingIOError and caught.value.errno == errno.EAGAIN
+        assert multiprocessing.active_children() == []
+        assert open_fds() == before
 
     def test_kept_personal_layers_own_their_memory(self, dataset, monkeypatch, tmp_path):
         # a reply's arrays are views of one arena; the personal layers the run

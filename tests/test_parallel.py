@@ -1,10 +1,16 @@
+import errno
 import multiprocessing
+import os
+import signal
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from phoenix import parallel
+from phoenix import diffusion, parallel
+from phoenix.schedule import linear_schedule
+from phoenix.unet import DenoiserConfig, build_unet
 
 pytestmark = pytest.mark.skipif(not parallel.can_fork(),
                                 reason="needs processes started by fork")
@@ -73,3 +79,90 @@ def test_reader_gone_mid_payload_raises_os_error():
         parallel.send(there, np.ones(1_000_000, np.float32))  # beyond a pipe's buffer
     reader.join(timeout=30)
     there.close()
+
+
+class Lost(Exception):
+    """The error a test names for a child that is gone."""
+
+
+def until_end(conn):
+    """A child that waits until the parent closes its end of the pipe."""
+    try:
+        conn.recv_bytes()
+    except EOFError:
+        pass
+
+
+def fork_three():
+    with parallel.forked(until_end, [(), (), ()]):
+        pass
+
+
+def test_no_shares_fork_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("asked to fork")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(multiprocessing, "get_context", refuse)
+    with parallel.forked(refuse, []) as conns:
+        assert conns == []
+
+
+def test_child_exception_is_raised_as_it_was():
+    def fail(conn):
+        raise KeyError("scripted")
+
+    with pytest.raises(KeyError) as caught:
+        with parallel.forked(fail, [()]) as conns:
+            parallel.reply(conns[0], Lost())
+    assert type(caught.value) is KeyError and caught.value.args == ("scripted",)
+    assert multiprocessing.active_children() == []
+
+
+def test_killed_child_raises_the_callers_error():
+    lost = Lost("scripted")
+    with pytest.raises(Lost) as caught:
+        with parallel.forked(lambda conn: os.kill(os.getpid(), signal.SIGKILL),
+                             [()]) as conns:
+            parallel.reply(conns[0], lost)
+    assert caught.value is lost
+    assert multiprocessing.active_children() == []
+
+
+def test_error_in_the_block_terminates_the_children():
+    began = time.monotonic()
+    with pytest.raises(ValueError, match="^here$"):
+        with parallel.forked(lambda conn: time.sleep(60), [()]):
+            raise ValueError("here")
+    assert multiprocessing.active_children() == []
+    assert time.monotonic() - began < 30  # not joined after its sleep
+
+
+def test_closed_parent_ends_reach_every_child():
+    # the second child inherits the first one's parent end at fork; unless it
+    # closes it, the first never sees its pipe end
+    with parallel.forked(until_end, [(), ()]) as conns:
+        for conn in conns:
+            conn.close()
+        deadline = time.monotonic() + 30
+        while multiprocessing.active_children() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("run", [
+    fork_three,
+    lambda: diffusion.generate(build_unet(DenoiserConfig(base_channels=4, time_embed_dim=8),
+                                          seed=1), linear_schedule(4), 6, seed=1),
+], ids=["forked", "generate"])
+def test_failed_fork_is_raised_as_it_was_and_leaves_nothing_open(run, second_start_fails,
+                                                                 open_fds, monkeypatch):
+    # generate cuts three shares, so the second of its two forks fails
+    monkeypatch.setattr(parallel, "default_workers", lambda: 3)
+    monkeypatch.setattr(diffusion, "SAMPLE_BATCH", 2)
+    before = open_fds()
+    with pytest.raises(OSError) as caught:
+        run()
+    assert type(caught.value) is BlockingIOError and caught.value.errno == errno.EAGAIN
+    assert multiprocessing.active_children() == []
+    assert open_fds() == before
