@@ -12,6 +12,7 @@ config would warm up from.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import logging
 import sys
@@ -65,6 +66,10 @@ log = logging.getLogger(__name__)
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
+
+# An OSError with one of these numbers is the machine running short (a fork
+# with no process or memory to spare), not a bad input: a runtime failure.
+OUT_OF_RESOURCES = (errno.EAGAIN, errno.ENOMEM)
 
 PLAN_FILE = "plan.json"
 WARMUP_CHECKPOINT = "round_0.phxc"
@@ -390,6 +395,9 @@ def main(argv=None) -> int:
         return args.func(cfg, args)
     except (ConfigError, InputError, FormatError, DataFormatError, ValueError,
             OSError) as exc:
+        if isinstance(exc, OSError) and exc.errno in OUT_OF_RESOURCES:
+            print(f"runtime failure: {exc}", file=sys.stderr)
+            return EXIT_RUNTIME
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (FederationError, NumericError, ArithmeticError, RuntimeError) as exc:

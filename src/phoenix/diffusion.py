@@ -29,18 +29,6 @@ def _check_pair(a: np.ndarray, b: np.ndarray, what: str) -> None:
         raise ad.ShapeMismatchError(f"{what}: shape mismatch {a.shape} vs {b.shape}")
 
 
-def q_sample_step(x_prev: np.ndarray, t: int, schedule: NoiseSchedule,
-                  noise: np.ndarray) -> np.ndarray:
-    """One forward noising step: sqrt(1-beta_t)*x_prev + sqrt(beta_t)*noise."""
-    schedule.check_step(t)
-    x_prev = np.asarray(x_prev)
-    noise = np.asarray(noise)
-    _check_pair(x_prev, noise, "q_sample_step")
-    beta = schedule.beta[t - 1]
-    dt = x_prev.dtype
-    return dt.type(math.sqrt(1.0 - beta)) * x_prev + dt.type(math.sqrt(beta)) * noise
-
-
 def q_sample_closed(x0: np.ndarray, t: np.ndarray, schedule: NoiseSchedule,
                     noise: np.ndarray) -> np.ndarray:
     """Jump sample i straight to step t[i]: sqrt(abar)*x0 + sqrt(1-abar)*noise.

@@ -6,9 +6,11 @@ and, in rounds where threshold filtering scores clients, k-NN
 precision/recall of the trained model. A job writes no shared state and
 returns the client's next state, its update and its ``RunRow``; the process
 that holds the client commits the state, and ``run_federation`` takes the
-rows and updates in id order, advances the filter on the rows' scores and
-aggregates the updates of the clients it has not disconnected by
-sample-count-weighted averaging. Personal-flagged parameters stay in the
+rows and updates in id order and aggregates by sample-count-weighted
+averaging (FedAvg): it folds each update into a float64 running sum as it
+arrives. Only a client warned at the start of the round can be
+disconnected by the filter, on the rows' scores, so only its update waits
+for the filter to decide. Personal-flagged parameters stay in the
 client state and are excluded from every update; the server receives them
 only to write each client's personal checkpoint. A client's state, Adam
 moments included, is a value that training reads and never writes, so a
@@ -22,9 +24,10 @@ metrics context. Each round sends every worker the global model, the round
 number, whether the round scores and who participates; only each client's
 update, row and personal layers come back. Both cross through
 ``parallel.send`` and ``recv``, which copy no parameter table; a reply's
-arrays are views of one arena, which ends with the round. All randomness is
-derived from (seed, domain, round, epoch, ...) keys, so results are bitwise
-the same for every worker count.
+arrays are views of one arena, freed as soon as its update is folded or
+dropped. All randomness is derived from (seed, domain, round, epoch, ...)
+keys, and updates are folded in an order that does not depend on the
+worker count, so results are bitwise the same for every worker count.
 Unless told otherwise, a run pools only when that can pay: BLAS pinned to
 one thread and a platform that forks (``parallel.default_workers``).
 """
@@ -43,7 +46,7 @@ import numpy as np
 from . import autodiff as ad
 from . import diffusion, parallel
 from .datasets import Dataset
-from .filtering import ACTIVE, DISCONNECTED, DropPolicy, FilterState, filter_step
+from .filtering import ACTIVE, DISCONNECTED, WARNED, DropPolicy, FilterState, filter_step
 from .formats import write_checkpoint, write_csv
 from .metrics import MetricsContext, knn_precision_recall
 from .optim import AdamState, adam_step, blocks, sgd_step
@@ -304,39 +307,49 @@ def local_train(
             replace(client, personal_params=personal, optimizer_state=optimizer_state))
 
 
-def fedavg(updates: list[ClientUpdate]) -> dict[str, np.ndarray]:
-    """Sample-count-weighted average of the updates' parameter tables.
+@dataclass
+class RunningSum:
+    """A round's FedAvg so far: Σ nₖ·wₖ per parameter in float64, and Σ nₖ."""
 
-    Each parameter is summed in float64, in client-id order from zero, and
-    rounded to float32; it is walked in ``optim.blocks``, so every element
-    takes the same arithmetic as the whole-array sum.
+    tables: dict[str, np.ndarray] = field(default_factory=dict)
+    samples: int = 0
+
+    def mean(self) -> dict[str, np.ndarray]:
+        """(Σ nₖ·wₖ)/Σ nₖ, each table divided in float64 and rounded to
+        float32. Each float64 table is dropped as its mean is built, so the
+        sum is empty afterwards."""
+        if self.samples <= 0:
+            raise ValueError("fedavg needs at least one update")
+        out = {}
+        for name in list(self.tables):
+            table = self.tables.pop(name)
+            out[name] = np.divide(table, self.samples, out=np.empty(table.shape, np.float32),
+                                  casting="same_kind")
+            del table
+        return out
+
+
+def fedavg(updates: list[ClientUpdate], into: RunningSum) -> None:
+    """Fold ``updates``, in list order, into the round's running sum.
+
+    Each table adds nₖ·wₖ, a product exact in float64, to its float64 sum,
+    which starts at zero; it is walked in ``optim.blocks``, so no table-sized
+    float64 temporary is made. The first update folded names the round's
+    parameters, and an update with other names raises ``ValueError``.
     """
-    if not updates:
-        raise ValueError("fedavg needs at least one update")
-    names = list(updates[0].params)
-    name_set = set(names)
-    for u in updates[1:]:
-        if set(u.params) != name_set:
-            diff = sorted(set(u.params) ^ name_set)
+    for u in updates:
+        if into.tables and set(u.params) != set(into.tables):
+            diff = sorted(set(u.params) ^ set(into.tables))
             raise ValueError(
                 f"update from client {u.client_id} has mismatched parameters: {diff}"
             )
-    total = sum(u.sample_count for u in updates)
-    if total <= 0:
-        raise ValueError("total sample count is zero")
-    ordered = sorted(updates, key=lambda u: u.client_id)
-    weights = [u.sample_count / total for u in ordered]
-    out: dict[str, np.ndarray] = {}
-    for name in names:
-        out[name] = mean = np.empty(updates[0].params[name].shape, np.float32)
-        for mean_, *tables in blocks(mean.size, mean, *(u.params[name] for u in ordered)):
-            acc = np.zeros(mean_.shape)
-            scratch = np.empty(mean_.shape)
-            for p, weight in zip(tables, weights):
-                np.multiply(p, weight, dtype=np.float64, out=scratch)
-                acc += scratch
-            mean_[...] = acc
-    return out
+        for name, p in u.params.items():
+            acc = into.tables.get(name)
+            if acc is None:
+                acc = into.tables[name] = np.zeros(p.shape)
+            for acc_, p_ in blocks(acc.size, acc, p):
+                acc_ += np.multiply(p_, u.sample_count, dtype=np.float64)
+        into.samples += u.sample_count
 
 
 def evaluate_client(
@@ -466,23 +479,33 @@ def _client_rounds(clients: list[ClientState], worker_count: int, run_inputs: tu
 def _commit_round(replies, global_model: DenoiserModel, filter_state: FilterState,
                   round_no: int, scoring: bool, personal: dict[int, dict[str, np.ndarray]],
                   config: FederationConfig) -> tuple[DenoiserModel, FilterState, list[RunRow]]:
-    """Take a round's replies in id order, advance the filter and aggregate.
+    """Take a round's replies in id order, fold the updates, advance the filter.
 
     Stores a copy of each client's personal layers in ``personal`` and
     returns the next global model, the next filter state and one row per
-    client. The updates end with the call, so none outlives its round: a
-    reply's arrays may be views of one arena that ``parallel.recv`` filled,
-    and a kept view would hold the whole reply.
+    client. ``filter_step`` disconnects only a client that was already
+    warned, so every other update is folded into the round's float64 sum as
+    it arrives and freed before the next reply is read; a reply's arrays may
+    be views of one arena that ``parallel.recv`` filled, and a kept view
+    would hold the whole reply. The updates of clients warned at the start
+    of the round are held until the filter has run, then folded in id order
+    unless their client was disconnected. The fold order (streamed updates,
+    then held ones, each in id order) is the same for every worker count.
     """
     broadcast_bytes = _param_bytes(
         split_parameters(global_model)[0] if config.personalization and round_no > 1
         else global_model.params
     )
-    updates, rows = {}, {}
+    total, held, rows = RunningSum(), {}, {}
     for update, row, personal_params in replies:
-        updates[row.client_id], rows[row.client_id] = update, row
+        rows[row.client_id] = row
         personal[row.client_id] = {name: p.copy() for name, p in personal_params.items()}
         row.bytes_down = broadcast_bytes
+        if update is not None and filter_state.status[row.client_id] == WARNED:
+            held[row.client_id] = update
+        elif update is not None:
+            fedavg([update], total)
+        del update, row, personal_params  # before the next reply is read
 
     if scoring:
         scored = {cid: (row.precision, row.recall) for cid, row in rows.items()
@@ -494,14 +517,15 @@ def _commit_round(replies, global_model: DenoiserModel, filter_state: FilterStat
         for cid in scored:
             rows[cid].status = filter_state.status[cid]
 
-    kept = [update for cid, update in updates.items()
-            if update is not None and filter_state.status[cid] != DISCONNECTED]
-    if not kept:
+    fedavg([update for cid, update in held.items()
+            if filter_state.status[cid] != DISCONNECTED], total)
+    del held
+    if not total.samples:
         raise FederationError(
             f"round {round_no}: no usable client updates (all faulted, "
             f"skipped, or disconnected)"
         )
-    global_model = global_model.with_params({**global_model.params, **fedavg(kept)})
+    global_model = global_model.with_params({**global_model.params, **total.mean()})
     return global_model, filter_state, [
         rows.get(cid) or RunRow(round_no, cid, DISCONNECTED, 0, None, None, None, 0, 0, 0)
         for cid in range(config.client_count)

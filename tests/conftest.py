@@ -8,6 +8,18 @@ import pytest
 CIFAR_CLASS_COUNT = 10
 
 
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    """Fail a test after which a child process is still running, and end it
+    so that the tests after it start with none."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.terminate()
+        child.join()
+    assert not left, f"child processes left running: {left}"
+
+
 @pytest.fixture(scope="session")
 def cifar_dir(tmp_path_factory):
     """Synthesized CIFAR-10 binary batches with a recognizable pixel pattern."""

@@ -53,6 +53,7 @@ from gradcheck import (
     finite_difference_gradients,
     random_graph,
 )
+from oracles import q_sample_step
 from test_filtering import SCENARIOS, run_trace
 from test_metrics import brute_force_precision_recall
 
@@ -105,7 +106,7 @@ def test_criterion_3_forward_process_equivalence(verdict):
         rng = np.random.default_rng(4000 + t)
         x = np.full(chains, x0, dtype=np.float32)
         for step in range(1, t + 1):
-            x = diffusion.q_sample_step(
+            x = q_sample_step(
                 x, step, schedule, rng.standard_normal(chains).astype(np.float32)
             )
         abar = schedule.alpha_bar[t - 1]
@@ -257,10 +258,10 @@ def test_criterion_8_personalization_retention(tmp_path, verdict):
     original_fedavg = federation.fedavg
     original_local = federation.local_train
 
-    def fedavg_spy(updates):
+    def fedavg_spy(updates, into):
         for u in updates:
             update_names.append(set(u.params))
-        return original_fedavg(updates)
+        return original_fedavg(updates, into)
 
     def local_spy(client, model, data, config, round_no, seed):
         update, state = original_local(client, model, data, config, round_no, seed)

@@ -1,3 +1,4 @@
+import errno
 import json
 import multiprocessing
 import os
@@ -459,6 +460,16 @@ class TestTrainCommand:
         assert "runtime failure" in capsys.readouterr().err
         assert multiprocessing.active_children() == []
 
+    def test_fork_without_a_process_to_spare_exits_3(self, tmp_path, capsys,
+                                                      second_start_fails):
+        # the first worker has forked when the second cannot
+        path = micro_config(tmp_path)
+        assert main(["partition", "--config", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["train", "--config", str(path), "--workers", "2"]) == 3
+        assert f"runtime failure: [Errno {errno.EAGAIN}]" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("repartition, changed, differ", [
         (False, {"federation": {"warmup_epochs": 3}}, "['warmup_epochs']"),
         (True, {"partition": {"beta_pct": 10.0}}, "['plan']"),
@@ -548,6 +559,28 @@ class TestGenerateCommand:
         assert "runtime failure: sampling" in capsys.readouterr().err
         assert multiprocessing.active_children() == []
         assert not gen.exists()
+
+    def test_fork_without_a_process_to_spare_exits_3(self, trained, tmp_path, monkeypatch,
+                                                      capsys, second_start_fails):
+        # six samples in batches of two make three shares, so the second of
+        # the two forks fails; a checkpoint that cannot be read, missing or a
+        # directory, stays an input error
+        path, ckpt = trained
+        monkeypatch.setattr(parallel, "default_workers", lambda: 3)
+        monkeypatch.setattr(diffusion, "SAMPLE_BATCH", 2)
+        capsys.readouterr()
+        gen = tmp_path / "gen"
+        assert main(["generate", "--config", str(path), "--out", str(gen),
+                     "--checkpoint", str(ckpt), "--count", "6"]) == 3
+        assert f"runtime failure: [Errno {errno.EAGAIN}]" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+        assert not gen.exists()
+        assert main(["generate", "--config", str(path), "--out", str(gen),
+                     "--checkpoint", str(tmp_path / "missing.phxc")]) == 2
+        assert capsys.readouterr().err.startswith("error: no checkpoint")
+        assert main(["generate", "--config", str(path), "--out", str(gen),
+                     "--checkpoint", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: [Errno {errno.EISDIR}]")
 
     def test_corrupt_checkpoint_exits_2(self, trained, tmp_path, capsys):
         path, ckpt = trained

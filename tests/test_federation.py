@@ -24,6 +24,7 @@ from phoenix.federation import (
     ClientUpdate,
     FederationConfig,
     FederationError,
+    RunningSum,
     evaluate_client,
     fedavg,
     local_train,
@@ -215,32 +216,39 @@ class TestFedavg:
     def scalar_update(self, cid, value, count, name="w"):
         return ClientUpdate(cid, {name: np.array([value], np.float32)}, count, 0.0)
 
+    def average(self, updates):
+        total = RunningSum()
+        fedavg(updates, total)
+        return total.mean()
+
     def test_single_update_identity(self):
-        out = fedavg([self.scalar_update(0, 1.5, 10)])
+        out = self.average([self.scalar_update(0, 1.5, 10)])
         assert out["w"][0] == pytest.approx(1.5)
 
     def test_equal_counts_plain_mean(self):
-        out = fedavg([self.scalar_update(0, 0.0, 5), self.scalar_update(1, 2.0, 5)])
+        out = self.average([self.scalar_update(0, 0.0, 5), self.scalar_update(1, 2.0, 5)])
         assert out["w"][0] == pytest.approx(1.0)
 
     def test_count_weighted_mean(self):
-        out = fedavg([self.scalar_update(0, 0.0, 1), self.scalar_update(1, 4.0, 3)])
+        out = self.average([self.scalar_update(0, 0.0, 1), self.scalar_update(1, 4.0, 3)])
         assert out["w"][0] == pytest.approx(3.0)
 
     def test_permutation_invariant(self):
+        # the sums are exact in float64, so no fold order can show
         ups = [self.scalar_update(i, float(i), i + 1) for i in range(4)]
-        a = fedavg(ups)
-        b = fedavg(list(reversed(ups)))
+        a = self.average(ups)
+        b = self.average(list(reversed(ups)))
         np.testing.assert_array_equal(a["w"], b["w"])
 
     def test_scale_consistent_in_counts(self):
         ups = [self.scalar_update(0, 1.0, 2), self.scalar_update(1, 5.0, 6)]
         scaled = [self.scalar_update(0, 1.0, 20), self.scalar_update(1, 5.0, 60)]
-        np.testing.assert_array_equal(fedavg(ups)["w"], fedavg(scaled)["w"])
+        np.testing.assert_array_equal(self.average(ups)["w"], self.average(scaled)["w"])
 
     def test_blocked_sum_bitwise_equal_to_textbook_formula(self):
-        # three clients with unequal counts; one parameter three elements
-        # past a block, with -0.0 and subnormal entries at the boundary
+        # three clients with unequal counts, folded one call at a time in
+        # list order; one parameter three elements past a block, with -0.0
+        # and subnormal entries at the boundary
         rng = np.random.default_rng(4)
         shapes = {"big": (BLOCK + 3,), "conv.w": (4, 3, 3, 3)}
         updates = []
@@ -248,24 +256,28 @@ class TestFedavg:
             table = {k: rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()}
             table["big"][BLOCK - 2:BLOCK + 2] = [-0.0, 1e-40, -1e-40, -0.0]
             updates.append(ClientUpdate(cid, table, count, 0.0))
-        total = 22
-        out = fedavg(updates)
+        total = RunningSum()
+        for u in updates:
+            fedavg([u], total)
+        assert total.samples == 22
+        out = total.mean()
+        assert total.tables == {}
         for name in shapes:
             acc = np.zeros(shapes[name], dtype=np.float64)
-            for u in sorted(updates, key=lambda u: u.client_id):
-                acc += (u.sample_count / total) * u.params[name].astype(np.float64)
+            for u in updates:
+                acc += u.sample_count * u.params[name].astype(np.float64)
             np.testing.assert_array_equal(out[name].view(np.uint32),
-                                          acc.astype(np.float32).view(np.uint32))
+                                          (acc / 22).astype(np.float32).view(np.uint32))
 
     def test_name_mismatch_names_client(self):
         good = self.scalar_update(0, 1.0, 1)
         bad = ClientUpdate(7, {"other": np.zeros(1, np.float32)}, 1, 0.0)
         with pytest.raises(ValueError, match="client 7"):
-            fedavg([good, bad])
+            self.average([good, bad])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            fedavg([])
+            self.average([])
 
 
 class TestEvaluateClient:
@@ -350,9 +362,9 @@ class TestRunFederation:
         seen_updates = []
         original = federation.fedavg
 
-        def spy(updates):
+        def spy(updates, into):
             seen_updates.append([(u.client_id, sorted(u.params)) for u in updates])
-            return original(updates)
+            return original(updates, into)
 
         federation.fedavg = spy
         try:
@@ -377,12 +389,14 @@ class TestRunFederation:
             federation, "evaluate_client",
             lambda client, m, ctx, cfg, rnd, seed: (scripted[client.id], 0.5),
         )
-        aggregated = []
+        rounds = []  # (the round's running sum, the ids folded into it)
         original = federation.fedavg
 
-        def spy(updates):
-            aggregated.append(sorted(u.client_id for u in updates))
-            return original(updates)
+        def spy(updates, into):
+            if not rounds or rounds[-1][0] is not into:
+                rounds.append((into, []))
+            rounds[-1][1].extend(u.client_id for u in updates)
+            return original(updates, into)
 
         monkeypatch.setattr(federation, "fedavg", spy)
         cfg = tiny_config(
@@ -395,6 +409,7 @@ class TestRunFederation:
         initial = build_unet(TINY, seed=1)
         final, runlog = run_federation(initial, plan, cfg, dataset, seed=3,
                                        metrics_ctx=ctx)
+        aggregated = [sorted(ids) for _, ids in rounds]
         assert aggregated == [[0, 1, 2], [1, 2], [1, 2], [1, 2]]
         by_round = {}
         for row in runlog.rows:
@@ -409,6 +424,48 @@ class TestRunFederation:
         assert by_round[3][2].status == "warned"
         assert by_round[4][2].status == "warned"
         assert by_round[4][1].status == "active"
+
+    @pytest.mark.parametrize("min_active, round_two, status", [
+        (2, {0: 0.5, 1: 0.2, 2: 0.8}, "active"),
+        (3, {0: 0.1, 1: 0.9, 2: 0.8}, "warned"),
+    ], ids=["recovered", "disconnect-suppressed"])
+    def test_warned_client_is_held_then_folded_last(self, dataset, monkeypatch,
+                                                    min_active, round_two, status):
+        # client 0 is warned in round 1; in round 2 it either scores above
+        # client 1 or its second strike is suppressed by the participation
+        # floor, so its held update is folded after the streamed ones
+        scripted = {1: {0: 0.1, 1: 0.9, 2: 0.8}, 2: round_two}
+        monkeypatch.setattr(
+            federation, "evaluate_client",
+            lambda client, m, ctx, cfg, rnd, seed: (scripted[rnd][client.id], 0.5),
+        )
+        folded, original = [], federation.fedavg
+
+        def spy(updates, into):
+            folded.extend(u.client_id for u in updates)
+            return original(updates, into)
+
+        monkeypatch.setattr(federation, "fedavg", spy)
+        cfg = tiny_config(
+            client_count=3, server_rounds=2, threshold_filtering=True,
+            eval_start_round=1, min_active_clients=min_active,
+            drop_policy=DropPolicy(kind="lowest_precision"),
+        )
+        plan = PartitionPlan([[0, 1], [2, 3], [4, 5]], 3, "iid", 0)
+        ctx = pixel_ctx(dataset.images[:8])
+        runs = {}
+        for workers in (1, 2):
+            folded.clear()
+            final, runlog = run_federation(build_unet(TINY, seed=1), plan, cfg, dataset,
+                                           seed=3, metrics_ctx=ctx, workers=workers)
+            assert folded == [0, 1, 2, 1, 2, 0]
+            runs[workers] = final, timeless_rows(runlog)
+        (final_a, rows_a), (final_b, rows_b) = runs[1], runs[2]
+        assert rows_a == rows_b
+        assert [row[2] for row in rows_a if row[1] == 0] == ["warned", status]
+        for name in final_a.params:
+            np.testing.assert_array_equal(final_a.params[name].view(np.uint32),
+                                          final_b.params[name].view(np.uint32))
 
     def test_bytes_follow_what_each_client_sends_and_receives(self, dataset,
                                                              monkeypatch):
@@ -728,6 +785,38 @@ class TestRunFederation:
                        tiny_config(client_count=2, server_rounds=2), dataset, seed=2,
                        workers=1)
         assert len(round_one) == 2 and alive == [0, 0]
+
+    def test_each_update_is_freed_once_folded(self, dataset, monkeypatch):
+        # two workers, four clients, no scoring: when an update is folded it
+        # is the only one alive in the parent, and no reply is alive while
+        # the next is read; a reply's arrays are views of one arena
+        parent, arenas, alive_at_fold, alive_at_read = os.getpid(), [], [], []
+        original_fold, original_recv = federation.fedavg, parallel.recv
+
+        def alive():
+            gc.collect()
+            return sum(ref() is not None for ref in arenas)
+
+        def fold(updates, into):
+            for u in updates:
+                arena = next(iter(u.params.values())).base
+                assert arena is not None
+                arenas.append(weakref.ref(arena))
+                alive_at_fold.append(alive())
+            return original_fold(updates, into)
+
+        def recv(conn):
+            if os.getpid() == parent:
+                alive_at_read.append(alive())
+            return original_recv(conn)
+
+        monkeypatch.setattr(federation, "fedavg", fold)
+        monkeypatch.setattr(parallel, "recv", recv)
+        run_federation(build_unet(TINY, seed=1), make_plan(dataset, 4),
+                       tiny_config(client_count=4, server_rounds=2), dataset, seed=2,
+                       workers=2)
+        assert alive_at_fold == [1] * 8
+        assert alive_at_read == [0] * 8
 
     def test_serial_round_frees_each_replaced_optimizer_state(self, dataset, monkeypatch):
         # when a client's job starts, the states that earlier jobs of the
