@@ -21,7 +21,6 @@ forward and backward results.
 
 from __future__ import annotations
 
-from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -301,39 +300,23 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int,
 # ---------------------------------------------------------------------------
 # spatial ops (NCHW layout throughout)
 
-@cache
-def _gather_index(c: int, h: int, w: int, ph: int, pw: int, kh: int, kw: int) -> np.ndarray:
-    """Flat positions in one (C, H+2ph, W+2pw) padded image, in (i,j,c,u,v)
-    order: entry (i,j,c,u,v) is pixel (c, i+u, j+v). Built once per shape
-    and read-only, since every later call shares it. The cache keeps one
-    entry per conv shape the process meets: about 0.5 MB for the desk
-    model, 40 MB for the paper model."""
-    hp, wp = h + 2 * ph, w + 2 * pw
-    i, j, ch, u, v = np.ix_(np.arange(hp - kh + 1), np.arange(wp - kw + 1),
-                            np.arange(c), np.arange(kh), np.arange(kw))
-    index = (ch * (hp * wp) + (i + u) * wp + (j + v)).ravel()
-    index.flags.writeable = False
-    return index
-
-
 def _im2col(a: np.ndarray, ph: int, pw: int, kh: int, kw: int):
     """Zero-pad (N,C,H,W) by (ph,pw); return (cols, Ho, Wo), where cols is
-    (N*Ho*Wo, C*kh*kw) with cols[(n,i,j),(c,u,v)] = padded[n,c,i+u,j+v].
+    (N*Ho*Wo, kh*kw*C) with cols[(n,i,j),(u,v,c)] = padded[n,c,i+u,j+v].
 
-    One ``np.take`` gathers every image of the batch through the shape's
-    cached index, in place of copying a 6-D window view whose innermost run
-    is only kw elements long; the columns are the same bit for bit. ``a``
-    may be non-contiguous (dx passes the incoming gradient).
+    The columns are copied from a zero-padded channels-last copy of ``a``,
+    so each column row is kh contiguous runs of kw*C values. ``a`` may be
+    non-contiguous (dx passes the incoming gradient).
     """
     n, c, h, w = a.shape
-    if ph or pw:
-        padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=a.dtype)
-        padded[:, :, ph:ph + h, pw:pw + w] = a
-    else:
-        padded = a
-    ho, wo = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1
-    cols = np.take(padded.reshape(n, -1), _gather_index(c, h, w, ph, pw, kh, kw), axis=1)
-    return cols.reshape(n * ho * wo, c * kh * kw), ho, wo
+    hp, wp = h + 2 * ph, w + 2 * pw
+    padded = np.zeros((n, hp, wp, c), dtype=a.dtype)
+    padded[:, ph:ph + h, pw:pw + w] = a.transpose(0, 2, 3, 1)
+    ho, wo = hp - kh + 1, wp - kw + 1
+    # windows of kh rows by kw*C values, one every C values along a row
+    win = np.lib.stride_tricks.sliding_window_view(
+        padded.reshape(n, hp, wp * c), (kh, kw * c), axis=(1, 2))[:, :, ::c]
+    return np.ascontiguousarray(win).reshape(n * ho * wo, kh * kw * c), ho, wo
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -341,6 +324,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
     Shapes: x (N,C,H,W), weight (O,C,kh,kw) with odd kh and kw, bias (O,);
     the output is (N,O,H,W).
+
+    Each GEMM reduces over the kernel window in (kh, kw, C) order, the
+    order of ``_im2col``'s columns: the output and dx sum over (u, v, c),
+    dW over the batch and the output pixels.
     """
     if x.data.ndim != 4 or weight.data.ndim != 4:
         raise ShapeMismatchError(
@@ -359,9 +346,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeMismatchError("'conv2d' same padding requires odd kernels")
     ph, pw = (kh - 1) // 2, (kw - 1) // 2
-    # (N*Ho*Wo, C*kh*kw) @ (C*kh*kw, O): one BLAS call, fixed reduction order.
+    # (N*Ho*Wo, kh*kw*C) @ (kh*kw*C, O): one BLAS call, fixed reduction order.
     cols, ho, wo = _im2col(x.data, ph, pw, kh, kw)
-    wmat = weight.data.reshape(o, c * kh * kw)
+    wmat = np.ascontiguousarray(weight.data.transpose(0, 2, 3, 1)).reshape(o, kh * kw * c)
     out = (cols @ wmat.T).reshape(n, ho, wo, o).transpose(0, 3, 1, 2)
     out = out + bias.data[None, :, None, None]
 
@@ -369,14 +356,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         _accumulate(bias, g.sum(axis=(0, 2, 3)))
         gm = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, o)
         if weight.requires_grad:
-            _accumulate(weight, (gm.T @ cols).reshape(o, c, kh, kw))
+            _accumulate(weight, (gm.T @ cols).reshape(o, kh, kw, c).transpose(0, 3, 1, 2))
         if x.requires_grad:
             # dx: g, same-padded as x was (an odd kernel's full padding
             # kh-1-ph equals ph), correlated with the kernel rotated 180
-            # degrees with its in/out channels swapped
+            # degrees with its in/out channels swapped; the copy moves runs
+            # of C values
             gcols, _, _ = _im2col(g, ph, pw, kh, kw)
-            wrot = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * kh * kw)
-            _accumulate(x, (gcols @ wrot.T).reshape(n, h, w, c).transpose(0, 3, 1, 2))
+            wrot = wmat.reshape(o, kh * kw, c)[:, ::-1].transpose(1, 0, 2).reshape(kh * kw * o, c)
+            _accumulate(x, (gcols @ wrot).reshape(n, h, w, c).transpose(0, 3, 1, 2))
 
     return _make(np.ascontiguousarray(out), "conv2d", (x, weight, bias), bw)
 
@@ -402,7 +390,13 @@ def avg_pool2x(x: Tensor) -> Tensor:
     if h % 2 or w % 2:
         raise ShapeMismatchError(f"'avg_pool2x' needs even spatial dims, got ({h},{w})")
     quarter = x.data.dtype.type(0.25)
-    out = x.data.reshape(n, c, h // 2, 2, w // 2, 2).sum(axis=(3, 5)) * quarter
+    # (a00 + a01) + (a10 + a11), then + 0.0, is bit for bit the reshape's
+    # .sum(axis=(3, 5)), which starts from +0.0: four -0.0 sum to +0.0
+    blocks = x.data.reshape(n, c, h // 2, 2, w // 2, 2)
+    out = blocks[:, :, :, 0, :, 0] + blocks[:, :, :, 0, :, 1]
+    out += blocks[:, :, :, 1, :, 0] + blocks[:, :, :, 1, :, 1]
+    out += 0.0
+    out *= quarter
 
     def bw(g):
         _accumulate(x, np.repeat(np.repeat(g * quarter, 2, axis=2), 2, axis=3))
