@@ -76,7 +76,7 @@ def _label(t: Tensor) -> str:
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"non-finite values produced by '{op}'")
 
 
@@ -105,8 +105,11 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # g + 0.0 in a new buffer: one pass, and a -0.0 becomes +0.0 as in
+        # a sum that starts from zero
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+    else:
+        t.grad += g
 
 
 def topo_order(output: Tensor) -> list[Tensor]:
@@ -246,8 +249,13 @@ def concat(parts: Sequence[Tensor], axis: int = 1) -> Tensor:
 # activations and normalization
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # the tanh form cannot overflow for any finite x
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+    # 0.5 * (1 + tanh(0.5x)) in one buffer; the tanh form cannot overflow
+    # for any finite x
+    y = np.multiply(x, 0.5, out=np.empty_like(x))
+    np.tanh(y, out=y)
+    y += 1.0
+    y *= 0.5
+    return y
 
 
 def silu(a: Tensor) -> Tensor:
@@ -281,7 +289,8 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int,
     inv_std = 1.0 / np.sqrt(var + dt.type(eps))
     centred *= inv_std
     xhat = centred.reshape(n, c, h, w)
-    out = xhat * gamma.data[None, :, None, None] + beta.data[None, :, None, None]
+    out = xhat * gamma.data[None, :, None, None]
+    out += beta.data[None, :, None, None]
 
     def bw(g):
         _accumulate(gamma, (g * xhat).sum(axis=(0, 2, 3)))
@@ -304,18 +313,22 @@ def _im2col(a: np.ndarray, ph: int, pw: int, kh: int, kw: int):
     """Zero-pad (N,C,H,W) by (ph,pw); return (cols, Ho, Wo), where cols is
     (N*Ho*Wo, kh*kw*C) with cols[(n,i,j),(u,v,c)] = padded[n,c,i+u,j+v].
 
-    The columns are copied from a zero-padded channels-last copy of ``a``,
-    so each column row is kh contiguous runs of kw*C values. ``a`` may be
-    non-contiguous (dx passes the incoming gradient).
+    ``a`` is copied, transposed, into a zeroed channels-last (N, Hp, Wp, C)
+    buffer. The columns are one contiguous copy of a strided
+    (N, Ho, Wo, kh, kw*C) view of that buffer: window (i, j) starts at
+    pixel (i, j) and holds kh rows of kw*C contiguous values, so each column
+    row is kh contiguous runs. ``a`` may be non-contiguous (dx passes the
+    incoming gradient).
     """
     n, c, h, w = a.shape
     hp, wp = h + 2 * ph, w + 2 * pw
     padded = np.zeros((n, hp, wp, c), dtype=a.dtype)
     padded[:, ph:ph + h, pw:pw + w] = a.transpose(0, 2, 3, 1)
     ho, wo = hp - kh + 1, wp - kw + 1
-    # windows of kh rows by kw*C values, one every C values along a row
-    win = np.lib.stride_tricks.sliding_window_view(
-        padded.reshape(n, hp, wp * c), (kh, kw * c), axis=(1, 2))[:, :, ::c]
+    item = padded.itemsize
+    row = wp * c * item
+    win = np.ndarray((n, ho, wo, kh, kw * c), dtype=a.dtype, buffer=padded,
+                     strides=(hp * row, row, c * item, row, item))
     return np.ascontiguousarray(win).reshape(n * ho * wo, kh * kw * c), ho, wo
 
 
@@ -349,8 +362,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     # (N*Ho*Wo, kh*kw*C) @ (kh*kw*C, O): one BLAS call, fixed reduction order.
     cols, ho, wo = _im2col(x.data, ph, pw, kh, kw)
     wmat = np.ascontiguousarray(weight.data.transpose(0, 2, 3, 1)).reshape(o, kh * kw * c)
-    out = (cols @ wmat.T).reshape(n, ho, wo, o).transpose(0, 3, 1, 2)
-    out = out + bias.data[None, :, None, None]
+    # the bias is added straight into a C-ordered NCHW output: no copy after
+    out = np.add((cols @ wmat.T).reshape(n, ho, wo, o).transpose(0, 3, 1, 2),
+                 bias.data[None, :, None, None], out=np.empty((n, o, ho, wo), x.data.dtype))
 
     def bw(g):
         _accumulate(bias, g.sum(axis=(0, 2, 3)))
@@ -366,7 +380,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
             wrot = wmat.reshape(o, kh * kw, c)[:, ::-1].transpose(1, 0, 2).reshape(kh * kw * o, c)
             _accumulate(x, (gcols @ wrot).reshape(n, h, w, c).transpose(0, 3, 1, 2))
 
-    return _make(np.ascontiguousarray(out), "conv2d", (x, weight, bias), bw)
+    return _make(out, "conv2d", (x, weight, bias), bw)
 
 
 def upsample_nearest2x(x: Tensor) -> Tensor:

@@ -19,9 +19,11 @@ SAMPLE_RANGE = (-1.0, 1.0)
 # give a row other bits in a batch of another size (OpenBLAS 0.3.31 on an
 # AVX-512 Xeon does: the desk U-Net's 2x2 conv differs between batch 8 and
 # 16), so ``generate`` splits its work only between whole batches, and a
-# sample's bits never depend on the worker count. 128 halves the desk
-# report over two cores; batches of 64 sampled about 10% slower.
-SAMPLE_BATCH = 128
+# sample's bits never depend on the worker count. 64 splits a 128-sample
+# report over two cores and halves each process's im2col columns; one
+# process drew 128 desk samples (50 steps) in 1.02-1.06 s at batch 64
+# against 1.08-1.14 s at batch 128 (min of 5, one BLAS thread, two runs).
+SAMPLE_BATCH = 64
 
 
 def _check_pair(a: np.ndarray, b: np.ndarray, what: str) -> None:

@@ -111,6 +111,23 @@ class TestBackward:
         ad.backward(loss)
         assert x.grad == pytest.approx(5.0)
 
+    def test_first_gradient_negative_zero_ends_positive_zero(self, monkeypatch):
+        # the first write starts from +0.0, as a sum does
+        target = ad.Tensor(np.array([1.0, 2.0], np.float32), requires_grad=True)
+        pred = ad.Tensor(np.array([1.0, 5.0], np.float32))
+        first, original = [], ad._accumulate
+
+        def spy(t, g):
+            if t is target and t.grad is None:
+                first.append(np.array(g))
+            original(t, g)
+
+        monkeypatch.setattr(ad, "_accumulate", spy)
+        ad.backward(ad.mse_loss(pred, target))
+        assert first[0][0] == 0.0 and np.signbit(first[0][0])  # -(2/n * 0.0)
+        assert target.grad[0] == 0.0 and not np.signbit(target.grad[0])
+        assert target.grad.dtype == np.float32 and target.grad[1] == -3.0
+
     def test_topo_order_puts_inputs_before_consumers(self):
         x = ad.Tensor(np.ones(3), requires_grad=True)
         y = ad.silu(x)
@@ -308,6 +325,18 @@ class TestOpSemantics:
             assert np.all((sig >= 0.0) & (sig <= 1.0))
             np.testing.assert_allclose(sig, expected, rtol=0, atol=1e-6)
             np.testing.assert_allclose(out.data, big * expected, rtol=1e-6, atol=1e-6)
+
+    def test_sigmoid_is_the_tanh_expression_bit_for_bit(self):
+        tiny = np.finfo(np.float32).smallest_subnormal
+        mags = np.concatenate([
+            [0.0, tiny, 2 * tiny, 1e-40, np.finfo(np.float32).tiny],
+            np.logspace(-38, 30, 2001), np.linspace(0.0, 20.0, 20001)])
+        x = np.concatenate([mags, -mags]).astype(np.float32)
+        assert np.signbit(x[mags.size]) and x[mags.size] == 0.0  # -0.0 is swept
+        got = ad._sigmoid(x)
+        expected = 0.5 * (1.0 + np.tanh(0.5 * x))
+        assert got.dtype == np.float32
+        assert got.tobytes() == expected.tobytes()
 
     def test_log_softmax_rows_normalize(self):
         x = ad.Tensor(np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]))

@@ -240,6 +240,16 @@ class TestSplitSampling:
         monkeypatch.setattr(parallel, "usable_cores", lambda: 1)
         np.testing.assert_array_equal(split, diffusion.generate(tiny_model, steps, count, 4))
 
+    def test_two_shipped_batches_run_one_here_and_one_forked(self, tiny_model, two_workers,
+                                                           ranges, monkeypatch):
+        size, steps = diffusion.SAMPLE_BATCH, linear_schedule(4)
+        split = diffusion.generate(tiny_model, steps, 2 * size, seed=6)
+        calls = ranges()
+        assert sorted((start, stop) for _, start, stop in calls) == [(0, size), (size, 2 * size)]
+        assert sorted(pid != os.getpid() for pid, _, _ in calls) == [False, True]
+        monkeypatch.setattr(parallel, "usable_cores", lambda: 1)
+        np.testing.assert_array_equal(split, diffusion.generate(tiny_model, steps, 2 * size, 6))
+
     def test_sample_is_the_same_whatever_the_count(self, schedule, tiny_model, two_workers,
                                                    batch_of_two):
         # every batch but the last is full, and a full batch is computed the

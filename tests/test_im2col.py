@@ -177,8 +177,10 @@ def _shape_id(shape):
 
 @pytest.mark.parametrize("shape", _DESK + _PAPER, ids=_shape_id)
 def test_conv2d_matches_transpose_copy_reference(shape):
-    """Bit for bit against the channels-last GEMMs over loop-built columns."""
+    """Bit for bit against the channels-last GEMMs over loop-built columns;
+    the output is C-ordered NCHW, as ``ascontiguousarray(gemm + bias)`` is."""
     inputs, got = _conv_results(*shape)
+    assert got[0].flags.c_contiguous
     expected = _loop_column_conv(*inputs)
     for name, g, e in zip(("out", "dW", "dx", "db"), got, expected):
         assert g.dtype == e.dtype, name
