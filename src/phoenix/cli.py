@@ -169,9 +169,7 @@ def _metrics_context(cfg: RunConfig, train: Dataset, test: Dataset,
         classifier = train_eval_classifier(train, cfg.metrics.classifier_epochs, cfg.seed)
         default.parent.mkdir(parents=True, exist_ok=True)
         save_classifier(default, classifier)
-    return MetricsContext.build(
-        test.images, classifier, cfg.metrics.feature_space, cfg.metrics.knn_k
-    )
+    return MetricsContext.build(test.images, classifier)
 
 
 def cmd_partition(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -244,7 +242,7 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
         final_model, fed.schedule, cfg.metrics.eval_sample_count,
         derive_seed(cfg.seed, DOMAIN_SAMPLE, 0),
     )
-    report = compute_report(samples, metrics_ctx, cfg.metrics.is_splits)
+    report = compute_report(samples, metrics_ctx)
     summary = {
         "run_id": run_id,
         "strategy": cfg.strategy_label(),
@@ -298,7 +296,7 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
             f"{test.images.shape[1:]} per sample"
         )
     metrics_ctx = _metrics_context(cfg, train, test, args.classifier)
-    report = compute_report(samples, metrics_ctx, cfg.metrics.is_splits)
+    report = compute_report(samples, metrics_ctx)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "metrics.json", asdict(report))

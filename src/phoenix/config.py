@@ -23,6 +23,7 @@ from pathlib import Path
 from .datasets import Dataset, load_cifar10, make_toy_dataset
 from .federation import FederationConfig
 from .filtering import DropPolicy
+from .metrics import KNN_K
 from .schedule import NoiseSchedule, cosine_schedule, linear_schedule
 from .seeding import DOMAIN_DATA, derive_seed
 from .unet import DenoiserConfig
@@ -95,18 +96,13 @@ class FederationSpec:
 
 @dataclass
 class MetricsSpec:
-    feature_space: str = "classifier"
-    knn_k: int = 3
-    is_splits: int = 10
     eval_sample_count: int = 256
     classifier_epochs: int = 4
 
     def validate(self) -> None:
-        if self.feature_space not in ("classifier", "pixels"):
-            raise ConfigError(f"unknown feature space '{self.feature_space}'")
-        if self.knn_k < 1 or self.is_splits < 1:
+        if self.classifier_epochs < 0:
             raise ConfigError(
-                f"knn_k ({self.knn_k}) and is_splits ({self.is_splits}) must be at least 1")
+                f"classifier_epochs must be non-negative, got {self.classifier_epochs}")
 
 
 @dataclass
@@ -124,7 +120,8 @@ class RunConfig:
     def validate(self) -> None:
         """Refuse a config no command can run: every section's rules, a model
         of more than one channel on the grayscale toy images, every rule of
-        ``FederationConfig.validate`` and the k-NN sample-set sizes."""
+        ``FederationConfig.validate``, the k-NN sample-set sizes and a
+        ``run_id`` that names one directory."""
         self.dataset.validate()
         self.partition.validate()
         self.diffusion.validate()
@@ -135,7 +132,7 @@ class RunConfig:
                 f"toy images have 1 channel, the model takes {self.model.image_channels}")
         self.federation_config()
         # precision/recall need a k-th neighbour inside every sample set
-        need = self.metrics.knn_k + 1
+        need = KNN_K + 1
         sample_sets = {"metrics.eval_sample_count": self.metrics.eval_sample_count}
         if self.federation.threshold_filtering:
             sample_sets["federation.eval_sample_count"] = self.federation.eval_sample_count
@@ -144,9 +141,13 @@ class RunConfig:
                 self.dataset.classes * self.dataset.test_per_class)
         for key, count in sample_sets.items():
             if count < need:
-                raise ConfigError(f"{key}={count} is below knn_k+1={need}")
+                raise ConfigError(f"{key}={count} is below k+1={need}")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
+        # the run directory is out_dir/runs/<run_id>, so run_id must not leave it
+        if self.run_id and (self.run_id in (".", "..") or "/" in self.run_id
+                            or os.sep in self.run_id):
+            raise ConfigError(f"run_id must be a single path component, got {self.run_id!r}")
 
     def federation_config(self) -> FederationConfig:
         """This run's ``FederationConfig``; raises ``ValueError`` on a broken rule."""
@@ -270,9 +271,9 @@ def config_from_dict(doc: dict) -> RunConfig:
     doc = dict(doc)
     preset = doc.pop("preset", None)
     if preset is not None:
-        if preset not in _PRESETS:
+        if not isinstance(preset, str) or preset not in _PRESETS:
             raise ConfigError(
-                f"unknown preset '{preset}' (available: {preset_names()})"
+                f"unknown preset {preset!r} (available: {preset_names()})"
             )
         doc = _merge(_PRESETS[preset], doc)
     kwargs: dict = {}

@@ -103,6 +103,11 @@ class FederationConfig:
             raise ValueError("server_rounds and local_epochs must be at least 1")
         if self.client_count < 1 or self.batch_size < 1:
             raise ValueError("client_count and batch_size must be at least 1")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if self.warmup_epochs < 0:
+            raise ValueError(f"warmup_epochs must be non-negative, got {self.warmup_epochs}")
         if self.threshold_filtering and self.client_count < 2:
             raise ValueError("threshold filtering needs at least 2 clients")
         if self.threshold_filtering and self.min_active_clients < 1:
@@ -369,9 +374,7 @@ def evaluate_client(
         model, config.schedule, 0, config.eval_sample_count, gen_seed
     )
     features = metrics_ctx.extract(samples)
-    return knn_precision_recall(
-        metrics_ctx.reference_features, features, metrics_ctx.knn_k
-    )
+    return knn_precision_recall(metrics_ctx.reference_features, features)
 
 
 def _param_bytes(params: Mapping[str, np.ndarray]) -> int:

@@ -1,4 +1,4 @@
-"""Sample-quality metrics over a shared feature space.
+"""Sample-quality metrics in the eval classifier's feature space.
 
 Frechet distance between Gaussian feature fits, the inception-style
 exp-KL score, k-NN manifold precision/recall, and the class-distribution
@@ -14,8 +14,10 @@ import numpy as np
 
 from .classifier import EvalClassifier
 
-FEATURE_SPACE_CLASSIFIER = "classifier"
-FEATURE_SPACE_PIXELS = "pixels"
+# k-NN precision/recall with k = 3 (Kynkaanniemi et al. 2019) and the
+# inception score over ten splits (Salimans et al. 2016)
+KNN_K = 3
+IS_SPLITS = 10
 
 
 @dataclass
@@ -90,7 +92,7 @@ def frechet_distance(a: FeatureStats, b: FeatureStats) -> float:
     return max(fid, 0.0)
 
 
-def inception_style_score(probs: np.ndarray, splits: int = 10) -> tuple[float, float]:
+def inception_style_score(probs: np.ndarray, splits: int = IS_SPLITS) -> tuple[float, float]:
     """exp(mean KL(p(y|x) || marginal)) per split; returns (mean, std)."""
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 2:
@@ -132,7 +134,7 @@ def _knn_radii(features: np.ndarray, k: int) -> np.ndarray:
 def knn_precision_recall(
     real_features: np.ndarray,
     gen_features: np.ndarray,
-    k: int = 3,
+    k: int = KNN_K,
 ) -> tuple[float, float]:
     """Manifold precision/recall via unions of k-th-neighbor balls.
 
@@ -174,10 +176,6 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _pixels(images: np.ndarray) -> np.ndarray:
-    return np.asarray(images, dtype=np.float64).reshape(len(images), -1)
-
-
 def sorted_histogram(counts: np.ndarray) -> list[tuple[int, int]]:
     """(class id, count) pairs in descending count order, for plotting."""
     order = np.argsort(-np.asarray(counts), kind="stable")
@@ -186,65 +184,42 @@ def sorted_histogram(counts: np.ndarray) -> list[tuple[int, int]]:
 
 @dataclass
 class MetricsContext:
-    """One reference set, seen through one feature space.
+    """One reference set, seen through the eval classifier.
 
     Holds the classifier together with the reference features and the
-    reference class histogram; one classifier pass over the reference
-    images gives the histogram and, in classifier space, the features. Every
-    context can score a report. The filter needs only ``extract``, so a
-    pixel-space context may carry an untrained classifier.
+    reference class histogram, both from one classifier pass over the
+    reference images. The filter needs only ``extract``, so a context built
+    on an untrained classifier serves it too.
     """
 
     reference_features: np.ndarray
-    feature_space: str
-    knn_k: int
     classifier: EvalClassifier
     reference_histogram: np.ndarray
 
     @classmethod
-    def build(
-        cls,
-        reference_images: np.ndarray,
-        classifier: EvalClassifier,
-        feature_space: str,
-        knn_k: int = 3,
-    ) -> "MetricsContext":
-        if feature_space not in (FEATURE_SPACE_CLASSIFIER, FEATURE_SPACE_PIXELS):
-            raise ValueError(f"unknown feature space '{feature_space}'")
+    def build(cls, reference_images: np.ndarray,
+              classifier: EvalClassifier) -> "MetricsContext":
         features, logits = classifier.embed(reference_images)
-        if feature_space == FEATURE_SPACE_PIXELS:
-            features = _pixels(reference_images)
         histogram = np.bincount(logits.argmax(axis=1), minlength=classifier.num_classes)
-        return cls(features, feature_space, knn_k, classifier, histogram)
+        return cls(features, classifier, histogram)
 
     def extract(self, images: np.ndarray) -> np.ndarray:
-        """Features of ``images`` in this context's feature space."""
-        if self.feature_space == FEATURE_SPACE_CLASSIFIER:
-            return self.classifier.embed(images)[0]
-        return _pixels(images)
+        """Classifier features of ``images``."""
+        return self.classifier.embed(images)[0]
 
 
-def compute_report(
-    generated: np.ndarray,
-    ctx: MetricsContext,
-    is_splits: int = 10,
-) -> MetricsReport:
+def compute_report(generated: np.ndarray, ctx: MetricsContext) -> MetricsReport:
     """Full metric sweep of a generated batch against ``ctx``'s reference set.
 
-    One classifier pass over ``generated`` yields its features (in
-    classifier space), its class posteriors and its class histogram.
+    One classifier pass over ``generated`` yields its features, its class
+    posteriors and its class histogram.
     """
     gen_features, logits = ctx.classifier.embed(generated)
-    if ctx.feature_space == FEATURE_SPACE_PIXELS:
-        gen_features = _pixels(generated)
     fid = frechet_distance(
         gaussian_stats(ctx.reference_features), gaussian_stats(gen_features)
     )
-    splits = min(is_splits, len(generated))
-    is_mean, is_std = inception_style_score(_softmax(logits), splits)
-    precision, recall = knn_precision_recall(
-        ctx.reference_features, gen_features, ctx.knn_k
-    )
+    is_mean, is_std = inception_style_score(_softmax(logits), min(IS_SPLITS, len(generated)))
+    precision, recall = knn_precision_recall(ctx.reference_features, gen_features)
     counts = np.bincount(logits.argmax(axis=1), minlength=ctx.classifier.num_classes)
     return MetricsReport(
         fid=fid,
@@ -254,7 +229,7 @@ def compute_report(
         recall=recall,
         class_histogram=[int(c) for c in counts],
         tv_distance=total_variation(counts, ctx.reference_histogram),
-        feature_space=ctx.feature_space,
+        feature_space="classifier",
         n_generated=len(generated),
         n_reference=len(ctx.reference_features),
     )

@@ -70,11 +70,10 @@ def adam_step(
     """One bias-corrected Adam update; returns (new params, next state).
 
     Moments start at zero and stay shape- and dtype-congruent with their
-    parameters. A parameter larger than ``BLOCK`` is walked in ``blocks``.
-    In each block, or over a smaller parameter as a whole, the textbook
-    expressions are evaluated in their usual order into the new moments,
-    the new parameter and one scratch array, so the result is bitwise that
-    of ``p - lr * (m / bias1) / (sqrt(v / bias2) + eps)``.
+    parameters. Each parameter is walked in ``blocks``; in each block the
+    textbook expressions are evaluated in their usual order into the new
+    moments, the new parameter and one scratch array, so the result is
+    bitwise that of ``p - lr * (m / bias1) / (sqrt(v / bias2) + eps)``.
 
     A missing gradient, then per parameter a gradient of another shape or
     a non-finite one, raises before the step returns; the inputs and
@@ -86,23 +85,23 @@ def adam_step(
     bias1 = 1.0 - b1 ** t
     bias2 = 1.0 - b2 ** t
 
-    def run(name, p, g, m, v, m_next=None, v_next=None, p_next=None):
-        """One block: the ufuncs fill the ``*_next`` arrays given, else new ones."""
+    def run(name, p, g, m, v, m_next, v_next, p_next):
+        """One block: the ufuncs fill the ``*_next`` arrays."""
         _check_finite(name, g)
         scratch = np.multiply(g, 1.0 - b1, dtype=p.dtype)
-        m_next = np.multiply(m, b1, out=m_next)
+        np.multiply(m, b1, out=m_next)
         m_next += scratch
         np.multiply(g, g, out=scratch)
         scratch *= 1.0 - b2
-        v_next = np.multiply(v, b2, out=v_next)
+        np.multiply(v, b2, out=v_next)
         v_next += scratch
         np.divide(v_next, bias2, out=scratch)
         np.sqrt(scratch, out=scratch)
         scratch += state.epsilon
-        p_next = np.divide(m_next, bias1, out=p_next)
+        np.divide(m_next, bias1, out=p_next)
         p_next *= state.learning_rate
         p_next /= scratch
-        return m_next, v_next, np.subtract(p, p_next, out=p_next)
+        np.subtract(p, p_next, out=p_next)
 
     out: dict[str, np.ndarray] = {}
     first: dict[str, np.ndarray] = {}
@@ -114,9 +113,6 @@ def adam_step(
         v = state.second_moment.get(name)
         if m is None:
             m = v = np.zeros_like(p)
-        if p.size <= BLOCK:
-            first[name], second[name], out[name] = run(name, p, g, m, v)
-            continue
         new = [np.empty(p.shape, p.dtype) for _ in range(3)]
         for block in blocks(p.size, p, g, m, v, *new):
             run(name, *block)

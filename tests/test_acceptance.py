@@ -302,8 +302,7 @@ def _desk_run(seed: int, mode: str) -> tuple[float, float]:
     train, test = load_datasets(cfg)
     fed = cfg.federation_config()
     classifier = train_eval_classifier(train, cfg.metrics.classifier_epochs, seed)
-    ctx = MetricsContext.build(test.images, classifier,
-                               cfg.metrics.feature_space, cfg.metrics.knn_k)
+    ctx = MetricsContext.build(test.images, classifier)
     if mode == "baseline":
         plan = partition_label_skew(train, fed.client_count, 2, seed)
         initial = build_unet(cfg.model_config(), seed)
@@ -316,7 +315,7 @@ def _desk_run(seed: int, mode: str) -> tuple[float, float]:
     final, _ = run_federation(initial, plan, fed, train, seed, metrics_ctx=ctx)
     samples = diffusion.generate(final, fed.schedule, cfg.metrics.eval_sample_count,
                                  derive_seed(seed, DOMAIN_SAMPLE, 0))
-    report = compute_report(samples, ctx, cfg.metrics.is_splits)
+    report = compute_report(samples, ctx)
     return report.recall, report.tv_distance
 
 

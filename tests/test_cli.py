@@ -27,8 +27,7 @@ def micro_config(tmp_path, **extra):
         "federation": {"server_rounds": 1, "local_epochs": 1, "batch_size": 8,
                        "warmup_epochs": 1, "eval_sample_count": 8,
                        "eval_start_round": 1},
-        "metrics": {"eval_sample_count": 16, "classifier_epochs": 1,
-                    "is_splits": 4},
+        "metrics": {"eval_sample_count": 16, "classifier_epochs": 1},
         "seed": 5,
         "out_dir": str(tmp_path / "out"),
     }
@@ -68,34 +67,58 @@ class TestConfigHandling:
         assert main(["partition", "--config", str(path)]) == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("override", [
-        {"metrics": {"eval_sample_count": 3, "knn_k": 3}},
-        {"federation": {"threshold_filtering": True, "eval_sample_count": 3}},
-        {"federation": {"optimizer": "rmsprop"}},
-        {"dataset": {"test_per_class": 1}, "metrics": {"knn_k": 4}},
-        {"model": {"image_channels": 3}},
-        {"metrics": {"is_splits": 0}},
-        {"metrics": {"knn_k": 0}},
-        {"model": "desk"},
-        {"model": {"norm_groups": 4}},
-        {"diffusion": {"beta_end": 0.02}},
-        {"dataset": {"side": 8}},
-        {"model": {"depth": "3"}},
-        {"dataset": {"per_class": "5"}},
-        {"federation": {"personalization": "yes"}},
-        {"federation": {"learning_rate": "0.1"}},
-        {"model": {"depth": True}},
-        {"seed": "5"},
-        {"federation": {"drop_immediate": True}},
-    ], ids=["metrics-samples-below-k", "filter-samples-below-k", "unknown-optimizer",
-            "reference-below-k", "toy-channels-not-model", "is-splits-zero", "knn-k-zero",
-            "model-by-name", "model-norm-groups", "diffusion-beta-end", "dataset-side",
-            "depth-string", "per-class-string", "personalization-string",
-            "learning-rate-string", "depth-bool", "seed-string", "drop-immediate"])
-    def test_unrunnable_config_refused_before_writing(self, tmp_path, override):
-        # train would otherwise run its rounds before refusing these
+    @pytest.mark.parametrize("override, named", [
+        pytest.param({"metrics": {"eval_sample_count": 3}}, "metrics.eval_sample_count=3",
+                     id="metrics-samples-below-k"),
+        pytest.param({"federation": {"threshold_filtering": True, "eval_sample_count": 3}},
+                     "federation.eval_sample_count=3", id="filter-samples-below-k"),
+        pytest.param({"federation": {"optimizer": "rmsprop"}}, "rmsprop",
+                     id="unknown-optimizer"),
+        pytest.param({"dataset": {"classes": 2, "test_per_class": 1}},
+                     "dataset.classes*test_per_class=2", id="reference-below-k"),
+        pytest.param({"model": {"image_channels": 3}}, "toy images",
+                     id="toy-channels-not-model"),
+        pytest.param({"model": "desk"}, "section 'model'", id="model-by-name"),
+        pytest.param({"model": {"norm_groups": 4}}, "norm_groups", id="model-norm-groups"),
+        pytest.param({"diffusion": {"beta_end": 0.02}}, "beta_end", id="diffusion-beta-end"),
+        pytest.param({"dataset": {"side": 8}}, "['side']", id="dataset-side"),
+        pytest.param({"model": {"depth": "3"}}, "model.depth", id="depth-string"),
+        pytest.param({"dataset": {"per_class": "5"}}, "dataset.per_class",
+                     id="per-class-string"),
+        pytest.param({"federation": {"personalization": "yes"}},
+                     "federation.personalization", id="personalization-string"),
+        pytest.param({"federation": {"learning_rate": "0.1"}}, "federation.learning_rate",
+                     id="learning-rate-string"),
+        pytest.param({"model": {"depth": True}}, "model.depth", id="depth-bool"),
+        pytest.param({"seed": "5"}, "seed must be int", id="seed-string"),
+        pytest.param({"federation": {"drop_immediate": True}}, "drop_immediate",
+                     id="drop-immediate"),
+        pytest.param({"preset": ["desk"]}, "unknown preset", id="preset-not-string"),
+        pytest.param({"federation": {"learning_rate": -1}}, "learning_rate must be",
+                     id="learning-rate-negative"),
+        pytest.param({"federation": {"learning_rate": 0}}, "learning_rate must be",
+                     id="learning-rate-zero"),
+        pytest.param({"federation": {"learning_rate": float("nan")}}, "learning_rate must be",
+                     id="learning-rate-nan"),
+        pytest.param({"federation": {"warmup_epochs": -3}}, "warmup_epochs",
+                     id="warmup-epochs-negative"),
+        pytest.param({"metrics": {"classifier_epochs": -2}}, "classifier_epochs",
+                     id="classifier-epochs-negative"),
+        pytest.param({"run_id": "../../escaped"}, "run_id", id="run-id-parent"),
+        pytest.param({"run_id": "/escaped"}, "run_id", id="run-id-absolute"),
+        # the feature space, k and the IS split count are fixed by the metrics
+        pytest.param({"metrics": {"feature_space": "pixels"}}, "feature_space",
+                     id="removed-feature-space"),
+        pytest.param({"metrics": {"knn_k": 3}}, "knn_k", id="removed-knn-k"),
+        pytest.param({"metrics": {"is_splits": 10}}, "is_splits", id="removed-is-splits"),
+    ])
+    def test_unrunnable_config_refused_before_writing(self, tmp_path, capsys, override,
+                                                      named):
+        # train would otherwise run its rounds before refusing these; each
+        # case is refused by its own rule, which the message names
         path = micro_config(tmp_path, **override)
         assert main(["partition", "--config", str(path)]) == 2
+        assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("federation", [
@@ -678,9 +701,8 @@ class TestEvaluateCommand:
 
         clf = train_eval_classifier(train, cfg.metrics.classifier_epochs, cfg.seed)
         # the CLI persists its tensor first; score the persisted bytes
-        ctx = MetricsContext.build(test.images, clf, cfg.metrics.feature_space,
-                                   cfg.metrics.knn_k)
-        report = compute_report(read_tensor(samples), ctx, cfg.metrics.is_splits)
+        ctx = MetricsContext.build(test.images, clf)
+        report = compute_report(read_tensor(samples), ctx)
         assert doc["fid"] == pytest.approx(report.fid, rel=1e-12)
         assert doc["precision"] == report.precision
         assert doc["recall"] == report.recall

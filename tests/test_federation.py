@@ -68,10 +68,10 @@ def model():
     return build_unet(TINY, seed=8)
 
 
-def pixel_ctx(reference):
-    """A cheap pixel-space context; its classifier is never trained."""
+def untrained_ctx(reference):
+    """A cheap context over an eval classifier that is never trained."""
     untrained = EvalClassifier.initialize(ClassifierConfig(1, 8, 4), seed=0)
-    return MetricsContext.build(reference, untrained, "pixels")
+    return MetricsContext.build(reference, untrained)
 
 
 def make_plan(dataset, client_count):
@@ -283,7 +283,7 @@ class TestFedavg:
 class TestEvaluateClient:
     def test_reference_samples_score_perfect(self, dataset, model, monkeypatch):
         reference = dataset.images[:8]
-        ctx = pixel_ctx(reference)
+        ctx = untrained_ctx(reference)
         monkeypatch.setattr(federation.diffusion, "sample_chain",
                             lambda m, s, start, stop, seed: reference.copy())
         cfg = tiny_config()
@@ -293,7 +293,7 @@ class TestEvaluateClient:
 
     def test_distant_samples_score_zero(self, dataset, model, monkeypatch):
         reference = dataset.images[:8]
-        ctx = pixel_ctx(reference)
+        ctx = untrained_ctx(reference)
         monkeypatch.setattr(federation.diffusion, "sample_chain",
                             lambda m, s, start, stop, seed: reference + 100.0)
         cfg = tiny_config()
@@ -405,7 +405,7 @@ class TestRunFederation:
             drop_policy=DropPolicy(kind="lowest_precision"),
         )
         plan = PartitionPlan([[0, 1], [2, 3], [4, 5]], 3, "iid", 0)
-        ctx = pixel_ctx(dataset.images[:8])
+        ctx = untrained_ctx(dataset.images[:8])
         initial = build_unet(TINY, seed=1)
         final, runlog = run_federation(initial, plan, cfg, dataset, seed=3,
                                        metrics_ctx=ctx)
@@ -452,7 +452,7 @@ class TestRunFederation:
             drop_policy=DropPolicy(kind="lowest_precision"),
         )
         plan = PartitionPlan([[0, 1], [2, 3], [4, 5]], 3, "iid", 0)
-        ctx = pixel_ctx(dataset.images[:8])
+        ctx = untrained_ctx(dataset.images[:8])
         runs = {}
         for workers in (1, 2):
             folded.clear()
@@ -491,7 +491,7 @@ class TestRunFederation:
         plan = PartitionPlan([[0, 1], [2, 3], [4, 5]], 3, "iid", 0)
         initial = build_unet(TINY, seed=1)
         _, runlog = run_federation(initial, plan, cfg, dataset, seed=3,
-                                   metrics_ctx=pixel_ctx(dataset.images[:8]), workers=1)
+                                   metrics_ctx=untrained_ctx(dataset.images[:8]), workers=1)
         full = 4 * sum(v.size for v in initial.params.values())
         base = 4 * sum(v.size for name, v in initial.params.items()
                        if name not in initial.personal_names)
@@ -525,7 +525,7 @@ class TestRunFederation:
             drop_policy=DropPolicy(kind="lowest_precision"),
         )
         plan = PartitionPlan([[0, 1], [2, 3], []], 3, "iid", 0)
-        ctx = pixel_ctx(dataset.images[:8])
+        ctx = untrained_ctx(dataset.images[:8])
         _, runlog = run_federation(build_unet(TINY, seed=1), plan, cfg, dataset,
                                    seed=3, metrics_ctx=ctx)
         assert [r.status for r in runlog.rows if r.client_id == 2] == [
@@ -553,7 +553,7 @@ class TestRunFederation:
                           threshold_filtering=True, eval_start_round=1,
                           min_active_clients=2)
         plan = make_plan(dataset, 3)
-        ctx = pixel_ctx(dataset.images[:8])
+        ctx = untrained_ctx(dataset.images[:8])
         initial = build_unet(TINY, seed=21)
         runs = {}
         for workers in (1, 4):
@@ -577,7 +577,7 @@ class TestRunFederation:
         cfg = tiny_config(client_count=3, server_rounds=2, threshold_filtering=True,
                           eval_start_round=1, min_active_clients=2)
         plan = PartitionPlan([[0, 1, 2, 3], [4, 5, 6, 7], []], 3, "iid", 0)
-        ctx = pixel_ctx(dataset.images[:8])
+        ctx = untrained_ctx(dataset.images[:8])
         original_train = federation.local_train
         original_score = federation.evaluate_client
         scorer_pids = tmp_path / "scorer_pids"  # a worker's memory never comes back
@@ -845,7 +845,7 @@ class TestRunFederation:
         monkeypatch.setattr(federation, "evaluate_client", slow_score)
         cfg = tiny_config(client_count=2, server_rounds=2, threshold_filtering=True,
                           eval_start_round=2)
-        ctx = pixel_ctx(dataset.images[:8])
+        ctx = untrained_ctx(dataset.images[:8])
         _, runlog = run_federation(build_unet(TINY, seed=1), make_plan(dataset, 2), cfg,
                                    dataset, seed=2, metrics_ctx=ctx)
         scored = [r.wall_ms for r in runlog.rows if r.precision is not None]
@@ -916,9 +916,9 @@ class TestRunFederation:
                 np.testing.assert_array_equal(now[name], saved[name])
 
     def test_run_over_read_only_inputs_equals_run_over_copies(self, dataset, monkeypatch):
-        # with Adam, personal layers, pixel-space filtering and client 1
-        # faulting on its second step of round 2, a run writes into neither
-        # the initial parameters nor the dataset images
+        # with Adam, personal layers, filtering and client 1 faulting on its
+        # second step of round 2, a run writes into neither the initial
+        # parameters nor the dataset images
         cfg = tiny_config(client_count=3, server_rounds=2, personalization=True,
                           threshold_filtering=True, eval_start_round=1,
                           min_active_clients=2)
@@ -942,7 +942,7 @@ class TestRunFederation:
         def run(images, params):
             data = Dataset(images, dataset.labels, dataset.num_classes)
             initial = build_unet(TINY, seed=21).with_params(params)
-            ctx = pixel_ctx(images[:8])
+            ctx = untrained_ctx(images[:8])
             final, runlog = run_federation(initial, plan, cfg, data, seed=5, metrics_ctx=ctx)
             return final, timeless_rows(runlog)
 
@@ -1128,7 +1128,7 @@ class TestDefaultWorkers:
                 eval_sample_count=diffusion.SAMPLE_BATCH + 1,  # two shares, were it split
             )
             untrained = EvalClassifier.initialize(ClassifierConfig(1, 8, 4), seed=0)
-            ctx = MetricsContext.build(data.images[:8], untrained, "pixels")
+            ctx = MetricsContext.build(data.images[:8], untrained)
             model = build_unet(DenoiserConfig(base_channels=4, time_embed_dim=8), seed=1)
             final, runlog = run_federation(model, partition_label_skew(data, 2, 2, seed=5),
                                            cfg, data, seed=2, metrics_ctx=ctx, workers=2)

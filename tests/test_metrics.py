@@ -323,7 +323,7 @@ class TestEvalClassifier:
 
 class TestReport:
     def test_reference_scored_against_itself(self, toy_classifier, toy_test):
-        ctx = MetricsContext.build(toy_test.images, toy_classifier, "classifier")
+        ctx = MetricsContext.build(toy_test.images, toy_classifier)
         report = compute_report(toy_test.images, ctx)
         assert report.fid == pytest.approx(0.0, abs=1e-6)
         assert report.precision == 1.0
@@ -331,15 +331,9 @@ class TestReport:
         assert report.tv_distance == pytest.approx(0.0, abs=1e-12)
         assert sum(report.class_histogram) == len(toy_test)
 
-    def test_pixel_feature_space(self, toy_classifier, toy_test):
-        ctx = MetricsContext.build(toy_test.images, toy_classifier, "pixels")
-        report = compute_report(toy_test.images, ctx)
-        assert report.feature_space == "pixels"
-        assert report.precision == 1.0 and report.recall == 1.0
-
     def test_json_fields(self, toy_classifier, toy_test):
         import json
-        ctx = MetricsContext.build(toy_test.images, toy_classifier, "classifier")
+        ctx = MetricsContext.build(toy_test.images, toy_classifier)
         report = compute_report(toy_test.images[:32], ctx)
         doc = json.loads(report.to_json())
         assert set(doc) == {
@@ -347,25 +341,23 @@ class TestReport:
             "tv_distance", "feature_space", "n_generated", "n_reference",
         }
         assert doc["n_generated"] == 32
+        assert doc["feature_space"] == "classifier"
 
     def test_sorted_histogram_descending(self):
         pairs = sorted_histogram(np.array([3, 9, 1, 9]))
         assert pairs == [(1, 9), (3, 9), (0, 3), (2, 1)]
 
-    @pytest.mark.parametrize("feature_space", ["classifier", "pixels"])
-    def test_context_survives_pickle(self, toy_classifier, toy_test, feature_space):
+    def test_context_survives_pickle(self, toy_classifier, toy_test):
         # a client job's arguments, the context among them, must be able to
         # travel to a child process as they are
-        ctx = MetricsContext.build(toy_test.images, toy_classifier, feature_space)
+        ctx = MetricsContext.build(toy_test.images, toy_classifier)
         loaded = pickle.loads(pickle.dumps(ctx))
         np.testing.assert_array_equal(loaded.reference_features, ctx.reference_features)
         np.testing.assert_array_equal(loaded.extract(toy_test.images[:8]),
                                       ctx.extract(toy_test.images[:8]))
 
-    @pytest.mark.parametrize("feature_space", ["classifier", "pixels"])
-    def test_report_classifies_each_image_once(self, toy_classifier, toy_test,
-                                               feature_space, monkeypatch):
-        ctx = MetricsContext.build(toy_test.images, toy_classifier, feature_space)
+    def test_report_classifies_each_image_once(self, toy_classifier, toy_test, monkeypatch):
+        ctx = MetricsContext.build(toy_test.images, toy_classifier)
         generated = np.concatenate([toy_test.images] * 2)[:300]
         batches = []
         original = EvalClassifier._forward
