@@ -252,14 +252,7 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
         "drop_policy": fed.drop_policy.label() if fed.threshold_filtering else None,
         "seed": cfg.seed,
         "server_rounds": fed.server_rounds,
-        "fid": report.fid,
-        "is_mean": report.is_mean,
-        "is_std": report.is_std,
-        "precision": report.precision,
-        "recall": report.recall,
-        "tv_distance": report.tv_distance,
-        "feature_space": report.feature_space,
-        "n_generated": report.n_generated,
+        **asdict(report),
     }
     write_json(run_dir / "summary.json", summary, indent=2)
     print(f"run {run_id}: {fed.server_rounds} rounds complete")
@@ -359,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="processes for the clients' training and scoring, each "
                         "keeping its own clients' state for the whole run "
                         "(default: the usable cores when BLAS is pinned to one "
-                        "thread, else 1); the final report's sampling always "
-                        "uses that default")
+                        "thread, else 1); sampling uses that default, except "
+                        "that a worker samples in its own process")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("generate", parents=[shared],

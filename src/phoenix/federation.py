@@ -2,8 +2,8 @@
 
 A server round broadcasts the global base parameters and runs one job per
 client that the run's filter state lists as participating: local training
-and, in rounds where threshold filtering scores clients, k-NN
-precision/recall of the trained model. A job writes no shared state and
+and, where threshold filtering scores, the final report's metrics on
+samples of the trained model. A job writes no shared state and
 returns the client's next state, its update and its ``RunRow``; the process
 that holds the client commits the state, and ``run_federation`` takes the
 rows and updates in id order and aggregates by sample-count-weighted
@@ -21,13 +21,14 @@ processes forked once, before round 1, that last the whole run. Worker k
 holds the states of the clients with ``id % workers == k`` and inherits what
 stays the same for the run: the dataset, the config, the seed and the
 metrics context. Each round sends every worker the global model, the round
-number, whether the round scores and who participates; only each client's
-update, row and personal layers come back. Both cross through
-``parallel.send`` and ``recv``, which copy no parameter table; a reply's
-arrays are views of one arena, freed as soon as its update is folded or
-dropped. All randomness is derived from (seed, domain, round, epoch, ...)
-keys, and updates are folded in an order that does not depend on the
-worker count, so results are bitwise the same for every worker count.
+number and who participates; only each client's update, row and personal
+layers come back. Both cross through ``parallel.send`` and ``recv``, which
+copy no parameter table; a reply's arrays are views of one arena, freed as
+soon as its update is folded or dropped. A worker samples in its own
+process: ``parallel.default_workers`` is 1 in a forked process. All
+randomness is derived from (seed, domain, round, epoch, ...) keys, and
+updates are folded in an order that does not depend on the worker count,
+so results are bitwise the same for every worker count.
 Unless told otherwise, a run pools only when that can pay: BLAS pinned to
 one thread and a platform that forks (``parallel.default_workers``).
 """
@@ -48,7 +49,7 @@ from . import diffusion, parallel
 from .datasets import Dataset
 from .filtering import ACTIVE, DISCONNECTED, WARNED, DropPolicy, FilterState, filter_step
 from .formats import write_checkpoint, write_csv
-from .metrics import MetricsContext, knn_precision_recall
+from .metrics import MetricsContext, compute_report
 from .optim import AdamState, adam_step, blocks, sgd_step
 from .partition import PartitionPlan
 from .schedule import NoiseSchedule
@@ -365,16 +366,14 @@ def evaluate_client(
     round_no: int,
     seed: int,
 ) -> tuple[float, float]:
-    """Generate from the client's assembled model and score it by k-NN P/R."""
+    """Sample from the client's assembled model and score the samples as the
+    final report is scored; returns their (precision, recall)."""
     if metrics_ctx is None:
         raise ValueError("client evaluation needs a metrics context")
-    # serial: a job already runs in a pool worker or in the one-process loop
-    gen_seed = derive_seed(seed, DOMAIN_EVAL, round_no, client.id)
-    samples = diffusion.sample_chain(
-        model, config.schedule, 0, config.eval_sample_count, gen_seed
-    )
-    features = metrics_ctx.extract(samples)
-    return knn_precision_recall(metrics_ctx.reference_features, features)
+    report = compute_report(diffusion.generate(
+        model, config.schedule, config.eval_sample_count,
+        derive_seed(seed, DOMAIN_EVAL, round_no, client.id)), metrics_ctx)
+    return report.precision, report.recall
 
 
 def _param_bytes(params: Mapping[str, np.ndarray]) -> int:
@@ -382,9 +381,10 @@ def _param_bytes(params: Mapping[str, np.ndarray]) -> int:
 
 
 def _client_job(client: ClientState, global_model: DenoiserModel, round_no: int,
-                scoring: bool, dataset: Dataset, config: FederationConfig, seed: int,
+                dataset: Dataset, config: FederationConfig, seed: int,
                 metrics_ctx: MetricsContext | None):
-    """Train one client and, in a scoring round, score it; writes no shared state.
+    """Train one client and, in a round where the filter scores, score it;
+    writes no shared state.
 
     Returns (next state, update or None, ``RunRow``); the round fills in the
     row's ``bytes_down`` and, for a scored client, the filter's status. A
@@ -400,7 +400,7 @@ def _client_job(client: ClientState, global_model: DenoiserModel, round_no: int,
     else:
         update, state = trained or (None, client)
         status = STATUS_SKIPPED if trained is None else ACTIVE
-        if scoring:
+        if config.threshold_filtering and round_no >= config.eval_start_round:
             base = global_model.params if update is None else update.params
             model = global_model.with_params(_client_params(global_model, base, state))
             scores = evaluate_client(state, model, metrics_ctx, config, round_no, seed)
@@ -412,7 +412,7 @@ def _client_job(client: ClientState, global_model: DenoiserModel, round_no: int,
 
 
 def _train_share(clients: dict[int, ClientState], global_model: DenoiserModel,
-                 round_no: int, scoring: bool, participating: list[int],
+                 round_no: int, participating: list[int],
                  dataset: Dataset, config: FederationConfig, seed: int,
                  metrics_ctx: MetricsContext | None):
     """Run the jobs of the participating clients held in ``clients``, in id order.
@@ -424,15 +424,14 @@ def _train_share(clients: dict[int, ClientState], global_model: DenoiserModel,
     for cid in participating:
         if cid in clients:
             clients[cid], update, row = _client_job(clients[cid], global_model, round_no,
-                                                    scoring, dataset, config, seed,
-                                                    metrics_ctx)
+                                                    dataset, config, seed, metrics_ctx)
             yield update, row, clients[cid].personal_params
             del update  # the caller keeps or sends it; here it would outlive the next job
 
 
 def _serve(conn, clients: dict[int, ClientState], run_inputs: tuple) -> None:
     """A worker's life: it holds a share of the clients and serves one round
-    per message, (global model, round number, scoring, participating ids),
+    per message, (global model, round number, participating ids),
     with one reply per participating client of its share. The run is over
     when the parent closes its end.
     """
@@ -448,7 +447,7 @@ def _serve(conn, clients: dict[int, ClientState], run_inputs: tuple) -> None:
 
 @contextmanager
 def _client_rounds(clients: list[ClientState], worker_count: int, run_inputs: tuple):
-    """Yield ``train(global_model, round_no, scoring, participating)``, which runs
+    """Yield ``train(global_model, round_no, participating)``, which runs
     a round's client jobs and yields their replies in id order.
 
     With one worker the jobs run here, over every client. Above one,
@@ -463,11 +462,11 @@ def _client_rounds(clients: list[ClientState], worker_count: int, run_inputs: tu
         yield lambda *message: _train_share(share, *message, *run_inputs)
         return
 
-    def train(global_model, round_no, scoring, participating):
+    def train(global_model, round_no, participating):
         lost = FederationError(f"round {round_no}: a worker process ended mid-round")
         try:
             for conn in conns:
-                parallel.send(conn, (global_model, round_no, scoring, participating))
+                parallel.send(conn, (global_model, round_no, participating))
         except OSError:
             raise lost from None
         for cid in participating:
@@ -480,7 +479,7 @@ def _client_rounds(clients: list[ClientState], worker_count: int, run_inputs: tu
 
 
 def _commit_round(replies, global_model: DenoiserModel, filter_state: FilterState,
-                  round_no: int, scoring: bool, personal: dict[int, dict[str, np.ndarray]],
+                  round_no: int, personal: dict[int, dict[str, np.ndarray]],
                   config: FederationConfig) -> tuple[DenoiserModel, FilterState, list[RunRow]]:
     """Take a round's replies in id order, fold the updates, advance the filter.
 
@@ -510,10 +509,10 @@ def _commit_round(replies, global_model: DenoiserModel, filter_state: FilterStat
             fedavg([update], total)
         del update, row, personal_params  # before the next reply is read
 
-    if scoring:
-        scored = {cid: (row.precision, row.recall) for cid, row in rows.items()
-                  if row.precision is not None}
-        # only a faulted client goes unscored; its filter state carries over
+    scored = {cid: row.precision for cid, row in rows.items() if row.precision is not None}
+    if scored:
+        # in a round that scores, only a faulted client goes unscored; its
+        # filter state carries over
         filter_state, _, _ = filter_step(
             filter_state, scored, round_no, exempt=rows.keys() - scored.keys()
         )
@@ -590,10 +589,9 @@ def run_federation(
     with _client_rounds(clients, min(workers, config.client_count),
                         (dataset, config, seed, metrics_ctx)) as train:
         for round_no in range(1, config.server_rounds + 1):
-            scoring = config.threshold_filtering and round_no >= config.eval_start_round
             global_model, filter_state, rows = _commit_round(
-                train(global_model, round_no, scoring, filter_state.participating()),
-                global_model, filter_state, round_no, scoring, personal, config,
+                train(global_model, round_no, filter_state.participating()),
+                global_model, filter_state, round_no, personal, config,
             )
             runlog.rows.extend(rows)
 

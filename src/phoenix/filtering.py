@@ -25,7 +25,7 @@ POLICY_THRESHOLD = "threshold"
 
 
 class ProtocolError(RuntimeError):
-    """Metrics missing for a client the filter still tracks."""
+    """No score for a client the filter still tracks."""
 
 
 @dataclass(frozen=True)
@@ -69,30 +69,27 @@ class FilterState:
         return replace(self, status=dict(self.status))
 
 
-def _poor_clients(
-    state: FilterState,
-    metrics: dict[int, tuple[float, float]],
-    tracked: list[int],
-) -> set[int]:
-    missing = [i for i in tracked if i not in metrics]
+def _poor_clients(state: FilterState, scores: dict[int, float], tracked: list[int]) -> set[int]:
+    missing = [i for i in tracked if i not in scores]
     if missing:
-        raise ProtocolError(f"no metrics for participating clients {missing}")
+        raise ProtocolError(f"no score for participating clients {missing}")
     if not tracked:
         return set()
     if state.policy.kind == POLICY_LOWEST_PRECISION:
         # exactly one client per round; ties break to the lowest id
-        worst = min(tracked, key=lambda i: (metrics[i][0], i))
+        worst = min(tracked, key=lambda i: (scores[i], i))
         return {worst}
-    return {i for i in tracked if metrics[i][0] < state.policy.threshold}
+    return {i for i in tracked if scores[i] < state.policy.threshold}
 
 
 def filter_step(
     state: FilterState,
-    metrics: dict[int, tuple[float, float]],
+    scores: dict[int, float],
     round_no: int,
     exempt: frozenset[int] | set[int] = frozenset(),
 ) -> tuple[FilterState, list[int], list[int]]:
-    """Advance the machine one evaluation round.
+    """Advance the machine one evaluation round on one score per client,
+    such as its precision; the lower the score, the poorer the client.
 
     Clients in ``exempt`` were not evaluated this round (e.g. they faulted);
     their status, and with it the strike count, carries over. Returns (new state,
@@ -101,13 +98,13 @@ def filter_step(
     """
     new = state.copy()
     tracked = [i for i in state.participating() if i not in exempt]
-    poor = _poor_clients(state, metrics, tracked)
+    poor = _poor_clients(state, scores, tracked)
     if (state.policy.kind == POLICY_LOWEST_PRECISION and len(tracked) >= 2
-            and len({metrics[i][0] for i in tracked}) == 1):
+            and len({scores[i] for i in tracked}) == 1):
         log.warning(
             "round %d: all %d tracked clients tie at precision %g; "
             "the lowest-id tie-break picks client %d",
-            round_no, len(tracked), metrics[tracked[0]][0], min(poor),
+            round_no, len(tracked), scores[tracked[0]], min(poor),
         )
     candidates = []
     for cid in tracked:

@@ -188,8 +188,7 @@ class MetricsContext:
 
     Holds the classifier together with the reference features and the
     reference class histogram, both from one classifier pass over the
-    reference images. The filter needs only ``extract``, so a context built
-    on an untrained classifier serves it too.
+    reference images.
     """
 
     reference_features: np.ndarray
@@ -218,7 +217,9 @@ def compute_report(generated: np.ndarray, ctx: MetricsContext) -> MetricsReport:
     fid = frechet_distance(
         gaussian_stats(ctx.reference_features), gaussian_stats(gen_features)
     )
-    is_mean, is_std = inception_style_score(_softmax(logits), min(IS_SPLITS, len(generated)))
+    # splits of ten images or more (one below 20): a lone image scores exp(0) = 1
+    splits = max(1, min(IS_SPLITS, len(generated) // IS_SPLITS))
+    is_mean, is_std = inception_style_score(_softmax(logits), splits)
     precision, recall = knn_precision_recall(ctx.reference_features, gen_features)
     counts = np.bincount(logits.argmax(axis=1), minlength=ctx.classifier.num_classes)
     return MetricsReport(

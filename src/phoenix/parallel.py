@@ -54,15 +54,20 @@ def check_workers(workers: int) -> None:
                          f"which this platform lacks; use 1 worker")
 
 
+# True in a process that ``forked`` started: as a daemon, it may not fork.
+_forked_child = False
+
+
 def default_workers() -> int:
     """The worker count of a run that names none: every usable core when BLAS
-    is pinned to one thread and the platform forks; else 1.
+    is pinned to one thread and the platform forks; else 1. In a process
+    that ``forked`` started it is 1.
 
     A forked worker inherits its parent's BLAS threads, so with BLAS
     unpinned the workers fight over the cores: two desk workers took 68-88 s
     where one took 31-32 s.
     """
-    return usable_cores() if blas_pinned() and can_fork() else 1
+    return usable_cores() if blas_pinned() and can_fork() and not _forked_child else 1
 
 
 # Each array that ``recv`` returns starts at a multiple of this many bytes.
@@ -148,6 +153,8 @@ def _child(target: Callable, conn, args: tuple, inherited) -> None:
     """A forked child's life: close the parent's pipe ends it inherited, so
     that a child sees its pipe end when the parent closes it, then run
     ``target(conn, *args)`` and send back an exception it raises."""
+    global _forked_child
+    _forked_child = True
     for parent_end in inherited:
         parent_end.close()
     try:

@@ -203,10 +203,9 @@ def test_criterion_6_filter_state_machine(verdict):
         state = FilterState.fresh(range(clients), policy, 2)
         warned_before: set[int] = set()
         for rnd in range(1, 7):
-            metrics = {c: (float(rng.uniform(0, 1)), 0.5)
-                       for c in state.participating()}
+            precisions = {c: float(rng.uniform(0, 1)) for c in state.participating()}
             prev_dead = {c for c, s in state.status.items() if s == DISCONNECTED}
-            state, disconnected, _ = filter_step(state, metrics, rnd)
+            state, disconnected, _ = filter_step(state, precisions, rnd)
             assert all(state.status[c] == DISCONNECTED for c in prev_dead)
             assert all(c in warned_before for c in disconnected)
             assert len(state.participating()) >= 2

@@ -15,6 +15,7 @@ from phoenix.cli import build_parser, main
 from phoenix.config import FederationSpec, config_from_dict, load_config, load_datasets
 from phoenix.federation import FederationConfig
 from phoenix.formats import read_checkpoint, read_tensor, write_tensor
+from phoenix.metrics import MetricsReport
 from phoenix.schedule import cosine_schedule, linear_schedule
 from phoenix.unet import build_unet
 
@@ -305,8 +306,10 @@ class TestTrainCommand:
         assert len(runlog) == 1 + 4  # header + one row per (round, client)
         summary = json.loads((run_dir / "summary.json").read_text())
         assert summary["run_id"] == "label_skew-seed5"
-        for key in ("fid", "is_mean", "precision", "recall", "tv_distance"):
-            assert key in summary
+        # every field of the final report, the class histogram included
+        report = {f.name for f in fields(MetricsReport)}
+        assert {"class_histogram", "n_reference"} <= report <= summary.keys()
+        assert sum(summary["class_histogram"]) == summary["n_generated"] == 16
         assert (run_dir / "round_1.phxc").exists()
 
     @pytest.mark.parametrize("plan_doc, train_doc", [

@@ -284,8 +284,8 @@ class TestEvaluateClient:
     def test_reference_samples_score_perfect(self, dataset, model, monkeypatch):
         reference = dataset.images[:8]
         ctx = untrained_ctx(reference)
-        monkeypatch.setattr(federation.diffusion, "sample_chain",
-                            lambda m, s, start, stop, seed: reference.copy())
+        monkeypatch.setattr(federation.diffusion, "generate",
+                            lambda m, s, count, seed: reference.copy())
         cfg = tiny_config()
         client = ClientState(id=0, data_indices=[0])
         precision, recall = evaluate_client(client, model, ctx, cfg, 1, seed=0)
@@ -294,8 +294,8 @@ class TestEvaluateClient:
     def test_distant_samples_score_zero(self, dataset, model, monkeypatch):
         reference = dataset.images[:8]
         ctx = untrained_ctx(reference)
-        monkeypatch.setattr(federation.diffusion, "sample_chain",
-                            lambda m, s, start, stop, seed: reference + 100.0)
+        monkeypatch.setattr(federation.diffusion, "generate",
+                            lambda m, s, count, seed: reference + 100.0)
         cfg = tiny_config()
         client = ClientState(id=0, data_indices=[0])
         assert evaluate_client(client, model, ctx, cfg, 1, seed=0) == (0.0, 0.0)
@@ -571,16 +571,21 @@ class TestRunFederation:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_client_jobs_train_and_score_in_the_pool(self, dataset, monkeypatch, tmp_path,
-                                                     workers):
+                                                     two_workers, workers):
         # client 1 faults in round 1, client 2 has no data; every client's
-        # job trains and scores it, in a worker process exactly when workers > 1
+        # job trains and scores it, in a worker process exactly when workers > 1.
+        # Scoring draws two batches: with one worker, generate forks a
+        # sampling process for the second; a worker draws both itself
         cfg = tiny_config(client_count=3, server_rounds=2, threshold_filtering=True,
-                          eval_start_round=1, min_active_clients=2)
+                          eval_start_round=1, min_active_clients=2,
+                          eval_sample_count=diffusion.SAMPLE_BATCH + 1)
         plan = PartitionPlan([[0, 1, 2, 3], [4, 5, 6, 7], []], 3, "iid", 0)
         ctx = untrained_ctx(dataset.images[:8])
         original_train = federation.local_train
         original_score = federation.evaluate_client
-        scorer_pids = tmp_path / "scorer_pids"  # a worker's memory never comes back
+        original_chain = diffusion.sample_chain
+        # a forked process's memory never comes back, so the pids go to files
+        scorer_pids, sampler_pids = tmp_path / "scorer_pids", tmp_path / "sampler_pids"
 
         def train(client, model, data, config, round_no, seed):
             if (client.id, round_no) == (1, 1):
@@ -592,8 +597,14 @@ class TestRunFederation:
                 fh.write(f"{os.getpid()}\n")
             return original_score(*args)
 
+        def chain(*args):
+            with open(sampler_pids, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return original_chain(*args)
+
         monkeypatch.setattr(federation, "local_train", train)
         monkeypatch.setattr(federation, "evaluate_client", score)
+        monkeypatch.setattr(diffusion, "sample_chain", chain)
 
         def run(n):
             _, runlog = run_federation(build_unet(TINY, seed=1), plan, cfg, dataset,
@@ -609,6 +620,12 @@ class TestRunFederation:
                    for key in ((1, 2), (2, 2)))
         pids = [int(line) for line in scorer_pids.read_text().split()]
         assert len(pids) == 5 and {pid != os.getpid() for pid in pids} == {workers > 1}
+        samplers = [int(line) for line in sampler_pids.read_text().split()]
+        if workers > 1:
+            assert sorted(samplers) == sorted(pids)
+        else:  # one batch here, one in a new sampling process per scoring
+            assert samplers.count(os.getpid()) == 5
+            assert len(set(samplers) - {os.getpid()}) == 5
         assert timeless_rows(runlog) == timeless_rows(run(1))
 
     def test_one_pool_of_workers_serves_every_round(self, dataset, monkeypatch, tmp_path):

@@ -24,10 +24,9 @@ def run_trace(policy, rounds, clients=4, min_active=2, exempt=()):
     """Drive the machine through scripted per-round precision maps."""
     state = FilterState.fresh(range(clients), policy, min_active)
     history = []
-    for rnd, metrics in enumerate(rounds, start=1):
+    for rnd, precisions in enumerate(rounds, start=1):
         ex = frozenset(exempt[rnd - 1]) if exempt else frozenset()
-        full = {cid: (prec, 0.5) for cid, prec in metrics.items()}
-        state, disconnected, suppressed = filter_step(state, full, rnd, exempt=ex)
+        state, disconnected, suppressed = filter_step(state, precisions, rnd, exempt=ex)
         status = "".join(state.status[c][0] for c in range(clients))
         history.append((status, disconnected, suppressed))
     return state, history
@@ -136,13 +135,12 @@ def test_scenario_table_is_large_enough():
 def test_missing_metrics_raise_protocol_error():
     state = FilterState.fresh(range(3), LP)
     with pytest.raises(ProtocolError):
-        filter_step(state, {0: (0.5, 0.5), 1: (0.6, 0.6)}, 1)
+        filter_step(state, {0: 0.5, 1: 0.6}, 1)
 
 
 def test_filter_step_does_not_mutate_input():
     state = FilterState.fresh(range(3), TH(0.9))
-    metrics = {i: (0.1, 0.1) for i in range(3)}
-    filter_step(state, metrics, 1)
+    filter_step(state, {i: 0.1 for i in range(3)}, 1)
     assert all(s == ACTIVE for s in state.status.values())
     assert all(v == 0 for v in state.poor_streak.values())
 
@@ -154,9 +152,8 @@ def test_filter_step_does_not_mutate_input():
 ], ids=["lp-all-tied", "lp-one-differs", "threshold-all-tied"])
 def test_all_tied_round_is_flagged(caplog, policy, precisions, warned):
     state = FilterState.fresh(range(3), policy)
-    metrics = {cid: (prec, 0.5) for cid, prec in enumerate(precisions)}
     with caplog.at_level(logging.WARNING, logger="phoenix.filtering"):
-        new, _, _ = filter_step(state, metrics, 4)
+        new, _, _ = filter_step(state, dict(enumerate(precisions)), 4)
     messages = [r.getMessage() for r in caplog.records]
     if warned:
         assert messages == ["round 4: all 3 tracked clients tie at precision 0; "
@@ -185,11 +182,10 @@ def test_property_invariants_over_random_traces():
         state = FilterState.fresh(range(clients), policy, min_active)
         warned_before: set[int] = set()
         for rnd in range(1, 7):
-            metrics = {c: (float(rng.uniform(0, 1)), 0.5)
-                       for c in state.participating()}
+            precisions = {c: float(rng.uniform(0, 1)) for c in state.participating()}
             prev_disconnected = {c for c, s in state.status.items()
                                  if s == DISCONNECTED}
-            state, disconnected, suppressed = filter_step(state, metrics, rnd)
+            state, disconnected, suppressed = filter_step(state, precisions, rnd)
 
             # absorbing: nobody leaves the disconnected set
             for c in prev_disconnected:

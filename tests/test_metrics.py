@@ -343,6 +343,27 @@ class TestReport:
         assert doc["n_generated"] == 32
         assert doc["feature_space"] == "classifier"
 
+    @pytest.mark.parametrize("count, splits", [(16, 1), (19, 1), (20, 2), (128, 10)])
+    def test_is_splits_hold_ten_images_each(self, count, splits):
+        # confident rows over four classes; ten one-image splits of 16 rows
+        # would read 1.23, as if every sample were of one class
+        class Confident:
+            num_classes = 4
+
+            def embed(self, images):
+                probs = np.full((len(images), 4), 0.01)
+                probs[np.arange(len(images)), np.arange(len(images)) % 4] = 0.97
+                return images.reshape(len(images), -1), np.log(probs)
+
+        rng = np.random.default_rng(6)
+        ctx = MetricsContext(rng.standard_normal((8, 2)), Confident(), np.full(4, 2))
+        generated = rng.standard_normal((count, 2))
+        report = compute_report(generated, ctx)
+        _, logits = Confident().embed(generated)
+        assert (report.is_mean, report.is_std) == inception_style_score(_softmax(logits), splits)
+        if count == 16:
+            assert report.is_mean == pytest.approx(3.38, abs=0.01)
+
     def test_sorted_histogram_descending(self):
         pairs = sorted_histogram(np.array([3, 9, 1, 9]))
         assert pairs == [(1, 9), (3, 9), (0, 3), (2, 1)]

@@ -166,3 +166,22 @@ def test_failed_fork_is_raised_as_it_was_and_leaves_nothing_open(run, second_sta
     assert type(caught.value) is BlockingIOError and caught.value.errno == errno.EAGAIN
     assert multiprocessing.active_children() == []
     assert open_fds() == before
+
+
+def test_a_forked_process_samples_in_one_process(two_workers):
+    # a forked process is a daemon and may not fork; default_workers says so,
+    # and generate then draws every batch itself
+    model = build_unet(DenoiserConfig(base_channels=4, time_embed_dim=8), seed=1)
+    count = 2 * diffusion.SAMPLE_BATCH
+
+    def child(conn):
+        forks = []
+        os.fork = lambda: forks.append(os.getpid()) or fork()
+        workers = parallel.default_workers()
+        samples = diffusion.generate(model, linear_schedule(2), count, seed=1)
+        parallel.send(conn, (workers, len(samples), forks))
+
+    fork = os.fork
+    with parallel.forked(child, [()]) as conns:
+        assert parallel.reply(conns[0], Lost()) == (1, count, [])
+    assert parallel.default_workers() == 2
