@@ -56,6 +56,10 @@ class PartitionSpec:
     def validate(self) -> None:
         if self.mode not in ("iid", "label_skew", "data_sharing"):
             raise ConfigError(f"unknown partition mode '{self.mode}'")
+        if not 0 < self.beta_pct <= 100:  # NaN compares false, so it is refused
+            raise ConfigError(f"partition.beta_pct must lie in (0, 100], got {self.beta_pct}")
+        if not 0 <= self.alpha_pct <= 100:
+            raise ConfigError(f"partition.alpha_pct must lie in [0, 100], got {self.alpha_pct}")
 
 
 @dataclass

@@ -10,22 +10,21 @@ rows and updates in id order and aggregates by sample-count-weighted
 averaging (FedAvg): it folds each update into a float64 running sum as it
 arrives. Only a client warned at the start of the round can be
 disconnected by the filter, on the rows' scores, so only its update waits
-for the filter to decide. Personal-flagged parameters stay in the
-client state and are excluded from every update; the server receives them
-only to write each client's personal checkpoint. A client's state, Adam
-moments included, is a value that training reads and never writes, so a
-faulted client keeps it as it was.
+for the filter to decide. As in FedPer, personal-flagged parameters never
+leave the client state, and the process that holds it writes the client's
+personal checkpoint. A client's state, Adam moments included, is a value
+that training reads and never writes, so a faulted client keeps it as it was.
 
 With more than one worker, client jobs run in ``min(workers, client_count)``
 processes forked once, before round 1, that last the whole run. Worker k
 holds the states of the clients with ``id % workers == k`` and inherits what
-stays the same for the run: the dataset, the config, the seed and the
-metrics context. Each round sends every worker the global model, the round
-number and who participates; only each client's update, row and personal
-layers come back. Both cross through ``parallel.send`` and ``recv``, which
-copy no parameter table; a reply's arrays are views of one arena, freed as
-soon as its update is folded or dropped. A worker samples in its own
-process: ``parallel.default_workers`` is 1 in a forked process. All
+stays the same for the run: the dataset, the config, the seed, the
+metrics context and the run directory. Each round sends every worker the
+global model, the round number and who participates; only each client's
+update and row come back. Both cross through ``parallel.send`` and
+``recv``, which copy no parameter table; a reply's arrays are views of one
+arena, freed as soon as its update is folded or dropped. A worker samples
+in its own process: ``parallel.default_workers`` is 1 in a forked process. All
 randomness is derived from (seed, domain, round, epoch, ...) keys, and
 updates are folded in an order that does not depend on the worker count,
 so results are bitwise the same for every worker count.
@@ -414,26 +413,31 @@ def _client_job(client: ClientState, global_model: DenoiserModel, round_no: int,
 def _train_share(clients: dict[int, ClientState], global_model: DenoiserModel,
                  round_no: int, participating: list[int],
                  dataset: Dataset, config: FederationConfig, seed: int,
-                 metrics_ctx: MetricsContext | None):
+                 metrics_ctx: MetricsContext | None, out_path: Path | None):
     """Run the jobs of the participating clients held in ``clients``, in id order.
 
-    Commits each client's next state into ``clients`` and yields the job's
-    (update or None, ``RunRow``, personal layers). A job reads its client's
+    Commits each client's next state into ``clients``, writes the personal
+    layers a job trained to the client's checkpoint under ``out_path``, and
+    yields the job's (update or None, ``RunRow``). A job reads its client's
     state only when it starts, so the state it replaces is freed at once.
     """
     for cid in participating:
         if cid in clients:
             clients[cid], update, row = _client_job(clients[cid], global_model, round_no,
                                                     dataset, config, seed, metrics_ctx)
-            yield update, row, clients[cid].personal_params
+            personal = clients[cid].personal_params
+            if out_path is not None and update is not None and personal:
+                write_checkpoint(out_path / f"client_{cid}_personal.phxc",
+                                 personal, set(personal))
+            yield update, row
             del update  # the caller keeps or sends it; here it would outlive the next job
 
 
 def _serve(conn, clients: dict[int, ClientState], run_inputs: tuple) -> None:
     """A worker's life: it holds a share of the clients and serves one round
     per message, (global model, round number, participating ids),
-    with one reply per participating client of its share. The run is over
-    when the parent closes its end.
+    with one (update or None, ``RunRow``) reply per participating client of
+    its share. The run is over when the parent closes its end.
     """
     while True:
         try:
@@ -453,9 +457,9 @@ def _client_rounds(clients: list[ClientState], worker_count: int, run_inputs: tu
     With one worker the jobs run here, over every client. Above one,
     ``worker_count`` workers fork now through ``parallel.forked``, and worker
     k keeps the states of the clients with ``id % worker_count == k`` for the
-    whole run; a round sends its message to every worker. A worker that ends
-    mid-round raises ``FederationError``; a job's exception is raised as it
-    was raised.
+    whole run and writes their personal checkpoints; a round sends its
+    message to every worker. A worker that ends mid-round raises
+    ``FederationError``; a job's exception is raised as it was raised.
     """
     if worker_count == 1:
         share = {client.id: client for client in clients}
@@ -478,13 +482,11 @@ def _client_rounds(clients: list[ClientState], worker_count: int, run_inputs: tu
         yield train
 
 
-def _commit_round(replies, global_model: DenoiserModel, filter_state: FilterState,
-                  round_no: int, personal: dict[int, dict[str, np.ndarray]],
+def _commit_round(replies, global_model: DenoiserModel, filter_state: FilterState, round_no: int,
                   config: FederationConfig) -> tuple[DenoiserModel, FilterState, list[RunRow]]:
     """Take a round's replies in id order, fold the updates, advance the filter.
 
-    Stores a copy of each client's personal layers in ``personal`` and
-    returns the next global model, the next filter state and one row per
+    Returns the next global model, the next filter state and one row per
     client. ``filter_step`` disconnects only a client that was already
     warned, so every other update is folded into the round's float64 sum as
     it arrives and freed before the next reply is read; a reply's arrays may
@@ -499,15 +501,14 @@ def _commit_round(replies, global_model: DenoiserModel, filter_state: FilterStat
         else global_model.params
     )
     total, held, rows = RunningSum(), {}, {}
-    for update, row, personal_params in replies:
+    for update, row in replies:
         rows[row.client_id] = row
-        personal[row.client_id] = {name: p.copy() for name, p in personal_params.items()}
         row.bytes_down = broadcast_bytes
         if update is not None and filter_state.status[row.client_id] == WARNED:
             held[row.client_id] = update
         elif update is not None:
             fedavg([update], total)
-        del update, row, personal_params  # before the next reply is read
+        del update, row  # before the next reply is read
 
     scored = {cid: row.precision for cid, row in rows.items() if row.precision is not None}
     if scored:
@@ -552,15 +553,14 @@ def run_federation(
     default ``parallel.default_workers()``. Above one,
     ``min(workers, client_count)`` processes fork before round 1, each
     keeping its own clients' states until the run ends or raises; a round
-    sends each worker the global model and gets back each client's update,
-    row and personal layers. A worker that ends mid-round raises
-    ``FederationError``; any other error in a job, or a fork's ``OSError``,
-    reaches the caller as it was raised. The run log holds one row per
-    client and round.
+    sends each worker the global model and gets back each client's update
+    and row. A worker that ends mid-round raises ``FederationError``; any
+    other error in a job, or a fork's ``OSError``, reaches the caller as it
+    was raised. The run log holds one row per client and round.
 
     Under ``out_dir``, when given, each round ends by writing its global
-    checkpoint, the per-client personal checkpoints and the run log CSV so
-    far, each replacing the previous file atomically.
+    checkpoint and the run log CSV so far, and each round a client trains,
+    its process writes its personal checkpoint; each file is replaced atomically.
     """
     config.validate()
     if workers is None:
@@ -583,15 +583,14 @@ def run_federation(
     global_model = initial_model
     filter_state = FilterState.fresh(range(config.client_count), config.drop_policy,
                                      config.min_active_clients)
-    personal: dict[int, dict[str, np.ndarray]] = {}
     runlog = RunLog()
 
     with _client_rounds(clients, min(workers, config.client_count),
-                        (dataset, config, seed, metrics_ctx)) as train:
+                        (dataset, config, seed, metrics_ctx, out_path)) as train:
         for round_no in range(1, config.server_rounds + 1):
             global_model, filter_state, rows = _commit_round(
                 train(global_model, round_no, filter_state.participating()),
-                global_model, filter_state, round_no, personal, config,
+                global_model, filter_state, round_no, config,
             )
             runlog.rows.extend(rows)
 
@@ -600,9 +599,5 @@ def run_federation(
                     out_path / f"round_{round_no}.phxc",
                     global_model.params, set(global_model.personal_names),
                 )
-                for cid, params in sorted(personal.items()):
-                    if params:
-                        write_checkpoint(out_path / f"client_{cid}_personal.phxc",
-                                         params, set(params))
                 runlog.write_csv(out_path / "runlog.csv")
     return global_model, runlog

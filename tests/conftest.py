@@ -51,6 +51,28 @@ def two_workers(monkeypatch):
     assert parallel.default_workers() == 2
 
 
+class PidLog:
+    """A file that each call to ``append`` adds this process's pid to; a
+    forked process's memory never comes back, so what it did goes to a file."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def append(self) -> None:
+        with open(self.path, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+
+    def pids(self) -> list[int]:
+        """The pids appended so far, in order."""
+        return [int(line) for line in self.path.read_text().split()]
+
+
+@pytest.fixture()
+def pid_log(tmp_path):
+    """``pid_log(name)``: a new ``PidLog`` in the test's temporary directory."""
+    return lambda name: PidLog(tmp_path / f"{name}.pids")
+
+
 @pytest.fixture()
 def dies_mid_payload(monkeypatch):
     """A forked process that sends arrays through ``parallel.send`` writes its

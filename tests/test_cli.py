@@ -112,6 +112,15 @@ class TestConfigHandling:
                      id="removed-feature-space"),
         pytest.param({"metrics": {"knn_k": 3}}, "knn_k", id="removed-knn-k"),
         pytest.param({"metrics": {"is_splits": 10}}, "is_splits", id="removed-is-splits"),
+        # json reads Infinity and NaN; 1e308% of the client pool overflows
+        pytest.param({"partition": {"mode": "data_sharing", "beta_pct": float("inf")}},
+                     "partition.beta_pct", id="beta-infinite"),
+        pytest.param({"partition": {"mode": "data_sharing", "beta_pct": 1e308}},
+                     "partition.beta_pct", id="beta-overflowing"),
+        pytest.param({"partition": {"mode": "data_sharing", "beta_pct": float("nan")}},
+                     "partition.beta_pct", id="beta-nan"),
+        pytest.param({"partition": {"mode": "data_sharing", "alpha_pct": float("nan")}},
+                     "partition.alpha_pct", id="alpha-nan"),
     ])
     def test_unrunnable_config_refused_before_writing(self, tmp_path, capsys, override,
                                                       named):

@@ -570,7 +570,7 @@ class TestRunFederation:
             np.testing.assert_array_equal(final_a.params[name], final_b.params[name])
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_client_jobs_train_and_score_in_the_pool(self, dataset, monkeypatch, tmp_path,
+    def test_client_jobs_train_and_score_in_the_pool(self, dataset, monkeypatch, pid_log,
                                                      two_workers, workers):
         # client 1 faults in round 1, client 2 has no data; every client's
         # job trains and scores it, in a worker process exactly when workers > 1.
@@ -584,8 +584,7 @@ class TestRunFederation:
         original_train = federation.local_train
         original_score = federation.evaluate_client
         original_chain = diffusion.sample_chain
-        # a forked process's memory never comes back, so the pids go to files
-        scorer_pids, sampler_pids = tmp_path / "scorer_pids", tmp_path / "sampler_pids"
+        scorers, samplers = pid_log("scorer"), pid_log("sampler")
 
         def train(client, model, data, config, round_no, seed):
             if (client.id, round_no) == (1, 1):
@@ -593,13 +592,11 @@ class TestRunFederation:
             return original_train(client, model, data, config, round_no, seed)
 
         def score(*args):
-            with open(scorer_pids, "a") as fh:
-                fh.write(f"{os.getpid()}\n")
+            scorers.append()
             return original_score(*args)
 
         def chain(*args):
-            with open(sampler_pids, "a") as fh:
-                fh.write(f"{os.getpid()}\n")
+            samplers.append()
             return original_chain(*args)
 
         monkeypatch.setattr(federation, "local_train", train)
@@ -618,14 +615,13 @@ class TestRunFederation:
         assert all(r.precision is not None for key, r in rows.items() if key != (1, 1))
         assert all(rows[key].samples == 0 and rows[key].train_loss is None
                    for key in ((1, 2), (2, 2)))
-        pids = [int(line) for line in scorer_pids.read_text().split()]
+        pids, sampler_pids = scorers.pids(), samplers.pids()
         assert len(pids) == 5 and {pid != os.getpid() for pid in pids} == {workers > 1}
-        samplers = [int(line) for line in sampler_pids.read_text().split()]
         if workers > 1:
-            assert sorted(samplers) == sorted(pids)
+            assert sorted(sampler_pids) == sorted(pids)
         else:  # one batch here, one in a new sampling process per scoring
-            assert samplers.count(os.getpid()) == 5
-            assert len(set(samplers) - {os.getpid()}) == 5
+            assert sampler_pids.count(os.getpid()) == 5
+            assert len(set(sampler_pids) - {os.getpid()}) == 5
         assert timeless_rows(runlog) == timeless_rows(run(1))
 
     def test_one_pool_of_workers_serves_every_round(self, dataset, monkeypatch, tmp_path):
@@ -712,21 +708,74 @@ class TestRunFederation:
         assert multiprocessing.active_children() == []
         assert open_fds() == before
 
-    def test_kept_personal_layers_own_their_memory(self, dataset, monkeypatch, tmp_path):
-        # a reply's arrays are views of one arena; the personal layers the run
-        # keeps across rounds must not hold it
-        kept, original = [], federation.write_checkpoint
+    def test_replies_carry_no_personal_layers(self, dataset, monkeypatch, two_workers,
+                                              tmp_path):
+        # personal layers stay with the worker that holds their client: a
+        # reply is only the update, stripped of them, and the row
+        parent, replies, original = os.getpid(), [], parallel.recv
+
+        def recv(conn):
+            value = original(conn)
+            if os.getpid() == parent:
+                replies.append(value)
+            return value
+
+        monkeypatch.setattr(parallel, "recv", recv)
+        model = build_unet(TINY, seed=1)
+        run_federation(model, make_plan(dataset, 2),
+                       tiny_config(server_rounds=2, personalization=True), dataset,
+                       seed=2, out_dir=tmp_path)
+        assert len(replies) == 4
+        for value in replies:
+            assert type(value) is tuple and len(value) == 2
+            update, row = value
+            assert isinstance(update, ClientUpdate) and isinstance(row, federation.RunRow)
+            assert update.params and not set(update.params) & model.personal_names
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_personal_checkpoints_written_where_the_client_is_held(
+            self, dataset, monkeypatch, pid_log, two_workers, tmp_path, workers):
+        writers, original = pid_log("personal_writers"), federation.write_checkpoint
 
         def spy(path, params, personal_names=frozenset()):
             if Path(path).name.startswith("client_"):
-                kept.extend(params.values())
+                writers.append()
             original(path, params, personal_names)
 
         monkeypatch.setattr(federation, "write_checkpoint", spy)
         run_federation(build_unet(TINY, seed=1), make_plan(dataset, 2),
                        tiny_config(server_rounds=2, personalization=True), dataset,
-                       seed=2, workers=2, out_dir=tmp_path)
-        assert kept and all(p.flags.owndata for p in kept)
+                       seed=2, workers=workers, out_dir=tmp_path)
+        pids = writers.pids()
+        assert len(pids) == 4  # two clients, two rounds
+        if workers > 1:
+            assert len(set(pids)) == 2 and os.getpid() not in pids
+        else:
+            assert set(pids) == {os.getpid()}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_faulted_client_keeps_its_last_personal_checkpoint(self, dataset, monkeypatch,
+                                                               tmp_path, workers):
+        # client 1 faults in round 2, so its personal checkpoint stays the
+        # one its round-1 training wrote
+        original = federation.local_train
+
+        def train(client, model, data, config, round_no, seed):
+            if (client.id, round_no) == (1, 2):
+                raise ad.NumericError("scripted fault")
+            return original(client, model, data, config, round_no, seed)
+
+        monkeypatch.setattr(federation, "local_train", train)
+        written = {}
+        for rounds in (1, 2):
+            out = tmp_path / str(rounds)
+            _, runlog = run_federation(build_unet(TINY, seed=1), make_plan(dataset, 2),
+                                       tiny_config(server_rounds=rounds, personalization=True),
+                                       dataset, seed=2, workers=workers, out_dir=out)
+            written[rounds] = {p.name: p.read_bytes() for p in out.glob("client_*")}
+        assert [(r.round, r.client_id) for r in runlog.rows if r.status == "faulted"] == [(2, 1)]
+        assert written[2]["client_1_personal.phxc"] == written[1]["client_1_personal.phxc"]
+        assert written[2]["client_0_personal.phxc"] != written[1]["client_0_personal.phxc"]
 
     def test_worker_independence_across_a_block(self, dataset, tmp_path):
         # a shared 64x128x3x3 conv weight spans two blocks of Adam and fedavg
