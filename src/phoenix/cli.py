@@ -236,7 +236,7 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     run_dir = out / "runs" / run_id
     final_model, runlog = run_federation(
         initial, plan, fed, train, cfg.seed,
-        metrics_ctx=metrics_ctx, workers=args.workers, out_dir=run_dir,
+        heldout=test, workers=args.workers, out_dir=run_dir,
     )
     samples = diffusion.generate(
         final_model, fed.schedule, cfg.metrics.eval_sample_count,
@@ -352,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="processes for the clients' training and scoring, each "
                         "keeping its own clients' state for the whole run "
                         "(default: the usable cores when BLAS is pinned to one "
-                        "thread, else 1); sampling uses that default, except "
-                        "that a worker samples in its own process")
+                        "thread, else 1); the final report's sampling uses "
+                        "that default")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("generate", parents=[shared],

@@ -90,7 +90,7 @@ class FederationSpec:
     threshold_filtering: bool = False
     drop_policy: str = "lowest_precision"
     drop_threshold: float = 0.7
-    eval_sample_count: int = 128
+    eval_sample_count: int = 128  # read by nothing; perfbench sets it (ROADMAP item 13)
     eval_start_round: int = 4
     min_active_clients: int = 2
 
@@ -138,8 +138,6 @@ class RunConfig:
         # precision/recall need a k-th neighbour inside every sample set
         need = KNN_K + 1
         sample_sets = {"metrics.eval_sample_count": self.metrics.eval_sample_count}
-        if self.federation.threshold_filtering:
-            sample_sets["federation.eval_sample_count"] = self.federation.eval_sample_count
         if self.dataset.kind == "toy":  # the CIFAR-10 test batch always holds 10000
             sample_sets["dataset.classes*test_per_class"] = (
                 self.dataset.classes * self.dataset.test_per_class)
@@ -219,8 +217,7 @@ _PRESETS: dict[str, dict] = {
                   "time_embed_dim": 128},
         "diffusion": {"steps": 1000},
         "federation": {"client_count": 10, "server_rounds": 10, "local_epochs": 100,
-                       "batch_size": 128, "learning_rate": 1e-4,
-                       "eval_sample_count": 1000, "eval_start_round": 5},
+                       "batch_size": 128, "learning_rate": 1e-4, "eval_start_round": 5},
         "metrics": {"eval_sample_count": 10000, "classifier_epochs": 10},
     },
 }

@@ -1,4 +1,5 @@
-"""Forward noising, the noise-prediction training loss, and ancestral sampling."""
+"""Forward noising, the noise-prediction loss (trained on, or measured per
+image), and ancestral sampling."""
 
 from __future__ import annotations
 
@@ -15,14 +16,15 @@ from .unet import DenoiserModel, apply_denoiser, predict_noise
 
 SAMPLE_RANGE = (-1.0, 1.0)
 
-# The reverse chain runs at most this many samples as one batch. BLAS may
-# give a row other bits in a batch of another size (OpenBLAS 0.3.31 on an
-# AVX-512 Xeon does: the desk U-Net's 2x2 conv differs between batch 8 and
-# 16), so ``generate`` splits its work only between whole batches, and a
-# sample's bits never depend on the worker count. 64 splits a 128-sample
-# report over two cores and halves each process's im2col columns; one
-# process drew 128 desk samples (50 steps) in 1.02-1.06 s at batch 64
-# against 1.08-1.14 s at batch 128 (min of 5, one BLAS thread, two runs).
+# The reverse chain and ``eps_mse`` run at most this many images as one
+# batch. BLAS may give a row other bits in a batch of another size
+# (OpenBLAS 0.3.31 on an AVX-512 Xeon does: the desk U-Net's 2x2 conv
+# differs between batch 8 and 16), so ``generate`` splits its work only
+# between whole batches, and a sample's bits never depend on the worker
+# count. 64 splits a 128-sample report over two cores and halves each
+# process's im2col columns; one process drew 128 desk samples (50 steps) in
+# 1.02-1.06 s at batch 64 against 1.08-1.14 s at batch 128 (min of 5, one
+# BLAS thread, two runs).
 SAMPLE_BATCH = 64
 
 
@@ -72,6 +74,30 @@ def training_loss(
     predicted = apply_denoiser(model.config, leaves, ad.Tensor(x_t), t)
     loss = ad.mse_loss(predicted, ad.Tensor(noise))
     return loss, leaves
+
+
+def eps_mse(model: DenoiserModel, schedule: NoiseSchedule, images: np.ndarray, t: int,
+            seed: int) -> np.ndarray:
+    """Each image's noise-prediction MSE at step ``t``: the training loss,
+    measured forward only.
+
+    Image i is jumped to step ``t`` with noise from its own substream keyed
+    by (seed, i), and the images run in batches of ``SAMPLE_BATCH`` counted
+    from the first. Returns one float64 per image.
+    """
+    schedule.check_step(t)
+    images = np.asarray(images, dtype=np.float32)
+    shape = images.shape[1:]
+    out = np.empty(len(images))
+    for lo in range(0, len(images), SAMPLE_BATCH):
+        x0 = images[lo:lo + SAMPLE_BATCH]
+        noise = np.stack([derive_rng(seed, i).standard_normal(shape, dtype=np.float32)
+                          for i in range(lo, lo + len(x0))])
+        steps = np.full(len(x0), t, dtype=np.int64)
+        eps_hat = predict_noise(model, q_sample_closed(x0, steps, schedule, noise), steps)
+        out[lo:lo + len(x0)] = np.square(eps_hat - noise).reshape(len(x0), -1).mean(
+            axis=1, dtype=np.float64)
+    return out
 
 
 def p_sample_step(model: DenoiserModel, x_t: np.ndarray, t: int,

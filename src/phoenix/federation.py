@@ -2,8 +2,9 @@
 
 A server round broadcasts the global base parameters and runs one job per
 client that the run's filter state lists as participating: local training
-and, where threshold filtering scores, the final report's metrics on
-samples of the trained model. A job writes no shared state and
+and, in a round where threshold filtering scores, one forward pass that
+measures the trained model's noise-prediction loss on the held-out images
+of the classes the client trains on. A job writes no shared state and
 returns the client's next state, its update and its ``RunRow``; the process
 that holds the client commits the state, and ``run_federation`` takes the
 rows and updates in id order and aggregates by sample-count-weighted
@@ -19,12 +20,11 @@ With more than one worker, client jobs run in ``min(workers, client_count)``
 processes forked once, before round 1, that last the whole run. Worker k
 holds the states of the clients with ``id % workers == k`` and inherits what
 stays the same for the run: the dataset, the config, the seed, the
-metrics context and the run directory. Each round sends every worker the
+held-out images and the run directory. Each round sends every worker the
 global model, the round number and who participates; only each client's
 update and row come back. Both cross through ``parallel.send`` and
 ``recv``, which copy no parameter table; a reply's arrays are views of one
-arena, freed as soon as its update is folded or dropped. A worker samples
-in its own process: ``parallel.default_workers`` is 1 in a forked process. All
+arena, freed as soon as its update is folded or dropped. All
 randomness is derived from (seed, domain, round, epoch, ...) keys, and
 updates are folded in an order that does not depend on the worker count,
 so results are bitwise the same for every worker count.
@@ -48,7 +48,6 @@ from . import diffusion, parallel
 from .datasets import Dataset
 from .filtering import ACTIVE, DISCONNECTED, WARNED, DropPolicy, FilterState, filter_step
 from .formats import write_checkpoint, write_csv
-from .metrics import MetricsContext, compute_report
 from .optim import AdamState, adam_step, blocks, sgd_step
 from .partition import PartitionPlan
 from .schedule import NoiseSchedule
@@ -75,6 +74,14 @@ OPTIMIZER_SGD = "sgd"
 
 STATUS_FAULTED = "faulted"
 STATUS_SKIPPED = "skipped"
+
+# The diffusion step at which the filter measures each client's held-out
+# loss; a schedule of fewer steps uses its last one. On desk runs (seeds 1-3,
+# 4 noise draws per client) of steps 2, 5, 10, 20 and 35, step 5 kept each
+# honest run's ranking of its clients most stable across draws (spread
+# between clients 5-9 times that within one), and a client trained on noise
+# still scored at most 0.33 of the median (CHANGES.md has the table).
+HELDOUT_STEP = 5
 
 
 class FederationError(RuntimeError):
@@ -145,8 +152,9 @@ class RunRow:
     status: str
     samples: int
     train_loss: float | None
-    precision: float | None
-    recall: float | None
+    precision: float | None  # always None, as is recall: perfbench/child.py reads
+    recall: float | None     # both columns (ROADMAP item 13)
+    heldout_loss: float | None
     bytes_up: int
     bytes_down: int
     wall_ms: int  # training plus scoring time; the one column that varies run to run
@@ -357,22 +365,14 @@ def fedavg(updates: list[ClientUpdate], into: RunningSum) -> None:
         into.samples += u.sample_count
 
 
-def evaluate_client(
-    client: ClientState,
-    model: DenoiserModel,
-    metrics_ctx: MetricsContext,
-    config: FederationConfig,
-    round_no: int,
-    seed: int,
-) -> tuple[float, float]:
-    """Sample from the client's assembled model and score the samples as the
-    final report is scored; returns their (precision, recall)."""
-    if metrics_ctx is None:
-        raise ValueError("client evaluation needs a metrics context")
-    report = compute_report(diffusion.generate(
-        model, config.schedule, config.eval_sample_count,
-        derive_seed(seed, DOMAIN_EVAL, round_no, client.id)), metrics_ctx)
-    return report.precision, report.recall
+def heldout_loss(model: DenoiserModel, images: np.ndarray, config: FederationConfig,
+                 round_no: int, client_id: int, seed: int) -> float:
+    """``model``'s mean noise-prediction MSE on ``images`` at ``HELDOUT_STEP``,
+    with noise keyed by (seed, ``DOMAIN_EVAL``, round, client) and image index."""
+    step = min(HELDOUT_STEP, config.schedule.steps)
+    return float(np.mean(diffusion.eps_mse(
+        model, config.schedule, images, step,
+        derive_seed(seed, DOMAIN_EVAL, round_no, client_id))))
 
 
 def _param_bytes(params: Mapping[str, np.ndarray]) -> int:
@@ -381,17 +381,18 @@ def _param_bytes(params: Mapping[str, np.ndarray]) -> int:
 
 def _client_job(client: ClientState, global_model: DenoiserModel, round_no: int,
                 dataset: Dataset, config: FederationConfig, seed: int,
-                metrics_ctx: MetricsContext | None):
-    """Train one client and, in a round where the filter scores, score it;
-    writes no shared state.
+                heldout: Dataset | None):
+    """Train one client and, in a round where the filter scores, measure the
+    trained model's ``heldout_loss`` on the held-out images of the classes in
+    the client's training data; writes no shared state.
 
     Returns (next state, update or None, ``RunRow``); the round fills in the
-    row's ``bytes_down`` and, for a scored client, the filter's status. A
-    faulted client keeps its state and is not scored; a skipped client is
-    scored on the broadcast model plus its stored personal layers.
+    row's ``bytes_down`` and, for a scored client, the filter's status. Only
+    a client that trained is scored: a faulted one keeps its state, and a
+    skipped one holds no data, so it has no classes.
     """
     start = time.perf_counter()
-    update, state, status, scores = None, client, STATUS_FAULTED, (None, None)
+    update, state, status, loss = None, client, STATUS_FAULTED, None
     try:
         trained = local_train(client, global_model, dataset, config, round_no, seed)
     except ad.NumericError:
@@ -399,13 +400,15 @@ def _client_job(client: ClientState, global_model: DenoiserModel, round_no: int,
     else:
         update, state = trained or (None, client)
         status = STATUS_SKIPPED if trained is None else ACTIVE
-        if config.threshold_filtering and round_no >= config.eval_start_round:
-            base = global_model.params if update is None else update.params
-            model = global_model.with_params(_client_params(global_model, base, state))
-            scores = evaluate_client(state, model, metrics_ctx, config, round_no, seed)
+        scoring = config.threshold_filtering and round_no >= config.eval_start_round
+        if update is not None and scoring:
+            model = global_model.with_params(_client_params(global_model, update.params, state))
+            own = np.isin(heldout.labels, dataset.labels[client.data_indices])
+            loss = heldout_loss(model, heldout.images[own], config, round_no, client.id, seed)
     row = RunRow(round_no, client.id, status, samples=update.sample_count if update else 0,
-                 train_loss=update.train_loss if update else None, precision=scores[0],
-                 recall=scores[1], bytes_up=_param_bytes(update.params) if update else 0,
+                 train_loss=update.train_loss if update else None, precision=None,
+                 recall=None, heldout_loss=loss,
+                 bytes_up=_param_bytes(update.params) if update else 0,
                  bytes_down=0, wall_ms=int((time.perf_counter() - start) * 1000))
     return state, update, row
 
@@ -413,7 +416,7 @@ def _client_job(client: ClientState, global_model: DenoiserModel, round_no: int,
 def _train_share(clients: dict[int, ClientState], global_model: DenoiserModel,
                  round_no: int, participating: list[int],
                  dataset: Dataset, config: FederationConfig, seed: int,
-                 metrics_ctx: MetricsContext | None, out_path: Path | None):
+                 heldout: Dataset | None, out_path: Path | None):
     """Run the jobs of the participating clients held in ``clients``, in id order.
 
     Commits each client's next state into ``clients``, writes the personal
@@ -424,7 +427,7 @@ def _train_share(clients: dict[int, ClientState], global_model: DenoiserModel,
     for cid in participating:
         if cid in clients:
             clients[cid], update, row = _client_job(clients[cid], global_model, round_no,
-                                                    dataset, config, seed, metrics_ctx)
+                                                    dataset, config, seed, heldout)
             personal = clients[cid].personal_params
             if out_path is not None and update is not None and personal:
                 write_checkpoint(out_path / f"client_{cid}_personal.phxc",
@@ -510,10 +513,14 @@ def _commit_round(replies, global_model: DenoiserModel, filter_state: FilterStat
             fedavg([update], total)
         del update, row  # before the next reply is read
 
-    scored = {cid: row.precision for cid, row in rows.items() if row.precision is not None}
-    if scored:
-        # in a round that scores, only a faulted client goes unscored; its
-        # filter state carries over
+    losses = {cid: row.heldout_loss for cid, row in rows.items()
+              if row.heldout_loss is not None}
+    if losses:
+        # higher is better: a client scores below 0.7 when its loss is above
+        # 1/0.7 times the median. In a round that scores, only a faulted
+        # client or one without data goes unscored; its filter state carries over
+        median = float(np.median(list(losses.values())))
+        scored = {cid: median / loss for cid, loss in losses.items()}
         filter_state, _, _ = filter_step(
             filter_state, scored, round_no, exempt=rows.keys() - scored.keys()
         )
@@ -530,7 +537,7 @@ def _commit_round(replies, global_model: DenoiserModel, filter_state: FilterStat
         )
     global_model = global_model.with_params({**global_model.params, **total.mean()})
     return global_model, filter_state, [
-        rows.get(cid) or RunRow(round_no, cid, DISCONNECTED, 0, None, None, None, 0, 0, 0)
+        rows.get(cid) or RunRow(round_no, cid, DISCONNECTED, 0, None, None, None, None, 0, 0, 0)
         for cid in range(config.client_count)
     ]
 
@@ -541,7 +548,7 @@ def run_federation(
     config: FederationConfig,
     dataset: Dataset,
     seed: int,
-    metrics_ctx: MetricsContext | None = None,
+    heldout: Dataset | None = None,
     workers: int | None = None,
     out_dir: str | Path | None = None,
 ) -> tuple[DenoiserModel, RunLog]:
@@ -549,7 +556,9 @@ def run_federation(
 
     Every run holds a filter state, and each round trains the clients it
     lists as participating: without filtering, nothing is scored and every
-    client takes part. Client jobs run in up to ``workers`` processes, by
+    client takes part. With filtering, ``heldout`` holds the images a scored
+    client's loss is measured on (the test set), which must hold every class
+    of ``dataset``. Client jobs run in up to ``workers`` processes, by
     default ``parallel.default_workers()``. Above one,
     ``min(workers, client_count)`` processes fork before round 1, each
     keeping its own clients' states until the run ends or raises; a round
@@ -570,8 +579,9 @@ def run_federation(
         raise ValueError(
             f"plan has {plan.client_count} clients, config expects {config.client_count}"
         )
-    if config.threshold_filtering and metrics_ctx is None:
-        raise ValueError("threshold filtering needs a metrics context")
+    if config.threshold_filtering and (
+            heldout is None or not np.isin(dataset.labels, heldout.labels).all()):
+        raise ValueError("threshold filtering needs held-out images of every training class")
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
@@ -586,7 +596,7 @@ def run_federation(
     runlog = RunLog()
 
     with _client_rounds(clients, min(workers, config.client_count),
-                        (dataset, config, seed, metrics_ctx, out_path)) as train:
+                        (dataset, config, seed, heldout, out_path)) as train:
         for round_no in range(1, config.server_rounds + 1):
             global_model, filter_state, rows = _commit_round(
                 train(global_model, round_no, filter_state.participating()),

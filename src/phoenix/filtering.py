@@ -4,7 +4,9 @@ Clients evaluated as poor are warned; a second consecutive poor evaluation
 disconnects them permanently. Recovering in between resets the strike
 count. Disconnects that would leave fewer than ``min_active`` participating
 clients are suppressed (in ascending client id order) and logged, as is a
-lowest-precision round in which every tracked client ties.
+lowest-score round in which every tracked client ties. ``federation``
+scores a client by the round's median held-out loss over its own, so higher
+is better; the policy name ``lowest_precision`` predates that score.
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ class ProtocolError(RuntimeError):
 
 @dataclass(frozen=True)
 class DropPolicy:
+    """Which tracked clients a round marks poor, by score: ``lowest_precision``
+    the one with the lowest score (ties to the lowest id), ``threshold``
+    every one scoring below ``threshold``."""
+
     kind: str = POLICY_LOWEST_PRECISION
     threshold: float = 0.7
 
@@ -88,8 +94,8 @@ def filter_step(
     round_no: int,
     exempt: frozenset[int] | set[int] = frozenset(),
 ) -> tuple[FilterState, list[int], list[int]]:
-    """Advance the machine one evaluation round on one score per client,
-    such as its precision; the lower the score, the poorer the client.
+    """Advance the machine one evaluation round on one score per client;
+    the lower the score, the poorer the client.
 
     Clients in ``exempt`` were not evaluated this round (e.g. they faulted);
     their status, and with it the strike count, carries over. Returns (new state,
@@ -102,7 +108,7 @@ def filter_step(
     if (state.policy.kind == POLICY_LOWEST_PRECISION and len(tracked) >= 2
             and len({scores[i] for i in tracked}) == 1):
         log.warning(
-            "round %d: all %d tracked clients tie at precision %g; "
+            "round %d: all %d tracked clients tie at score %g; "
             "the lowest-id tie-break picks client %d",
             round_no, len(tracked), scores[tracked[0]], min(poor),
         )

@@ -311,7 +311,7 @@ def _desk_run(seed: int, mode: str) -> tuple[float, float]:
                                   cfg.partition.classes_per_client, seed)
         initial, _ = warmup_train(train.subset(plan.shared_pool),
                                   cfg.model_config(), fed, seed)
-    final, _ = run_federation(initial, plan, fed, train, seed, metrics_ctx=ctx)
+    final, _ = run_federation(initial, plan, fed, train, seed)
     samples = diffusion.generate(final, fed.schedule, cfg.metrics.eval_sample_count,
                                  derive_seed(seed, DOMAIN_SAMPLE, 0))
     report = compute_report(samples, ctx)

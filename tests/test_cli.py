@@ -71,8 +71,6 @@ class TestConfigHandling:
     @pytest.mark.parametrize("override, named", [
         pytest.param({"metrics": {"eval_sample_count": 3}}, "metrics.eval_sample_count=3",
                      id="metrics-samples-below-k"),
-        pytest.param({"federation": {"threshold_filtering": True, "eval_sample_count": 3}},
-                     "federation.eval_sample_count=3", id="filter-samples-below-k"),
         pytest.param({"federation": {"optimizer": "rmsprop"}}, "rmsprop",
                      id="unknown-optimizer"),
         pytest.param({"dataset": {"classes": 2, "test_per_class": 1}},

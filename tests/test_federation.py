@@ -17,7 +17,6 @@ import pytest
 import phoenix.federation as federation
 from phoenix import autodiff as ad
 from phoenix import diffusion, parallel
-from phoenix.classifier import ClassifierConfig, EvalClassifier
 from phoenix.datasets import Dataset, make_toy_dataset
 from phoenix.federation import (
     ClientState,
@@ -25,18 +24,23 @@ from phoenix.federation import (
     FederationConfig,
     FederationError,
     RunningSum,
-    evaluate_client,
     fedavg,
+    heldout_loss,
     local_train,
     run_federation,
     warmup_train,
 )
 from phoenix.filtering import DropPolicy
-from phoenix.metrics import MetricsContext
 from phoenix.optim import BLOCK, AdamState, adam_step
 from phoenix.partition import PartitionPlan, partition_label_skew
 from phoenix.schedule import linear_schedule
-from phoenix.seeding import DOMAIN_SHUFFLE, DOMAIN_TRAIN_NOISE, derive_rng
+from phoenix.seeding import (
+    DOMAIN_EVAL,
+    DOMAIN_SHUFFLE,
+    DOMAIN_TRAIN_NOISE,
+    derive_rng,
+    derive_seed,
+)
 from phoenix.unet import DenoiserConfig, build_unet
 
 TINY = DenoiserConfig(base_channels=4, time_embed_dim=8)
@@ -68,10 +72,11 @@ def model():
     return build_unet(TINY, seed=8)
 
 
-def untrained_ctx(reference):
-    """A cheap context over an eval classifier that is never trained."""
-    untrained = EvalClassifier.initialize(ClassifierConfig(1, 8, 4), seed=0)
-    return MetricsContext.build(reference, untrained)
+def scripted_losses(scores):
+    """A ``heldout_loss`` stand-in: client i's loss is 1/scores[i], so the
+    filter's score, the round's median loss over the client's, orders the
+    clients as ``scores`` does."""
+    return lambda model, images, config, round_no, client_id, seed: 1.0 / scores[client_id]
 
 
 def make_plan(dataset, client_count):
@@ -280,31 +285,37 @@ class TestFedavg:
             self.average([])
 
 
-class TestEvaluateClient:
-    def test_reference_samples_score_perfect(self, dataset, model, monkeypatch):
-        reference = dataset.images[:8]
-        ctx = untrained_ctx(reference)
-        monkeypatch.setattr(federation.diffusion, "generate",
-                            lambda m, s, count, seed: reference.copy())
-        cfg = tiny_config()
-        client = ClientState(id=0, data_indices=[0])
-        precision, recall = evaluate_client(client, model, ctx, cfg, 1, seed=0)
-        assert (precision, recall) == (1.0, 1.0)
+class TestHeldoutLoss:
+    @pytest.mark.parametrize("steps", [50, 3], ids=["at-the-step", "capped-at-the-last"])
+    def test_loss_is_the_mean_training_loss_of_each_image(self, dataset, model, steps):
+        # image i, alone, noised at the filter's step with its keyed noise
+        cfg = tiny_config(schedule=linear_schedule(steps))
+        step = min(federation.HELDOUT_STEP, steps)
+        images = dataset.images[:5]
+        key = derive_seed(4, DOMAIN_EVAL, 3, 2)
+        want = [diffusion.training_loss(
+                    model, cfg.schedule, images[i:i + 1], [step],
+                    derive_rng(key, i).standard_normal((1, 1, 8, 8), dtype=np.float32)
+                )[0].item() for i in range(len(images))]
+        got = heldout_loss(model, images, cfg, round_no=3, client_id=2, seed=4)
+        assert got == pytest.approx(np.mean(want), rel=1e-5)
 
-    def test_distant_samples_score_zero(self, dataset, model, monkeypatch):
-        reference = dataset.images[:8]
-        ctx = untrained_ctx(reference)
-        monkeypatch.setattr(federation.diffusion, "generate",
-                            lambda m, s, count, seed: reference + 100.0)
-        cfg = tiny_config()
-        client = ClientState(id=0, data_indices=[0])
-        assert evaluate_client(client, model, ctx, cfg, 1, seed=0) == (0.0, 0.0)
+    def test_noise_is_keyed_by_round_and_client(self, dataset, model):
+        cfg = tiny_config(schedule=linear_schedule(50))
+        images = dataset.images[:8]
+        base = heldout_loss(model, images, cfg, 1, 0, seed=4)
+        assert heldout_loss(model, images, cfg, 1, 0, seed=4) == base
+        others = {heldout_loss(model, images, cfg, 2, 0, seed=4),
+                  heldout_loss(model, images, cfg, 1, 1, seed=4)}
+        assert base not in others and len(others) == 2
 
-    def test_missing_context_rejected(self, dataset, model):
-        cfg = tiny_config()
-        client = ClientState(id=0, data_indices=[0])
-        with pytest.raises(ValueError):
-            evaluate_client(client, model, None, cfg, 1, seed=0)
+    def test_filtering_needs_heldout_images_of_every_class(self, dataset, model):
+        cfg = tiny_config(threshold_filtering=True)
+        plan = make_plan(dataset, 2)
+        three_classes = dataset.subset(np.flatnonzero(dataset.labels < 3))
+        for heldout in (None, three_classes):
+            with pytest.raises(ValueError, match="held-out images"):
+                run_federation(model, plan, cfg, dataset, seed=0, heldout=heldout)
 
 
 class TestRunFederation:
@@ -382,13 +393,10 @@ class TestRunFederation:
             np.testing.assert_array_equal(final.params[name], initial.params[name])
 
     def test_scripted_filtering_disconnects_and_excludes(self, dataset, monkeypatch):
-        # client 0 always reports the lowest precision; two-strike drop at
+        # client 0 always has the highest loss; two-strike drop at
         # round 2, afterwards it must vanish from aggregation
-        scripted = {0: 0.1, 1: 0.9, 2: 0.8}
-        monkeypatch.setattr(
-            federation, "evaluate_client",
-            lambda client, m, ctx, cfg, rnd, seed: (scripted[client.id], 0.5),
-        )
+        monkeypatch.setattr(federation, "heldout_loss",
+                            scripted_losses({0: 0.1, 1: 0.9, 2: 0.8}))
         rounds = []  # (the round's running sum, the ids folded into it)
         original = federation.fedavg
 
@@ -405,10 +413,9 @@ class TestRunFederation:
             drop_policy=DropPolicy(kind="lowest_precision"),
         )
         plan = PartitionPlan([[0, 1], [2, 3], [4, 5]], 3, "iid", 0)
-        ctx = untrained_ctx(dataset.images[:8])
         initial = build_unet(TINY, seed=1)
         final, runlog = run_federation(initial, plan, cfg, dataset, seed=3,
-                                       metrics_ctx=ctx)
+                                       heldout=dataset)
         aggregated = [sorted(ids) for _, ids in rounds]
         assert aggregated == [[0, 1, 2], [1, 2], [1, 2], [1, 2]]
         by_round = {}
@@ -436,8 +443,8 @@ class TestRunFederation:
         # floor, so its held update is folded after the streamed ones
         scripted = {1: {0: 0.1, 1: 0.9, 2: 0.8}, 2: round_two}
         monkeypatch.setattr(
-            federation, "evaluate_client",
-            lambda client, m, ctx, cfg, rnd, seed: (scripted[rnd][client.id], 0.5),
+            federation, "heldout_loss",
+            lambda model, images, config, rnd, cid, seed: 1.0 / scripted[rnd][cid],
         )
         folded, original = [], federation.fedavg
 
@@ -452,12 +459,11 @@ class TestRunFederation:
             drop_policy=DropPolicy(kind="lowest_precision"),
         )
         plan = PartitionPlan([[0, 1], [2, 3], [4, 5]], 3, "iid", 0)
-        ctx = untrained_ctx(dataset.images[:8])
         runs = {}
         for workers in (1, 2):
             folded.clear()
             final, runlog = run_federation(build_unet(TINY, seed=1), plan, cfg, dataset,
-                                           seed=3, metrics_ctx=ctx, workers=workers)
+                                           seed=3, heldout=dataset, workers=workers)
             assert folded == [0, 1, 2, 1, 2, 0]
             runs[workers] = final, timeless_rows(runlog)
         (final_a, rows_a), (final_b, rows_b) = runs[1], runs[2]
@@ -467,15 +473,27 @@ class TestRunFederation:
             np.testing.assert_array_equal(final_a.params[name].view(np.uint32),
                                           final_b.params[name].view(np.uint32))
 
+    @pytest.mark.parametrize("loss_2, status", [(1.5, "warned"), (1.4, "active")])
+    def test_score_is_the_round_median_loss_over_the_clients(self, dataset, monkeypatch,
+                                                             loss_2, status):
+        # the median loss is 1.0, so client 2 scores 1/1.5 = 0.67 or 1/1.4 = 0.71
+        losses = {0: 0.8, 1: 1.0, 2: loss_2}
+        monkeypatch.setattr(federation, "heldout_loss",
+                            lambda model, images, config, rnd, cid, seed: losses[cid])
+        cfg = tiny_config(client_count=3, threshold_filtering=True, eval_start_round=1,
+                          drop_policy=DropPolicy(kind="threshold", threshold=0.7))
+        plan = PartitionPlan([[0, 1], [2, 3], [4, 5]], 3, "iid", 0)
+        _, runlog = run_federation(build_unet(TINY, seed=1), plan, cfg, dataset, seed=3,
+                                   heldout=dataset)
+        assert [(r.heldout_loss, r.status) for r in runlog.rows] == [
+            (0.8, "active"), (1.0, "active"), (loss_2, status)]
+
     def test_bytes_follow_what_each_client_sends_and_receives(self, dataset,
                                                              monkeypatch):
         # personalized and filtered: client 0 always scores lowest and is
         # disconnected in round 2, client 1 faults in round 2
-        scripted = {0: 0.1, 1: 0.9, 2: 0.8}
-        monkeypatch.setattr(
-            federation, "evaluate_client",
-            lambda client, m, ctx, cfg, rnd, seed: (scripted[client.id], 0.5),
-        )
+        monkeypatch.setattr(federation, "heldout_loss",
+                            scripted_losses({0: 0.1, 1: 0.9, 2: 0.8}))
         original = federation.local_train
 
         def train(client, model, data, config, round_no, seed):
@@ -491,7 +509,7 @@ class TestRunFederation:
         plan = PartitionPlan([[0, 1], [2, 3], [4, 5]], 3, "iid", 0)
         initial = build_unet(TINY, seed=1)
         _, runlog = run_federation(initial, plan, cfg, dataset, seed=3,
-                                   metrics_ctx=untrained_ctx(dataset.images[:8]), workers=1)
+                                   heldout=dataset, workers=1)
         full = 4 * sum(v.size for v in initial.params.values())
         base = 4 * sum(v.size for name, v in initial.params.items()
                        if name not in initial.personal_names)
@@ -512,23 +530,21 @@ class TestRunFederation:
 
     def test_scored_client_without_data_logs_its_filter_status(self, dataset,
                                                                monkeypatch):
-        # client 2 holds no data but is scored every round, so its rows must
-        # show the filter's decision rather than "skipped"
-        scripted = {0: 0.9, 1: 0.8, 2: 0.1}
-        monkeypatch.setattr(
-            federation, "evaluate_client",
-            lambda client, m, ctx, cfg, rnd, seed: (scripted[client.id], 0.5),
-        )
+        # client 2 holds no data, so it has no classes to be scored on: its
+        # rows log "skipped" and no loss, its filter state carries over, and
+        # the filter ranks the clients that trained
+        monkeypatch.setattr(federation, "heldout_loss", scripted_losses({0: 0.9, 1: 0.8}))
         cfg = tiny_config(
             client_count=3, server_rounds=3, threshold_filtering=True,
             eval_start_round=1, min_active_clients=2,
             drop_policy=DropPolicy(kind="lowest_precision"),
         )
         plan = PartitionPlan([[0, 1], [2, 3], []], 3, "iid", 0)
-        ctx = untrained_ctx(dataset.images[:8])
         _, runlog = run_federation(build_unet(TINY, seed=1), plan, cfg, dataset,
-                                   seed=3, metrics_ctx=ctx)
-        assert [r.status for r in runlog.rows if r.client_id == 2] == [
+                                   seed=3, heldout=dataset)
+        assert [(r.status, r.heldout_loss) for r in runlog.rows if r.client_id == 2] == [
+            ("skipped", None)] * 3
+        assert [r.status for r in runlog.rows if r.client_id == 1] == [
             "warned", "disconnected", "disconnected"]
 
     def test_deterministic_replay_and_worker_independence(self, dataset):
@@ -553,17 +569,16 @@ class TestRunFederation:
                           threshold_filtering=True, eval_start_round=1,
                           min_active_clients=2)
         plan = make_plan(dataset, 3)
-        ctx = untrained_ctx(dataset.images[:8])
         initial = build_unet(TINY, seed=21)
         runs = {}
         for workers in (1, 4):
             out = tmp_path / str(workers)
             final, runlog = run_federation(initial, plan, cfg, dataset, seed=5,
-                                           metrics_ctx=ctx, workers=workers, out_dir=out)
+                                           heldout=dataset, workers=workers, out_dir=out)
             personal = {p.name: p.read_bytes() for p in out.glob("client_*_personal.phxc")}
             runs[workers] = (final, timeless_rows(runlog), personal)
         (final_a, rows_a, personal_a), (final_b, rows_b, personal_b) = runs[1], runs[4]
-        assert any(row[5] is not None for row in rows_a)  # precision was scored
+        assert any(row[7] is not None for row in rows_a)  # heldout_loss was scored
         assert rows_a == rows_b
         assert len(personal_a) == 3 and personal_a == personal_b
         for name in final_a.params:
@@ -572,19 +587,15 @@ class TestRunFederation:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_client_jobs_train_and_score_in_the_pool(self, dataset, monkeypatch, pid_log,
                                                      two_workers, workers):
-        # client 1 faults in round 1, client 2 has no data; every client's
-        # job trains and scores it, in a worker process exactly when workers > 1.
-        # Scoring draws two batches: with one worker, generate forks a
-        # sampling process for the second; a worker draws both itself
+        # client 1 faults in round 1, client 2 has no data; the job of each
+        # client that trains scores it, in a worker process exactly when
+        # workers > 1, and nothing is sampled
         cfg = tiny_config(client_count=3, server_rounds=2, threshold_filtering=True,
-                          eval_start_round=1, min_active_clients=2,
-                          eval_sample_count=diffusion.SAMPLE_BATCH + 1)
+                          eval_start_round=1, min_active_clients=2)
         plan = PartitionPlan([[0, 1, 2, 3], [4, 5, 6, 7], []], 3, "iid", 0)
-        ctx = untrained_ctx(dataset.images[:8])
         original_train = federation.local_train
-        original_score = federation.evaluate_client
-        original_chain = diffusion.sample_chain
-        scorers, samplers = pid_log("scorer"), pid_log("sampler")
+        original_score = federation.heldout_loss
+        scorers = pid_log("scorer")
 
         def train(client, model, data, config, round_no, seed):
             if (client.id, round_no) == (1, 1):
@@ -596,32 +607,28 @@ class TestRunFederation:
             return original_score(*args)
 
         def chain(*args):
-            samplers.append()
-            return original_chain(*args)
+            raise AssertionError("a round sampled")
 
         monkeypatch.setattr(federation, "local_train", train)
-        monkeypatch.setattr(federation, "evaluate_client", score)
+        monkeypatch.setattr(federation, "heldout_loss", score)
         monkeypatch.setattr(diffusion, "sample_chain", chain)
 
         def run(n):
             _, runlog = run_federation(build_unet(TINY, seed=1), plan, cfg, dataset,
-                                       seed=2, metrics_ctx=ctx, workers=n)
+                                       seed=2, heldout=dataset, workers=n)
             return runlog
 
         runlog = run(workers)
         rows = {(r.round, r.client_id): r for r in runlog.rows}
         assert [key for key, r in rows.items() if r.status == "faulted"] == [(1, 1)]
-        assert rows[(1, 1)].precision is None
-        assert all(r.precision is not None for key, r in rows.items() if key != (1, 1))
+        unscored = [(1, 1), (1, 2), (2, 2)]
+        assert all(rows[key].heldout_loss is None for key in unscored)
+        assert all(r.heldout_loss > 0 for key, r in rows.items() if key not in unscored)
+        assert all(r.precision is None and r.recall is None for r in rows.values())
         assert all(rows[key].samples == 0 and rows[key].train_loss is None
                    for key in ((1, 2), (2, 2)))
-        pids, sampler_pids = scorers.pids(), samplers.pids()
-        assert len(pids) == 5 and {pid != os.getpid() for pid in pids} == {workers > 1}
-        if workers > 1:
-            assert sorted(sampler_pids) == sorted(pids)
-        else:  # one batch here, one in a new sampling process per scoring
-            assert sampler_pids.count(os.getpid()) == 5
-            assert len(set(sampler_pids) - {os.getpid()}) == 5
+        pids = scorers.pids()
+        assert len(pids) == 3 and {pid != os.getpid() for pid in pids} == {workers > 1}
         assert timeless_rows(runlog) == timeless_rows(run(1))
 
     def test_one_pool_of_workers_serves_every_round(self, dataset, monkeypatch, tmp_path):
@@ -904,18 +911,17 @@ class TestRunFederation:
         assert len(replaced) == 3 and alive == []
 
     def test_wall_ms_includes_client_scoring(self, dataset, monkeypatch):
-        def slow_score(client, m, ctx, cfg, rnd, seed):
+        def slow_score(model, images, config, round_no, client_id, seed):
             time.sleep(0.25)
-            return 0.5 + 0.1 * client.id, 0.5
+            return 0.5 + 0.1 * client_id
 
-        monkeypatch.setattr(federation, "evaluate_client", slow_score)
+        monkeypatch.setattr(federation, "heldout_loss", slow_score)
         cfg = tiny_config(client_count=2, server_rounds=2, threshold_filtering=True,
                           eval_start_round=2)
-        ctx = untrained_ctx(dataset.images[:8])
         _, runlog = run_federation(build_unet(TINY, seed=1), make_plan(dataset, 2), cfg,
-                                   dataset, seed=2, metrics_ctx=ctx)
-        scored = [r.wall_ms for r in runlog.rows if r.precision is not None]
-        assert [r.round for r in runlog.rows if r.precision is not None] == [2, 2]
+                                   dataset, seed=2, heldout=dataset)
+        scored = [r.wall_ms for r in runlog.rows if r.heldout_loss is not None]
+        assert [r.round for r in runlog.rows if r.heldout_loss is not None] == [2, 2]
         assert min(scored) >= 250
 
     def test_faulted_client_excluded_and_state_restored(self, dataset, monkeypatch):
@@ -1008,8 +1014,7 @@ class TestRunFederation:
         def run(images, params):
             data = Dataset(images, dataset.labels, dataset.num_classes)
             initial = build_unet(TINY, seed=21).with_params(params)
-            ctx = untrained_ctx(images[:8])
-            final, runlog = run_federation(initial, plan, cfg, data, seed=5, metrics_ctx=ctx)
+            final, runlog = run_federation(initial, plan, cfg, data, seed=5, heldout=data)
             return final, timeless_rows(runlog)
 
         def read_only(a):
@@ -1063,7 +1068,7 @@ class TestRunFederation:
         assert (tmp_path / "client_1_personal.phxc").exists()
         header = (tmp_path / "runlog.csv").read_text().splitlines()[0]
         assert header == ("round,client_id,status,samples,train_loss,"
-                          "precision,recall,bytes_up,bytes_down,wall_ms")
+                          "precision,recall,heldout_loss,bytes_up,bytes_down,wall_ms")
 
     def test_runlog_survives_a_fatal_round(self, dataset, tmp_path, monkeypatch):
         # every client faults in round 2; round 1's artifacts stay on disk
@@ -1161,18 +1166,15 @@ class TestDefaultWorkers:
     def test_pinned_blas_forks_the_pool_from_a_single_thread(self, tmp_path):
         # CPython 3.12 and later warn when a process with threads forks; with
         # BLAS pinned the process has none besides the main thread. A filtered
-        # run forks once per worker, before its pool starts any thread. Its
-        # scoring rounds draw more than one batch each and fork nothing (a
-        # pool worker is a daemon and could not); generate then forks one
-        # sampling process for its second share. Every fork is logged to a
-        # file, so a fork inside a worker would show up too
+        # run forks once per worker, before its pool starts any thread, and
+        # its scoring rounds fork nothing; generate then forks one sampling
+        # process for its second share. Every fork is logged to a file, so a
+        # fork inside a worker would show up too
         script = textwrap.dedent("""
             import os, sys
             from phoenix import diffusion
-            from phoenix.classifier import ClassifierConfig, EvalClassifier
             from phoenix.datasets import make_toy_dataset
             from phoenix.federation import FederationConfig, run_federation
-            from phoenix.metrics import MetricsContext
             from phoenix.partition import partition_label_skew
             from phoenix.schedule import linear_schedule
             from phoenix.unet import DenoiserConfig, build_unet
@@ -1191,14 +1193,11 @@ class TestDefaultWorkers:
                 client_count=2, server_rounds=3, local_epochs=1, batch_size=8,
                 learning_rate=1e-3, schedule=linear_schedule(10),
                 threshold_filtering=True, eval_start_round=1,
-                eval_sample_count=diffusion.SAMPLE_BATCH + 1,  # two shares, were it split
             )
-            untrained = EvalClassifier.initialize(ClassifierConfig(1, 8, 4), seed=0)
-            ctx = MetricsContext.build(data.images[:8], untrained)
             model = build_unet(DenoiserConfig(base_channels=4, time_embed_dim=8), seed=1)
             final, runlog = run_federation(model, partition_label_skew(data, 2, 2, seed=5),
-                                           cfg, data, seed=2, metrics_ctx=ctx, workers=2)
-            assert all(row.precision is not None for row in runlog.rows)
+                                           cfg, data, seed=2, heldout=data, workers=2)
+            assert all(row.heldout_loss is not None for row in runlog.rows)
             phase = "generate"
             diffusion.generate(final, cfg.schedule, diffusion.SAMPLE_BATCH + 1, seed=3)
             print(os.getpid())

@@ -156,7 +156,7 @@ def test_all_tied_round_is_flagged(caplog, policy, precisions, warned):
         new, _, _ = filter_step(state, dict(enumerate(precisions)), 4)
     messages = [r.getMessage() for r in caplog.records]
     if warned:
-        assert messages == ["round 4: all 3 tracked clients tie at precision 0; "
+        assert messages == ["round 4: all 3 tracked clients tie at score 0; "
                             "the lowest-id tie-break picks client 0"]
         assert [new.status[c] for c in range(3)] == [WARNED, ACTIVE, ACTIVE]
     else:

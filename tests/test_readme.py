@@ -1,5 +1,5 @@
-"""The README's examples stay runnable: its configs load and its subcommand
-list matches the parser."""
+"""The README's examples stay runnable: its configs load, its subcommand
+list matches the parser and its run log bullet names every column."""
 
 import json
 import re
@@ -9,6 +9,7 @@ import pytest
 
 from phoenix.cli import build_parser
 from phoenix.config import config_from_dict
+from phoenix.federation import RUNLOG_COLUMNS
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -35,3 +36,9 @@ def test_readme_lists_every_subcommand():
     listed = re.search(r"^Subcommands: ([^.]*)\.", README, re.M).group(1)
     choices = re.search(r"\{([a-z,]+)\}", build_parser().format_usage()).group(1)
     assert re.findall(r"`([a-z]+)`", listed) == choices.split(",")
+
+
+def test_readme_names_every_runlog_column():
+    bullet = re.search(r"^- `runlog\.csv`: (.*?)(?=^- |\Z)", README, re.M | re.S).group(1)
+    named = list(dict.fromkeys(re.findall(r"`(\w+)`", bullet)))
+    assert named == RUNLOG_COLUMNS
