@@ -8,13 +8,14 @@ of the classes the client trains on. A job writes no shared state and
 returns the client's next state, its update and its ``RunRow``; the process
 that holds the client commits the state, and ``run_federation`` takes the
 rows and updates in id order and aggregates by sample-count-weighted
-averaging (FedAvg): it folds each update into a float64 running sum as it
-arrives. Only a client warned at the start of the round can be
-disconnected by the filter, on the rows' scores, so only its update waits
-for the filter to decide. As in FedPer, personal-flagged parameters never
-leave the client state, and the process that holds it writes the client's
-personal checkpoint. A client's state, Adam moments included, is a value
-that training reads and never writes, so a faulted client keeps it as it was.
+averaging (FedAvg): it folds each update into a float64 running sum one
+table at a time, as the tables arrive. Only a client warned at the start
+of the round can be disconnected by the filter, on the rows' scores, so
+only its update waits, whole, for the filter to decide. As in FedPer,
+personal-flagged parameters never leave the client state, and the process
+that holds it writes the client's personal checkpoint. A client's state,
+Adam moments included, is a value that training reads and never writes, so
+a faulted client keeps it as it was.
 
 With more than one worker, client jobs run in ``min(workers, client_count)``
 processes forked once, before round 1, that last the whole run. Worker k
@@ -22,9 +23,11 @@ holds the states of the clients with ``id % workers == k`` and inherits what
 stays the same for the run: the dataset, the config, the seed, the
 held-out images and the run directory. Each round sends every worker the
 global model, the round number and who participates; only each client's
-update and row come back. Both cross through ``parallel.send`` and
-``recv``, which copy no parameter table; a reply's arrays are views of one
-arena, freed as soon as its update is folded or dropped. All
+update and row come back, as a header (the update without its arrays, the
+row and the update's table names, in order) followed by one message per
+table. All cross through ``parallel.send`` and ``recv``, which copy no
+parameter table, and each table is freed as soon as it is folded, so the
+parent never holds a whole update it is folding. All
 randomness is derived from (seed, domain, round, epoch, ...) keys, and
 updates are folded in an order that does not depend on the worker count,
 so results are bitwise the same for every worker count.
@@ -39,7 +42,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -322,10 +325,25 @@ def local_train(
 
 @dataclass
 class RunningSum:
-    """A round's FedAvg so far: Σ nₖ·wₖ per parameter in float64, and Σ nₖ."""
+    """A round's FedAvg so far: Σ nₖ·wₖ per parameter in float64, and Σ nₖ
+    over the clients admitted."""
 
     tables: dict[str, np.ndarray] = field(default_factory=dict)
     samples: int = 0
+    clients: set[int] = field(default_factory=set)
+
+    def admit(self, client_id: int, names: Iterable[str], sample_count: int) -> None:
+        """Count a client's nₖ into Σ nₖ, before any of its tables is folded.
+
+        The first update folded names the round's parameters; an update
+        with other names raises ``ValueError`` and leaves the sum as it was.
+        """
+        names = set(names)
+        if self.tables and names != self.tables.keys():
+            diff = sorted(names ^ self.tables.keys())
+            raise ValueError(f"update from client {client_id} has mismatched parameters: {diff}")
+        self.clients.add(client_id)
+        self.samples += sample_count
 
     def mean(self) -> dict[str, np.ndarray]:
         """(Σ nₖ·wₖ)/Σ nₖ, each table divided in float64 and rounded to
@@ -343,26 +361,36 @@ class RunningSum:
 
 
 def fedavg(updates: list[ClientUpdate], into: RunningSum) -> None:
-    """Fold ``updates``, in list order, into the round's running sum.
+    """Fold the tables of ``updates``, in list order, into the round's running sum.
 
     Each table adds nₖ·wₖ, a product exact in float64, to its float64 sum,
     which starts at zero; it is walked in ``optim.blocks``, so no table-sized
-    float64 temporary is made. The first update folded names the round's
-    parameters, and an update with other names raises ``ValueError``.
+    float64 temporary is made. An update from a client that ``into`` has not
+    admitted is admitted first on its own names (``RunningSum.admit``), so it
+    holds all of its client's tables; ``_fold`` admits a client on its
+    update's header, then folds the update a part at a time.
     """
     for u in updates:
-        if into.tables and set(u.params) != set(into.tables):
-            diff = sorted(set(u.params) ^ set(into.tables))
-            raise ValueError(
-                f"update from client {u.client_id} has mismatched parameters: {diff}"
-            )
+        if u.client_id not in into.clients:
+            into.admit(u.client_id, u.params, u.sample_count)
         for name, p in u.params.items():
             acc = into.tables.get(name)
             if acc is None:
                 acc = into.tables[name] = np.zeros(p.shape)
             for acc_, p_ in blocks(acc.size, acc, p):
                 acc_ += np.multiply(p_, u.sample_count, dtype=np.float64)
-        into.samples += u.sample_count
+
+
+def _fold(update: ClientUpdate, names: list[str],
+          parts: Iterable[dict[str, np.ndarray]], into: RunningSum) -> None:
+    """Fold one update whose tables come in ``parts``, dicts of consecutive
+    tables in the order of ``names``: the client is admitted on ``names``
+    before any part is read, and each part is folded by ``fedavg`` and
+    dropped before the next is read."""
+    into.admit(update.client_id, names, update.sample_count)
+    for params in parts:
+        fedavg([replace(update, params=params)], into)
+        del params  # before the next part is read
 
 
 def heldout_loss(model: DenoiserModel, images: np.ndarray, config: FederationConfig,
@@ -438,18 +466,23 @@ def _train_share(clients: dict[int, ClientState], global_model: DenoiserModel,
 
 def _serve(conn, clients: dict[int, ClientState], run_inputs: tuple) -> None:
     """A worker's life: it holds a share of the clients and serves one round
-    per message, (global model, round number, participating ids),
-    with one (update or None, ``RunRow``) reply per participating client of
-    its share. The run is over when the parent closes its end.
+    per message, (global model, round number, participating ids). For each
+    participating client of its share it replies with a header, (update
+    without its arrays or None, ``RunRow``, the update's table names in
+    order), then one message per table. The run is over when the parent
+    closes its end.
     """
     while True:
         try:
             message = parallel.recv(conn)
         except EOFError:
             return
-        for reply in _train_share(clients, *message, *run_inputs):
-            parallel.send(conn, reply)
-            del reply  # sent; not to be held through the next job
+        for update, row in _train_share(clients, *message, *run_inputs):
+            tables = update.params if update is not None else {}
+            parallel.send(conn, (update and replace(update, params={}), row, list(tables)))
+            for table in tables.values():
+                parallel.send(conn, table)
+            del update, tables  # sent; not to be held through the next job
 
 
 @contextmanager
@@ -457,16 +490,28 @@ def _client_rounds(clients: list[ClientState], worker_count: int, run_inputs: tu
     """Yield ``train(global_model, round_no, participating)``, which runs
     a round's client jobs and yields their replies in id order.
 
-    With one worker the jobs run here, over every client. Above one,
-    ``worker_count`` workers fork now through ``parallel.forked``, and worker
-    k keeps the states of the clients with ``id % worker_count == k`` for the
-    whole run and writes their personal checkpoints; a round sends its
-    message to every worker. A worker that ends mid-round raises
-    ``FederationError``; a job's exception is raised as it was raised.
+    A reply is (update or None, ``RunRow``, the update's table names, its
+    tables in parts): dicts of consecutive tables in the order of the names,
+    which the caller must take in full before it asks for the next reply.
+    With one worker the jobs run here, over every client, and an update's
+    tables are one part. Above one, ``worker_count`` workers fork now through
+    ``parallel.forked``, and worker k keeps the states of the clients with
+    ``id % worker_count == k`` for the whole run and writes their personal
+    checkpoints; a round sends its message to every worker, and each part
+    is one table, read from the pipe as it is taken. A worker that ends
+    mid-round raises ``FederationError``; a job's exception is raised as it
+    was raised.
     """
     if worker_count == 1:
         share = {client.id: client for client in clients}
-        yield lambda *message: _train_share(share, *message, *run_inputs)
+
+        def train(*message):
+            for update, row in _train_share(share, *message, *run_inputs):
+                tables = update.params if update is not None else {}
+                yield update, row, list(tables), [tables]
+                del update, tables  # the caller keeps or folds it; not to outlive the next job
+
+        yield train
         return
 
     def train(global_model, round_no, participating):
@@ -477,7 +522,9 @@ def _client_rounds(clients: list[ClientState], worker_count: int, run_inputs: tu
         except OSError:
             raise lost from None
         for cid in participating:
-            yield parallel.reply(conns[cid % worker_count], lost)
+            conn = conns[cid % worker_count]
+            update, row, names = parallel.reply(conn, lost)
+            yield update, row, names, ({name: parallel.reply(conn, lost)} for name in names)
 
     shares = [({client.id: client for client in clients if client.id % worker_count == k},
                run_inputs) for k in range(worker_count)]
@@ -492,26 +539,27 @@ def _commit_round(replies, global_model: DenoiserModel, filter_state: FilterStat
     Returns the next global model, the next filter state and one row per
     client. ``filter_step`` disconnects only a client that was already
     warned, so every other update is folded into the round's float64 sum as
-    it arrives and freed before the next reply is read; a reply's arrays may
-    be views of one arena that ``parallel.recv`` filled, and a kept view
-    would hold the whole reply. The updates of clients warned at the start
-    of the round are held until the filter has run, then folded in id order
-    unless their client was disconnected. The fold order (streamed updates,
-    then held ones, each in id order) is the same for every worker count.
+    it arrives, one part at a time (``_fold``): from a worker, each part is
+    one table, read from the pipe when the one before it is folded and
+    freed. The updates of clients warned at the start of the round are
+    collected whole and held until the filter has run, then folded in id
+    order unless their client was disconnected. The fold order (streamed
+    updates, then held ones, each in id order) is the same for every worker
+    count.
     """
     broadcast_bytes = _param_bytes(
         split_parameters(global_model)[0] if config.personalization and round_no > 1
         else global_model.params
     )
     total, held, rows = RunningSum(), {}, {}
-    for update, row in replies:
+    for update, row, names, parts in replies:
         rows[row.client_id] = row
         row.bytes_down = broadcast_bytes
         if update is not None and filter_state.status[row.client_id] == WARNED:
-            held[row.client_id] = update
+            held[row.client_id] = update, names, list(parts)
         elif update is not None:
-            fedavg([update], total)
-        del update, row  # before the next reply is read
+            _fold(update, names, parts, total)
+        del update, row, parts  # before the next reply is read
 
     losses = {cid: row.heldout_loss for cid, row in rows.items()
               if row.heldout_loss is not None}
@@ -527,8 +575,8 @@ def _commit_round(replies, global_model: DenoiserModel, filter_state: FilterStat
         for cid in scored:
             rows[cid].status = filter_state.status[cid]
 
-    fedavg([update for cid, update in held.items()
-            if filter_state.status[cid] != DISCONNECTED], total)
+    for cid in [cid for cid in held if filter_state.status[cid] != DISCONNECTED]:
+        _fold(*held.pop(cid), total)
     del held
     if not total.samples:
         raise FederationError(

@@ -188,9 +188,13 @@ class TestConfigHandling:
         train, test = load_datasets(load_config(path))
         assert train.images.shape[1:] == test.images.shape[1:] == (1, 16, 16)
 
-    def test_filter_sample_count_checked_only_with_filtering(self, tmp_path):
-        path = micro_config(tmp_path, federation={"eval_sample_count": 3})
-        assert main(["partition", "--config", str(path)]) == 0
+    def test_federation_sample_count_is_checked_by_nothing(self, tmp_path):
+        # the filter scores a held-out loss and samples nothing, so no count
+        # is too small for it, with filtering off or on
+        for filtering in (False, True):
+            path = micro_config(tmp_path, federation={"eval_sample_count": 3,
+                                                      "threshold_filtering": filtering})
+            assert main(["partition", "--config", str(path)]) == 0
 
     def test_missing_cifar_directory_exits_2(self, tmp_path):
         path = micro_config(tmp_path, dataset={"kind": "cifar10",

@@ -280,6 +280,23 @@ class TestFedavg:
         with pytest.raises(ValueError, match="client 7"):
             self.average([good, bad])
 
+    @pytest.mark.parametrize("names", [["w", "other"], []], ids=["extra", "missing"])
+    def test_streamed_update_with_other_names_folds_no_table(self, names):
+        # the names come with a streamed update's header, so they are checked
+        # before any of its tables is read, and the sum is left as it was
+        total = RunningSum()
+        fedavg([self.scalar_update(0, 1.5, 2)], total)
+        before = total.tables["w"].copy()
+
+        def parts():
+            raise AssertionError("a table of the update was read")
+            yield
+
+        with pytest.raises(ValueError, match="client 7"):
+            federation._fold(ClientUpdate(7, {}, 3, 0.0), names, parts(), total)
+        assert (total.samples, total.clients, list(total.tables)) == (2, {0}, ["w"])
+        np.testing.assert_array_equal(total.tables["w"], before)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             self.average([])
@@ -398,15 +415,15 @@ class TestRunFederation:
         monkeypatch.setattr(federation, "heldout_loss",
                             scripted_losses({0: 0.1, 1: 0.9, 2: 0.8}))
         rounds = []  # (the round's running sum, the ids folded into it)
-        original = federation.fedavg
+        original = federation._fold
 
-        def spy(updates, into):
+        def spy(update, names, parts, into):
             if not rounds or rounds[-1][0] is not into:
                 rounds.append((into, []))
-            rounds[-1][1].extend(u.client_id for u in updates)
-            return original(updates, into)
+            rounds[-1][1].append(update.client_id)
+            return original(update, names, parts, into)
 
-        monkeypatch.setattr(federation, "fedavg", spy)
+        monkeypatch.setattr(federation, "_fold", spy)
         cfg = tiny_config(
             client_count=3, server_rounds=4, threshold_filtering=True,
             eval_start_round=1, min_active_clients=2,
@@ -446,13 +463,13 @@ class TestRunFederation:
             federation, "heldout_loss",
             lambda model, images, config, rnd, cid, seed: 1.0 / scripted[rnd][cid],
         )
-        folded, original = [], federation.fedavg
+        folded, original = [], federation._fold
 
-        def spy(updates, into):
-            folded.extend(u.client_id for u in updates)
-            return original(updates, into)
+        def spy(update, names, parts, into):
+            folded.append(update.client_id)
+            return original(update, names, parts, into)
 
-        monkeypatch.setattr(federation, "fedavg", spy)
+        monkeypatch.setattr(federation, "_fold", spy)
         cfg = tiny_config(
             client_count=3, server_rounds=2, threshold_filtering=True,
             eval_start_round=1, min_active_clients=min_active,
@@ -704,6 +721,27 @@ class TestRunFederation:
                            tiny_config(), dataset, seed=2, workers=2)
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("messages", [1, 2], ids=["after-the-header", "between-tables"])
+    def test_worker_ending_cleanly_mid_reply_breaks_the_round(self, dataset, monkeypatch,
+                                                              messages):
+        # each worker sends its first reply's header, or the header and one
+        # table, then ends with exit code 0 and no error sent
+        parent, original, sent = os.getpid(), parallel.send, []
+
+        def send(conn, value):
+            original(conn, value)
+            if os.getpid() != parent:
+                sent.append(value)
+                if len(sent) == messages:
+                    raise SystemExit(0)
+
+        monkeypatch.setattr(parallel, "send", send)
+        with pytest.raises(FederationError,
+                           match="^round 1: a worker process ended mid-round$"):
+            run_federation(build_unet(TINY, seed=1), make_plan(dataset, 2),
+                           tiny_config(), dataset, seed=2, workers=2)
+        assert multiprocessing.active_children() == []
+
     def test_failed_fork_reaches_the_caller_as_raised(self, dataset, second_start_fails,
                                                        open_fds):
         # the first worker has forked when the second cannot
@@ -718,13 +756,15 @@ class TestRunFederation:
     def test_replies_carry_no_personal_layers(self, dataset, monkeypatch, two_workers,
                                               tmp_path):
         # personal layers stay with the worker that holds their client: a
-        # reply is only the update, stripped of them, and the row
-        parent, replies, original = os.getpid(), [], parallel.recv
+        # reply is a header (the update without its arrays, the row and the
+        # names of the update's tables), then one message per table, and no
+        # message the parent receives holds more than one table
+        parent, messages, original = os.getpid(), [], parallel.recv
 
         def recv(conn):
             value = original(conn)
             if os.getpid() == parent:
-                replies.append(value)
+                messages.append(value)
             return value
 
         monkeypatch.setattr(parallel, "recv", recv)
@@ -732,12 +772,20 @@ class TestRunFederation:
         run_federation(model, make_plan(dataset, 2),
                        tiny_config(server_rounds=2, personalization=True), dataset,
                        seed=2, out_dir=tmp_path)
-        assert len(replies) == 4
-        for value in replies:
-            assert type(value) is tuple and len(value) == 2
-            update, row = value
+        base = [name for name in model.params if name not in model.personal_names]
+        replies = 0
+        while messages:
+            header = messages.pop(0)
+            assert type(header) is tuple and len(header) == 3
+            update, row, names = header
             assert isinstance(update, ClientUpdate) and isinstance(row, federation.RunRow)
-            assert update.params and not set(update.params) & model.personal_names
+            assert update.params == {}
+            assert names == base
+            for name in names:
+                table = messages.pop(0)
+                assert type(table) is np.ndarray and table.shape == model.params[name].shape
+            replies += 1
+        assert replies == 4
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_personal_checkpoints_written_where_the_client_is_held(
@@ -860,21 +908,22 @@ class TestRunFederation:
         assert len(round_one) == 2 and alive == [0, 0]
 
     def test_each_update_is_freed_once_folded(self, dataset, monkeypatch):
-        # two workers, four clients, no scoring: when an update is folded it
-        # is the only one alive in the parent, and no reply is alive while
-        # the next is read; a reply's arrays are views of one arena
+        # two workers, four clients, no scoring: an update comes one table
+        # at a time, and when a table is folded it is the only one alive in
+        # the parent, and none is alive while the next message is read; a
+        # table is a view of the arena its message was read into. Freed
+        # means freed by reference counting, without a garbage collection
         parent, arenas, alive_at_fold, alive_at_read = os.getpid(), [], [], []
         original_fold, original_recv = federation.fedavg, parallel.recv
 
         def alive():
-            gc.collect()
             return sum(ref() is not None for ref in arenas)
 
         def fold(updates, into):
             for u in updates:
-                arena = next(iter(u.params.values())).base
-                assert arena is not None
-                arenas.append(weakref.ref(arena))
+                (table,) = u.params.values()
+                assert table.base is not None
+                arenas.append(weakref.ref(table.base))
                 alive_at_fold.append(alive())
             return original_fold(updates, into)
 
@@ -885,11 +934,13 @@ class TestRunFederation:
 
         monkeypatch.setattr(federation, "fedavg", fold)
         monkeypatch.setattr(parallel, "recv", recv)
-        run_federation(build_unet(TINY, seed=1), make_plan(dataset, 4),
+        model = build_unet(TINY, seed=1)
+        run_federation(model, make_plan(dataset, 4),
                        tiny_config(client_count=4, server_rounds=2), dataset, seed=2,
                        workers=2)
-        assert alive_at_fold == [1] * 8
-        assert alive_at_read == [0] * 8
+        tables = 8 * len(model.params)  # four clients, two rounds
+        assert alive_at_fold == [1] * tables
+        assert alive_at_read == [0] * (8 + tables)
 
     def test_serial_round_frees_each_replaced_optimizer_state(self, dataset, monkeypatch):
         # when a client's job starts, the states that earlier jobs of the
