@@ -88,14 +88,13 @@ class FederationSpec:
     optimizer: str = "adam"
     personalization: bool = False
     threshold_filtering: bool = False
-    drop_policy: str = "lowest_precision"
-    drop_threshold: float = 0.7
+    drop_threshold: float = DropPolicy.threshold
     eval_sample_count: int = 128  # read by nothing; perfbench sets it (ROADMAP item 13)
     eval_start_round: int = 4
     min_active_clients: int = 2
 
     def build_policy(self) -> DropPolicy:
-        return DropPolicy(kind=self.drop_policy, threshold=self.drop_threshold)
+        return DropPolicy(threshold=self.drop_threshold)
 
 
 @dataclass

@@ -1,12 +1,12 @@
 """The two-strike client filtering state machine.
 
-Clients evaluated as poor are warned; a second consecutive poor evaluation
+A scoring round marks poor every tracked client that scores below the drop
+threshold. Clients marked poor are warned; a second consecutive poor round
 disconnects them permanently. Recovering in between resets the strike
 count. Disconnects that would leave fewer than ``min_active`` participating
-clients are suppressed (in ascending client id order) and logged, as is a
-lowest-score round in which every tracked client ties. ``federation``
-scores a client by the round's median held-out loss over its own, so higher
-is better; the policy name ``lowest_precision`` predates that score.
+clients are suppressed (in ascending client id order) and logged.
+``federation`` scores a client by the round's median held-out loss over its
+own, so higher is better.
 """
 
 from __future__ import annotations
@@ -22,9 +22,6 @@ DISCONNECTED = "disconnected"
 
 _STRIKES = {ACTIVE: 0, WARNED: 1, DISCONNECTED: 2}
 
-POLICY_LOWEST_PRECISION = "lowest_precision"
-POLICY_THRESHOLD = "threshold"
-
 
 class ProtocolError(RuntimeError):
     """No score for a client the filter still tracks."""
@@ -32,23 +29,17 @@ class ProtocolError(RuntimeError):
 
 @dataclass(frozen=True)
 class DropPolicy:
-    """Which tracked clients a round marks poor, by score: ``lowest_precision``
-    the one with the lowest score (ties to the lowest id), ``threshold``
-    every one scoring below ``threshold``."""
+    """A round marks poor every tracked client scoring below ``threshold``;
+    a client scoring exactly ``threshold`` is not poor."""
 
-    kind: str = POLICY_LOWEST_PRECISION
     threshold: float = 0.7
 
     def validate(self) -> None:
-        if self.kind not in (POLICY_LOWEST_PRECISION, POLICY_THRESHOLD):
-            raise ValueError(f"unknown drop policy '{self.kind}'")
-        if self.kind == POLICY_THRESHOLD and not 0.0 <= self.threshold <= 1.0:
+        if not 0.0 <= self.threshold <= 1.0:  # NaN compares false, so it is refused
             raise ValueError(f"threshold must lie in [0, 1], got {self.threshold}")
 
     def label(self) -> str:
-        if self.kind == POLICY_THRESHOLD:
-            return f"threshold_{self.threshold:g}"
-        return self.kind
+        return f"threshold_{self.threshold:g}"
 
 
 @dataclass
@@ -79,12 +70,6 @@ def _poor_clients(state: FilterState, scores: dict[int, float], tracked: list[in
     missing = [i for i in tracked if i not in scores]
     if missing:
         raise ProtocolError(f"no score for participating clients {missing}")
-    if not tracked:
-        return set()
-    if state.policy.kind == POLICY_LOWEST_PRECISION:
-        # exactly one client per round; ties break to the lowest id
-        worst = min(tracked, key=lambda i: (scores[i], i))
-        return {worst}
     return {i for i in tracked if scores[i] < state.policy.threshold}
 
 
@@ -105,13 +90,6 @@ def filter_step(
     new = state.copy()
     tracked = [i for i in state.participating() if i not in exempt]
     poor = _poor_clients(state, scores, tracked)
-    if (state.policy.kind == POLICY_LOWEST_PRECISION and len(tracked) >= 2
-            and len({scores[i] for i in tracked}) == 1):
-        log.warning(
-            "round %d: all %d tracked clients tie at score %g; "
-            "the lowest-id tie-break picks client %d",
-            round_no, len(tracked), scores[tracked[0]], min(poor),
-        )
     candidates = []
     for cid in tracked:
         if cid in poor:

@@ -198,14 +198,13 @@ def test_criterion_6_filter_state_machine(verdict):
     from phoenix.filtering import ACTIVE, DISCONNECTED, WARNED, DropPolicy
     for _ in range(1000):
         clients = int(rng.integers(3, 7))
-        policy = (DropPolicy("threshold", float(rng.uniform(0.3, 0.9)))
-                  if rng.integers(2) else DropPolicy("lowest_precision"))
+        policy = DropPolicy(float(rng.uniform(0.1, 0.9)))
         state = FilterState.fresh(range(clients), policy, 2)
         warned_before: set[int] = set()
         for rnd in range(1, 7):
-            precisions = {c: float(rng.uniform(0, 1)) for c in state.participating()}
+            scores = {c: float(rng.uniform(0, 1)) for c in state.participating()}
             prev_dead = {c for c, s in state.status.items() if s == DISCONNECTED}
-            state, disconnected, _ = filter_step(state, precisions, rnd)
+            state, disconnected, _ = filter_step(state, scores, rnd)
             assert all(state.status[c] == DISCONNECTED for c in prev_dead)
             assert all(c in warned_before for c in disconnected)
             assert len(state.participating()) >= 2

@@ -54,8 +54,11 @@ class TestConfigHandling:
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({"preset": "desk", "bogus": 1}))
-        assert main(["partition", "--config", str(path)]) == 2
+        for doc in ({"preset": "desk", "bogus": 1},
+                    # threshold filtering has one drop rule, so the key that chose it is gone
+                    {"preset": "desk", "federation": {"drop_policy": "threshold"}}):
+            path.write_text(json.dumps(doc))
+            assert main(["partition", "--config", str(path)]) == 2, doc
 
     def test_invalid_config_writes_nothing(self, tmp_path):
         out = tmp_path / "out"
@@ -129,36 +132,38 @@ class TestConfigHandling:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("federation", [
-        {"threshold_filtering": True, "eval_start_round": 9},
-        {"optimizer": "rmsprop"},
-        {"server_rounds": 0},
-        {"threshold_filtering": True, "drop_policy": "threshold", "drop_threshold": 1.0,
-         "min_active_clients": 0},
+    @pytest.mark.parametrize("federation, rule", [
+        ({"threshold_filtering": True, "eval_start_round": 9}, "eval_start_round 9 outside"),
+        ({"optimizer": "rmsprop"}, "unknown optimizer 'rmsprop'"),
+        ({"server_rounds": 0}, "server_rounds and local_epochs must be at least 1"),
+        ({"threshold_filtering": True, "drop_threshold": 1.0, "min_active_clients": 0},
+         "needs min_active_clients >= 1"),
+        ({"drop_threshold": 1.5}, "threshold must lie in"),
+        ({"drop_threshold": -0.1}, "threshold must lie in"),
+        ({"drop_threshold": float("nan")}, "threshold must lie in"),
     ], ids=["eval-start-after-last-round", "unknown-optimizer", "no-rounds",
-            "no-participation-floor"])
-    def test_config_document_refuses_federation_rules(self, federation):
-        with pytest.raises(ValueError):
+            "no-participation-floor", "threshold-above-1", "threshold-negative",
+            "threshold-nan"])
+    def test_config_document_refuses_federation_rules(self, federation, rule):
+        with pytest.raises(ValueError, match=rule):
             config_from_dict({"preset": "desk", "federation": federation})
 
     def test_federation_config_carries_every_federation_field(self):
         values = {"client_count": 3, "server_rounds": 7, "local_epochs": 2,
                   "batch_size": 4, "learning_rate": 5e-3, "warmup_epochs": 1,
                   "optimizer": "sgd", "personalization": True,
-                  "threshold_filtering": True, "drop_policy": "threshold",
-                  "drop_threshold": 0.4,
+                  "threshold_filtering": True, "drop_threshold": 0.4,
                   "eval_sample_count": 32, "eval_start_round": 6,
                   "min_active_clients": 3}
-        policy = {"drop_policy": "kind", "drop_threshold": "threshold"}
         assert set(values) == {f.name for f in fields(FederationSpec)}
         assert all(getattr(FederationSpec(), key) != v for key, v in values.items())
         assert {f.name for f in fields(FederationConfig)} == (
-            set(values) - set(policy) | {"drop_policy", "schedule"})
+            set(values) - {"drop_threshold"} | {"drop_policy", "schedule"})
         fed = config_from_dict({"preset": "desk", "federation": values,
                                 "diffusion": {"schedule": "linear", "steps": 20}}
                                ).federation_config()
         for key, value in values.items():
-            got = getattr(fed.drop_policy, policy[key]) if key in policy else getattr(fed, key)
+            got = fed.drop_policy.threshold if key == "drop_threshold" else getattr(fed, key)
             assert got == value, key
         np.testing.assert_array_equal(fed.schedule.beta, linear_schedule(20).beta)
 

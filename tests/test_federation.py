@@ -72,11 +72,14 @@ def model():
     return build_unet(TINY, seed=8)
 
 
-def scripted_losses(scores):
-    """A ``heldout_loss`` stand-in: client i's loss is 1/scores[i], so the
-    filter's score, the round's median loss over the client's, orders the
-    clients as ``scores`` does."""
-    return lambda model, images, config, round_no, client_id, seed: 1.0 / scores[client_id]
+def scripted_losses(*rounds):
+    """A ``heldout_loss`` stand-in: in round r, client i's loss is
+    1/rounds[r - 1][i], so the filter's score, the round's median loss over
+    the client's, orders the clients as that map does. Rounds past the last
+    map reuse it."""
+    def loss(model, images, config, round_no, client_id, seed):
+        return 1.0 / rounds[min(round_no, len(rounds)) - 1][client_id]
+    return loss
 
 
 def make_plan(dataset, client_count):
@@ -410,10 +413,11 @@ class TestRunFederation:
             np.testing.assert_array_equal(final.params[name], initial.params[name])
 
     def test_scripted_filtering_disconnects_and_excludes(self, dataset, monkeypatch):
-        # client 0 always has the highest loss; two-strike drop at
-        # round 2, afterwards it must vanish from aggregation
+        # client 0 scores below 0.7 in rounds 1-2: two-strike drop at round
+        # 2, afterwards it must vanish from aggregation; client 2 does in rounds 3-4
+        first = {0: 0.1, 1: 0.9, 2: 0.8}
         monkeypatch.setattr(federation, "heldout_loss",
-                            scripted_losses({0: 0.1, 1: 0.9, 2: 0.8}))
+                            scripted_losses(first, first, {1: 0.9, 2: 0.1}))
         rounds = []  # (the round's running sum, the ids folded into it)
         original = federation._fold
 
@@ -427,7 +431,6 @@ class TestRunFederation:
         cfg = tiny_config(
             client_count=3, server_rounds=4, threshold_filtering=True,
             eval_start_round=1, min_active_clients=2,
-            drop_policy=DropPolicy(kind="lowest_precision"),
         )
         plan = PartitionPlan([[0, 1], [2, 3], [4, 5]], 3, "iid", 0)
         initial = build_unet(TINY, seed=1)
@@ -443,8 +446,8 @@ class TestRunFederation:
         assert by_round[3][0].status == "disconnected"
         assert by_round[3][0].samples == 0
         assert by_round[3][0].bytes_up == 0
-        # client 2 is the lowest survivor: warned in round 3, and its round-4
-        # disconnect is suppressed by the participation floor
+        # client 2 scores below 0.7 among the survivors: warned in round 3,
+        # and its round-4 disconnect is suppressed by the participation floor
         assert by_round[3][2].status == "warned"
         assert by_round[4][2].status == "warned"
         assert by_round[4][1].status == "active"
@@ -455,14 +458,11 @@ class TestRunFederation:
     ], ids=["recovered", "disconnect-suppressed"])
     def test_warned_client_is_held_then_folded_last(self, dataset, monkeypatch,
                                                     min_active, round_two, status):
-        # client 0 is warned in round 1; in round 2 it either scores above
-        # client 1 or its second strike is suppressed by the participation
-        # floor, so its held update is folded after the streamed ones
-        scripted = {1: {0: 0.1, 1: 0.9, 2: 0.8}, 2: round_two}
-        monkeypatch.setattr(
-            federation, "heldout_loss",
-            lambda model, images, config, rnd, cid, seed: 1.0 / scripted[rnd][cid],
-        )
+        # client 0 is warned in round 1; in round 2 it either recovers or
+        # its second strike is suppressed by the participation floor, so its
+        # held update is folded after the streamed ones
+        monkeypatch.setattr(federation, "heldout_loss",
+                            scripted_losses({0: 0.1, 1: 0.9, 2: 0.8}, round_two))
         folded, original = [], federation._fold
 
         def spy(update, names, parts, into):
@@ -473,7 +473,6 @@ class TestRunFederation:
         cfg = tiny_config(
             client_count=3, server_rounds=2, threshold_filtering=True,
             eval_start_round=1, min_active_clients=min_active,
-            drop_policy=DropPolicy(kind="lowest_precision"),
         )
         plan = PartitionPlan([[0, 1], [2, 3], [4, 5]], 3, "iid", 0)
         runs = {}
@@ -498,7 +497,7 @@ class TestRunFederation:
         monkeypatch.setattr(federation, "heldout_loss",
                             lambda model, images, config, rnd, cid, seed: losses[cid])
         cfg = tiny_config(client_count=3, threshold_filtering=True, eval_start_round=1,
-                          drop_policy=DropPolicy(kind="threshold", threshold=0.7))
+                          drop_policy=DropPolicy(threshold=0.7))
         plan = PartitionPlan([[0, 1], [2, 3], [4, 5]], 3, "iid", 0)
         _, runlog = run_federation(build_unet(TINY, seed=1), plan, cfg, dataset, seed=3,
                                    heldout=dataset)
@@ -507,10 +506,12 @@ class TestRunFederation:
 
     def test_bytes_follow_what_each_client_sends_and_receives(self, dataset,
                                                              monkeypatch):
-        # personalized and filtered: client 0 always scores lowest and is
-        # disconnected in round 2, client 1 faults in round 2
+        # personalized and filtered: client 0 scores below 0.7 and is
+        # disconnected in round 2, client 1 faults in round 2, and client 2
+        # scores below 0.7 in round 3
+        first = {0: 0.1, 1: 0.9, 2: 0.8}
         monkeypatch.setattr(federation, "heldout_loss",
-                            scripted_losses({0: 0.1, 1: 0.9, 2: 0.8}))
+                            scripted_losses(first, first, {1: 0.9, 2: 0.1}))
         original = federation.local_train
 
         def train(client, model, data, config, round_no, seed):
@@ -549,12 +550,11 @@ class TestRunFederation:
                                                                monkeypatch):
         # client 2 holds no data, so it has no classes to be scored on: its
         # rows log "skipped" and no loss, its filter state carries over, and
-        # the filter ranks the clients that trained
-        monkeypatch.setattr(federation, "heldout_loss", scripted_losses({0: 0.9, 1: 0.8}))
+        # the filter scores the clients that trained
+        monkeypatch.setattr(federation, "heldout_loss", scripted_losses({0: 0.9, 1: 0.1}))
         cfg = tiny_config(
             client_count=3, server_rounds=3, threshold_filtering=True,
             eval_start_round=1, min_active_clients=2,
-            drop_policy=DropPolicy(kind="lowest_precision"),
         )
         plan = PartitionPlan([[0, 1], [2, 3], []], 3, "iid", 0)
         _, runlog = run_federation(build_unet(TINY, seed=1), plan, cfg, dataset,
