@@ -60,6 +60,9 @@ class PartitionSpec:
             raise ConfigError(f"partition.beta_pct must lie in (0, 100], got {self.beta_pct}")
         if not 0 <= self.alpha_pct <= 100:
             raise ConfigError(f"partition.alpha_pct must lie in [0, 100], got {self.alpha_pct}")
+        if self.classes_per_client < 1:
+            raise ConfigError(
+                f"partition.classes_per_client must be at least 1, got {self.classes_per_client}")
 
 
 @dataclass

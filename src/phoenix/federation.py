@@ -23,14 +23,14 @@ holds the states of the clients with ``id % workers == k`` and inherits what
 stays the same for the run: the dataset, the config, the seed, the
 held-out images and the run directory. Each round sends every worker the
 global model, the round number and who participates; only each client's
-update and row come back, as a header (the update without its arrays, the
-row and the update's table names, in order) followed by one message per
-table. All cross through ``parallel.send`` and ``recv``, which copy no
-parameter table, and each table is freed as soon as it is folded, so the
-parent never holds a whole update it is folding. All
-randomness is derived from (seed, domain, round, epoch, ...) keys, and
-updates are folded in an order that does not depend on the worker count,
-so results are bitwise the same for every worker count.
+update and row come back, as a header (the row and the update's table
+names, in order) followed by one message per table. All cross through
+``parallel.send`` and ``recv``, which copy no parameter table, and each
+table is freed as soon as it is folded, so the parent never holds a whole
+update it is folding. All randomness is derived from (seed, domain,
+round, epoch, ...) keys, and updates are folded in an order that does not
+depend on the worker count, so results are bitwise the same for every
+worker count.
 Unless told otherwise, a run pools only when that can pay: BLAS pinned to
 one thread and a platform that forks (``parallel.default_workers``).
 """
@@ -153,14 +153,14 @@ class RunRow:
     round: int
     client_id: int
     status: str
-    samples: int
-    train_loss: float | None
-    precision: float | None  # always None, as is recall: perfbench/child.py reads
-    recall: float | None     # both columns (ROADMAP item 13)
-    heldout_loss: float | None
-    bytes_up: int
-    bytes_down: int
-    wall_ms: int  # training plus scoring time; the one column that varies run to run
+    samples: int = 0
+    train_loss: float | None = None
+    precision: float | None = None  # always None, as is recall: perfbench/child.py
+    recall: float | None = None     # reads both columns (ROADMAP item 13)
+    heldout_loss: float | None = None
+    bytes_up: int = 0
+    bytes_down: int = 0
+    wall_ms: int = 0  # training plus scoring time; the one column that varies run to run
 
 
 RUNLOG_COLUMNS = [f.name for f in fields(RunRow)]
@@ -368,7 +368,7 @@ def fedavg(updates: list[ClientUpdate], into: RunningSum) -> None:
     float64 temporary is made. An update from a client that ``into`` has not
     admitted is admitted first on its own names (``RunningSum.admit``), so it
     holds all of its client's tables; ``_fold`` admits a client on its
-    update's header, then folds the update a part at a time.
+    reply's header, then folds the update a part at a time.
     """
     for u in updates:
         if u.client_id not in into.clients:
@@ -381,15 +381,16 @@ def fedavg(updates: list[ClientUpdate], into: RunningSum) -> None:
                 acc_ += np.multiply(p_, u.sample_count, dtype=np.float64)
 
 
-def _fold(update: ClientUpdate, names: list[str],
+def _fold(row: RunRow, names: list[str],
           parts: Iterable[dict[str, np.ndarray]], into: RunningSum) -> None:
-    """Fold one update whose tables come in ``parts``, dicts of consecutive
-    tables in the order of ``names``: the client is admitted on ``names``
-    before any part is read, and each part is folded by ``fedavg`` and
-    dropped before the next is read."""
-    into.admit(update.client_id, names, update.sample_count)
+    """Fold the update of the client that ``row`` reports, whose tables come
+    in ``parts``, dicts of consecutive tables in the order of ``names``: the
+    client is admitted on ``names`` and ``row.samples`` before any part is
+    read, and each part is folded by ``fedavg`` and dropped before the next
+    is read."""
+    into.admit(row.client_id, names, row.samples)
     for params in parts:
-        fedavg([replace(update, params=params)], into)
+        fedavg([ClientUpdate(row.client_id, params, row.samples, row.train_loss)], into)
         del params  # before the next part is read
 
 
@@ -434,10 +435,9 @@ def _client_job(client: ClientState, global_model: DenoiserModel, round_no: int,
             own = np.isin(heldout.labels, dataset.labels[client.data_indices])
             loss = heldout_loss(model, heldout.images[own], config, round_no, client.id, seed)
     row = RunRow(round_no, client.id, status, samples=update.sample_count if update else 0,
-                 train_loss=update.train_loss if update else None, precision=None,
-                 recall=None, heldout_loss=loss,
+                 train_loss=update.train_loss if update else None, heldout_loss=loss,
                  bytes_up=_param_bytes(update.params) if update else 0,
-                 bytes_down=0, wall_ms=int((time.perf_counter() - start) * 1000))
+                 wall_ms=int((time.perf_counter() - start) * 1000))
     return state, update, row
 
 
@@ -467,10 +467,9 @@ def _train_share(clients: dict[int, ClientState], global_model: DenoiserModel,
 def _serve(conn, clients: dict[int, ClientState], run_inputs: tuple) -> None:
     """A worker's life: it holds a share of the clients and serves one round
     per message, (global model, round number, participating ids). For each
-    participating client of its share it replies with a header, (update
-    without its arrays or None, ``RunRow``, the update's table names in
-    order), then one message per table. The run is over when the parent
-    closes its end.
+    participating client of its share it replies with a header, (``RunRow``,
+    the update's table names in order, none without an update), then one
+    message per table. The run is over when the parent closes its end.
     """
     while True:
         try:
@@ -479,7 +478,7 @@ def _serve(conn, clients: dict[int, ClientState], run_inputs: tuple) -> None:
             return
         for update, row in _train_share(clients, *message, *run_inputs):
             tables = update.params if update is not None else {}
-            parallel.send(conn, (update and replace(update, params={}), row, list(tables)))
+            parallel.send(conn, (row, list(tables)))
             for table in tables.values():
                 parallel.send(conn, table)
             del update, tables  # sent; not to be held through the next job
@@ -490,17 +489,18 @@ def _client_rounds(clients: list[ClientState], worker_count: int, run_inputs: tu
     """Yield ``train(global_model, round_no, participating)``, which runs
     a round's client jobs and yields their replies in id order.
 
-    A reply is (update or None, ``RunRow``, the update's table names, its
-    tables in parts): dicts of consecutive tables in the order of the names,
-    which the caller must take in full before it asks for the next reply.
-    With one worker the jobs run here, over every client, and an update's
-    tables are one part. Above one, ``worker_count`` workers fork now through
-    ``parallel.forked``, and worker k keeps the states of the clients with
-    ``id % worker_count == k`` for the whole run and writes their personal
-    checkpoints; a round sends its message to every worker, and each part
-    is one table, read from the pipe as it is taken. A worker that ends
-    mid-round raises ``FederationError``; a job's exception is raised as it
-    was raised.
+    A reply is (``RunRow``, the update's table names, its tables in parts):
+    dicts of consecutive tables in the order of the names, which the caller
+    must take in full before it asks for the next reply; a client without an
+    update has no names. The row carries the update's client id, sample
+    count and train loss. With one worker the jobs run here, over every
+    client, and an update's tables are one part. Above one, ``worker_count``
+    workers fork now through ``parallel.forked``, and worker k keeps the
+    states of the clients with ``id % worker_count == k`` for the whole run
+    and writes their personal checkpoints; a round sends its message to
+    every worker, and each part is one table, read from the pipe as it is
+    taken. A worker that ends mid-round raises ``FederationError``; a job's
+    exception is raised as it was raised.
     """
     if worker_count == 1:
         share = {client.id: client for client in clients}
@@ -508,7 +508,7 @@ def _client_rounds(clients: list[ClientState], worker_count: int, run_inputs: tu
         def train(*message):
             for update, row in _train_share(share, *message, *run_inputs):
                 tables = update.params if update is not None else {}
-                yield update, row, list(tables), [tables]
+                yield row, list(tables), [tables]
                 del update, tables  # the caller keeps or folds it; not to outlive the next job
 
         yield train
@@ -523,8 +523,8 @@ def _client_rounds(clients: list[ClientState], worker_count: int, run_inputs: tu
             raise lost from None
         for cid in participating:
             conn = conns[cid % worker_count]
-            update, row, names = parallel.reply(conn, lost)
-            yield update, row, names, ({name: parallel.reply(conn, lost)} for name in names)
+            row, names = parallel.reply(conn, lost)
+            yield row, names, ({name: parallel.reply(conn, lost)} for name in names)
 
     shares = [({client.id: client for client in clients if client.id % worker_count == k},
                run_inputs) for k in range(worker_count)]
@@ -537,29 +537,30 @@ def _commit_round(replies, global_model: DenoiserModel, filter_state: FilterStat
     """Take a round's replies in id order, fold the updates, advance the filter.
 
     Returns the next global model, the next filter state and one row per
-    client. ``filter_step`` disconnects only a client that was already
-    warned, so every other update is folded into the round's float64 sum as
-    it arrives, one part at a time (``_fold``): from a worker, each part is
-    one table, read from the pipe when the one before it is folded and
-    freed. The updates of clients warned at the start of the round are
-    collected whole and held until the filter has run, then folded in id
-    order unless their client was disconnected. The fold order (streamed
-    updates, then held ones, each in id order) is the same for every worker
-    count.
+    client. A reply without table names carries no update. ``filter_step``
+    disconnects only a client that was already warned, so every other update
+    is folded into the round's float64 sum as it arrives, one part at a time
+    (``_fold``, which takes the client's sample count from its row): from a
+    worker, each part is one table, read from the pipe when the one before
+    it is folded and freed. The updates of clients warned at the start of
+    the round are collected whole and held until the filter has run, then
+    folded in id order unless their client was disconnected. The fold order
+    (streamed updates, then held ones, each in id order) is the same for
+    every worker count.
     """
     broadcast_bytes = _param_bytes(
         split_parameters(global_model)[0] if config.personalization and round_no > 1
         else global_model.params
     )
     total, held, rows = RunningSum(), {}, {}
-    for update, row, names, parts in replies:
+    for row, names, parts in replies:
         rows[row.client_id] = row
         row.bytes_down = broadcast_bytes
-        if update is not None and filter_state.status[row.client_id] == WARNED:
-            held[row.client_id] = update, names, list(parts)
-        elif update is not None:
-            _fold(update, names, parts, total)
-        del update, row, parts  # before the next reply is read
+        if names and filter_state.status[row.client_id] == WARNED:
+            held[row.client_id] = row, names, list(parts)
+        elif names:
+            _fold(row, names, parts, total)
+        del row, parts  # before the next reply is read
 
     losses = {cid: row.heldout_loss for cid, row in rows.items()
               if row.heldout_loss is not None}
@@ -585,7 +586,7 @@ def _commit_round(replies, global_model: DenoiserModel, filter_state: FilterStat
         )
     global_model = global_model.with_params({**global_model.params, **total.mean()})
     return global_model, filter_state, [
-        rows.get(cid) or RunRow(round_no, cid, DISCONNECTED, 0, None, None, None, None, 0, 0, 0)
+        rows.get(cid) or RunRow(round_no, cid, DISCONNECTED)
         for cid in range(config.client_count)
     ]
 

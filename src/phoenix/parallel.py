@@ -5,15 +5,13 @@ processes by these rules, so both import them from here. Both fork through
 ``forked``, which ends and reaps every child before the caller goes on,
 and take each child's value with ``reply``, which raises a child's
 exception as it was raised. Every value goes with ``send`` and comes with
-``recv``: a protocol-5 pickle that leaves the arrays out (PEP 574), then
-the arrays' bytes, written from and read into array memory, so a
-parameter table crosses without a copy in either process.
+``recv``: a protocol-5 pickle that leaves the arrays out (PEP 574, through
+numpy's own reduce), then the arrays' bytes, written from and read into
+array memory, so a parameter table crosses without a copy in either process.
 """
 
 from __future__ import annotations
 
-import copyreg
-import io
 import multiprocessing
 import os
 import pickle
@@ -54,20 +52,15 @@ def check_workers(workers: int) -> None:
                          f"which this platform lacks; use 1 worker")
 
 
-# True in a process that ``forked`` started: as a daemon, it may not fork.
-_forked_child = False
-
-
 def default_workers() -> int:
     """The worker count of a run that names none: every usable core when BLAS
-    is pinned to one thread and the platform forks; else 1. In a process
-    that ``forked`` started it is 1.
+    is pinned to one thread and the platform forks; else 1.
 
     A forked worker inherits its parent's BLAS threads, so with BLAS
     unpinned the workers fight over the cores: two desk workers took 68-88 s
     where one took 31-32 s.
     """
-    return usable_cores() if blas_pinned() and can_fork() and not _forked_child else 1
+    return usable_cores() if blas_pinned() and can_fork() else 1
 
 
 # Each array that ``recv`` returns starts at a multiple of this many bytes.
@@ -93,38 +86,21 @@ def _transfer(move, fd: int, buffers) -> None:
             pending[first] = pending[first][done:]
 
 
-def _rebuild_array(buffer, dtype: np.dtype, shape: tuple[int, ...]) -> np.ndarray:
-    return np.frombuffer(buffer, dtype).reshape(shape)
-
-
-def _reduce_array(array: np.ndarray):
-    """Pickle an array as one C-ordered out-of-band buffer (a non-contiguous
-    array is copied into one here), so that ``recv`` returns every array as a
-    view of its arena."""
-    if array.dtype.hasobject:
-        return array.__reduce_ex__(5)
-    buffer = pickle.PickleBuffer(np.ascontiguousarray(array))
-    return _rebuild_array, (buffer, array.dtype, array.shape)
-
-
-class _Pickler(pickle.Pickler):
-    dispatch_table = {**copyreg.dispatch_table, np.ndarray: _reduce_array}
-
-
 def send(conn, value) -> None:
     """Send ``value`` through the pipe ``conn`` for ``recv`` to take.
 
-    The message is the pickle of ``value`` with its arrays left out,
-    prefixed by their byte sizes; then each array's bytes follow, written
-    from the array's own memory. A pipe whose reader is gone raises
-    ``OSError``.
+    The message is the protocol-5 pickle of ``value`` with every C- or
+    F-contiguous array left out, which numpy's own reduce hands over as an
+    out-of-band buffer, prefixed by their byte sizes; then each array's
+    bytes follow, written from the array's own memory. Any other array (not
+    contiguous, or of objects) goes inside the pickle, as a copy. A pipe
+    whose reader is gone raises ``OSError``.
     """
     buffers: list[pickle.PickleBuffer] = []
-    stream = io.BytesIO()
-    _Pickler(stream, 5, buffer_callback=buffers.append).dump(value)
+    head = pickle.dumps(value, 5, buffer_callback=buffers.append)
     raws = [b.raw() for b in buffers]
     conn.send_bytes(struct.pack(f"<Q{len(raws)}Q", len(raws), *(r.nbytes for r in raws))
-                    + stream.getvalue())
+                    + head)
     _transfer(os.writev, conn.fileno(), raws)
 
 
@@ -153,8 +129,6 @@ def _child(target: Callable, conn, args: tuple, inherited) -> None:
     """A forked child's life: close the parent's pipe ends it inherited, so
     that a child sees its pipe end when the parent closes it, then run
     ``target(conn, *args)`` and send back an exception it raises."""
-    global _forked_child
-    _forked_child = True
     for parent_end in inherited:
         parent_end.close()
     try:

@@ -179,6 +179,8 @@ def data_sharing_split(
         raise ValueError(f"alpha_pct must lie in [0, 100], got {alpha_pct}")
     if beta_pct <= 0:
         raise ValueError(f"beta_pct must be positive, got {beta_pct}")
+    if classes_per_client < 1:
+        raise ValueError("classes_per_client must be positive")
     rng = derive_rng(seed, DOMAIN_PARTITION, 2)
     client_pool, server_pool = _stratified_server_split(dataset.labels, 0.2, rng)
     g_size = round_half_up(beta_pct / 100.0 * len(client_pool))

@@ -122,6 +122,11 @@ class TestConfigHandling:
                      "partition.beta_pct", id="beta-nan"),
         pytest.param({"partition": {"mode": "data_sharing", "alpha_pct": float("nan")}},
                      "partition.alpha_pct", id="alpha-nan"),
+        # 0 would leave every client only the shared images
+        pytest.param({"partition": {"mode": "data_sharing", "classes_per_client": 0}},
+                     "partition.classes_per_client", id="classes-per-client-zero"),
+        pytest.param({"partition": {"mode": "data_sharing", "classes_per_client": -1}},
+                     "partition.classes_per_client", id="classes-per-client-negative"),
     ])
     def test_unrunnable_config_refused_before_writing(self, tmp_path, capsys, override,
                                                       named):

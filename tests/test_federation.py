@@ -24,6 +24,7 @@ from phoenix.federation import (
     FederationConfig,
     FederationError,
     RunningSum,
+    RunRow,
     fedavg,
     heldout_loss,
     local_train,
@@ -84,6 +85,16 @@ def scripted_losses(*rounds):
 
 def make_plan(dataset, client_count):
     return partition_label_skew(dataset, client_count, 2, seed=5)
+
+
+def in_arena(array: np.ndarray) -> bool:
+    """Whether ``array`` is an ``ALIGN``-aligned view of the byte arena that
+    ``parallel.recv`` read its message into, so it crossed without a copy."""
+    root = array
+    while isinstance(root.base, np.ndarray):
+        root = root.base
+    return (not array.flags.owndata and root is not array and root.dtype == np.uint8
+            and root.ndim == 1 and array.ctypes.data % parallel.ALIGN == 0)
 
 
 def timeless_rows(runlog):
@@ -296,7 +307,7 @@ class TestFedavg:
             yield
 
         with pytest.raises(ValueError, match="client 7"):
-            federation._fold(ClientUpdate(7, {}, 3, 0.0), names, parts(), total)
+            federation._fold(RunRow(1, 7, "active", samples=3), names, parts(), total)
         assert (total.samples, total.clients, list(total.tables)) == (2, {0}, ["w"])
         np.testing.assert_array_equal(total.tables["w"], before)
 
@@ -421,11 +432,11 @@ class TestRunFederation:
         rounds = []  # (the round's running sum, the ids folded into it)
         original = federation._fold
 
-        def spy(update, names, parts, into):
+        def spy(row, names, parts, into):
             if not rounds or rounds[-1][0] is not into:
                 rounds.append((into, []))
-            rounds[-1][1].append(update.client_id)
-            return original(update, names, parts, into)
+            rounds[-1][1].append(row.client_id)
+            return original(row, names, parts, into)
 
         monkeypatch.setattr(federation, "_fold", spy)
         cfg = tiny_config(
@@ -465,9 +476,9 @@ class TestRunFederation:
                             scripted_losses({0: 0.1, 1: 0.9, 2: 0.8}, round_two))
         folded, original = [], federation._fold
 
-        def spy(update, names, parts, into):
-            folded.append(update.client_id)
-            return original(update, names, parts, into)
+        def spy(row, names, parts, into):
+            folded.append(row.client_id)
+            return original(row, names, parts, into)
 
         monkeypatch.setattr(federation, "_fold", spy)
         cfg = tiny_config(
@@ -756,9 +767,9 @@ class TestRunFederation:
     def test_replies_carry_no_personal_layers(self, dataset, monkeypatch, two_workers,
                                               tmp_path):
         # personal layers stay with the worker that holds their client: a
-        # reply is a header (the update without its arrays, the row and the
-        # names of the update's tables), then one message per table, and no
-        # message the parent receives holds more than one table
+        # reply is a header (the row and the names of the update's tables),
+        # then one message per table, and no message the parent receives
+        # holds more than one table
         parent, messages, original = os.getpid(), [], parallel.recv
 
         def recv(conn):
@@ -776,16 +787,59 @@ class TestRunFederation:
         replies = 0
         while messages:
             header = messages.pop(0)
-            assert type(header) is tuple and len(header) == 3
-            update, row, names = header
-            assert isinstance(update, ClientUpdate) and isinstance(row, federation.RunRow)
-            assert update.params == {}
+            assert type(header) is tuple and len(header) == 2
+            row, names = header
+            assert type(row) is RunRow and row.samples > 0
             assert names == base
             for name in names:
                 table = messages.pop(0)
                 assert type(table) is np.ndarray and table.shape == model.params[name].shape
             replies += 1
         assert replies == 4
+
+    def test_every_array_crosses_as_a_view_of_its_arena(self, dataset, monkeypatch,
+                                                        pid_log, two_workers):
+        # a pooled run with personalization and filtering from round 1, then
+        # a sample cut into two shares: every array that arrives, in the
+        # parent or in a worker, is a view of the arena its message was read
+        # into, and no forked process forks
+        parent, original_recv, fork = os.getpid(), parallel.recv, os.fork
+        received, parent_forks = [], []
+        broadcasts, forks = pid_log("broadcasts"), pid_log("forks")
+        forks.path.touch()
+
+        def recv(conn):
+            value = original_recv(conn)
+            if os.getpid() == parent:
+                received.append(value)
+            elif all(in_arena(table) for table in value[0].params.values()):
+                broadcasts.append()
+            return value
+
+        def logged_fork():
+            if os.getpid() == parent:
+                parent_forks.append(parent)
+            else:
+                forks.append()
+            return fork()
+
+        monkeypatch.setattr(parallel, "recv", recv)
+        monkeypatch.setattr(os, "fork", logged_fork)
+        monkeypatch.setattr(diffusion, "SAMPLE_BATCH", 2)
+        cfg = tiny_config(server_rounds=2, personalization=True, threshold_filtering=True,
+                          eval_start_round=1)
+        model = build_unet(TINY, seed=1)
+        final, _ = run_federation(model, make_plan(dataset, 2), cfg, dataset, seed=2,
+                                  heldout=dataset)
+        samples = diffusion.generate(final, cfg.schedule, 4, seed=3)
+        arrays = [value for value in received if isinstance(value, np.ndarray)]
+        base = len(model.params) - len(model.personal_names)
+        assert len(arrays) == 4 * base + 1  # two clients' tables in two rounds, the samples
+        assert all(in_arena(array) for array in arrays)
+        assert arrays[-1].tobytes() == samples[2:].tobytes()
+        pids = broadcasts.pids()
+        assert len(pids) == 4 and len(set(pids)) == 2 and parent not in pids
+        assert len(parent_forks) == 3 and forks.pids() == []
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_personal_checkpoints_written_where_the_client_is_held(

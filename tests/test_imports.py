@@ -40,3 +40,45 @@ def test_only_parallel_forks():
     forking = {path.name for path in MODULES
                if "multiprocessing" in absolute_imports(path) or uses_os_fork(path)}
     assert forking == {"parallel.py"}
+
+
+def test_only_parallel_pickles():
+    pickling = {path.name for path in MODULES
+                if {"pickle", "copyreg"} & set(absolute_imports(path))}
+    assert pickling == {"parallel.py"}
+
+
+def defined_names(statement: ast.stmt) -> list[str]:
+    """The module-level names that ``statement`` defines."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [statement.name]
+    targets = (statement.targets if isinstance(statement, ast.Assign)
+               else [statement.target] if isinstance(statement, ast.AnnAssign) else [])
+    return [node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name)]
+
+
+def referenced_names(statement: ast.stmt) -> set[str]:
+    """Every name that ``statement`` reads, as a variable, an attribute or an import."""
+    names = set()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_private_module_name_is_used():
+    # a single-underscore name at module level is used by some statement of
+    # the package other than its own definition, so none is left behind
+    private, used = set(), set()
+    for path in MODULES:
+        for statement in ast.parse(path.read_text(), filename=str(path)).body:
+            own = {name for name in defined_names(statement)
+                   if name.startswith("_") and not name.startswith("__")}
+            private |= {(path.name, name) for name in own}
+            used |= referenced_names(statement) - own
+    assert {f"{module}: {name}" for module, name in private if name not in used} == set()

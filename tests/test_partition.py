@@ -170,6 +170,13 @@ class TestDataSharing:
         with pytest.raises(ValueError):
             data_sharing_split(ds, 4, 50, 100, 2, seed=1)  # needs |G| = 200 > |S| = 100
 
+    @pytest.mark.parametrize("classes", [0, -1])
+    def test_fewer_than_one_class_per_client_rejected(self, classes):
+        # with 0 every client would hold only the merged shared images
+        ds = make_toy_dataset(4, 125, 8, seed=3)
+        with pytest.raises(ValueError, match="classes_per_client must be positive"):
+            data_sharing_split(ds, 4, 25, 100, classes, seed=1)
+
     def test_determinism(self):
         ds = make_toy_dataset(4, 125, 8, seed=3)
         a = data_sharing_split(ds, 4, 25, 50, 2, seed=9)
